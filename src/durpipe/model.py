@@ -10,6 +10,14 @@ small surface can stand in for it.
 Training is minibatch gradient descent with adaptive per-parameter
 moments and a linear-warmup-then-constant schedule. All randomness flows
 from the config seed, so runs are bit-reproducible.
+
+`train` tokenizes and hashes its data once, into flat arrays of window
+bucket ids, and every step gathers its batch from those arrays. The
+optimizer steps the embedding table only on rows that have had a
+gradient in this run: every other row still has zero moments, so its
+update is exactly zero and skipping it changes no bit (unlike "lazy"
+Adam, which also skips the moment decay of rows without a gradient).
+Once half the rows have had one, the whole table is stepped in place.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import pairwise
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
@@ -201,8 +211,8 @@ class TrainConfig:
             raise ConfigError(f"warmup_proportion must be in [0, 1], got {self.warmup_proportion}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
@@ -229,47 +239,123 @@ def _check_labels(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]
                 raise ConfigError(f"label {label.word} outside the model inventory")
 
 
+@dataclass(frozen=True)
+class _Windows:
+    """Labeled items compiled to the bucket ids of their mask windows.
+
+    The windows of one item are adjacent and items keep their order, so
+    every sum over `rows` runs in the order a loop over items, windows
+    and tokens would take.
+    """
+
+    rows: np.ndarray  # bucket id of every window token
+    lengths: np.ndarray  # tokens per window
+    item_windows: np.ndarray  # index of each item's first window, then the window count
+    labels: list  # log-seconds for mse, inventory index for cross_entropy
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Index of each window's first token in `rows`, then the token count."""
+        return np.concatenate(([0], np.cumsum(self.lengths)))
+
+    def take(self, items: np.ndarray) -> "_Windows":
+        """The given items, in the given order."""
+        first, stop = self.item_windows[items], self.item_windows[items + 1]
+        return _Windows(
+            rows=self.rows[_ranges(self.starts[first], self.starts[stop])],
+            lengths=self.lengths[_ranges(first, stop)],
+            item_windows=np.concatenate(([0], np.cumsum(stop - first))),
+            labels=[self.labels[i] for i in items],
+        )
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Concatenation of range(start, stop) over the pairs; no range is empty."""
+    counts = stops - starts
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+
+
+def _compile(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]], loss: str) -> _Windows:
+    """Tokenize and hash every mask window of `data` once."""
+    encoder = model.encoder
+    rows, lengths, item_windows, labels = [], [], [0], []
+    for i, (model_input, label) in enumerate(data):
+        if not model_input.mask_positions:
+            raise InvalidInputError(f"item {i}: input has no mask positions")
+        tokens = tokenize(model_input.text)
+        for p in model_input.mask_positions:
+            if not 0 <= p < len(tokens):
+                raise InvalidInputError(
+                    f"item {i}: mask position {p} outside token range 0..{len(tokens) - 1}"
+                )
+            window = encoder.window_buckets(tokens, p)
+            rows.append(window)
+            lengths.append(len(window))
+        item_windows.append(len(lengths))
+        labels.append(float(label) if loss == "mse" else model.inventory.index(label))
+    return _Windows(
+        rows=np.concatenate(rows),
+        lengths=np.array(lengths, dtype=np.intp),
+        item_windows=np.array(item_windows, dtype=np.intp),
+        labels=labels,
+    )
+
+
 def loss_and_grads(
     model: DualHeadModel,
-    batch: Sequence[tuple[ModelInput, object]],
+    batch: Sequence[tuple[ModelInput, object]] | _Windows,
     loss: str,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean batch loss and its analytic gradients.
+
+    `batch` holds (input, label) pairs; `train` passes its items already
+    compiled to window bucket ids, so that each dataset is hashed once.
+    The forward pass gathers every window token's embedding at once and
+    reduces them to window means and per-item sums; the backward pass
+    spreads each item's gradient over its window tokens with one
+    scatter-add in item, window and token order. Every sum runs in the
+    order of a loop over items, so the result is bit-identical to one.
 
     Returns gradients for the active head ("w_e" for mse, "w_r" for
     cross_entropy) and for the full encoder embedding table
     ("embeddings", dense (buckets, dim)).
     """
-    encoder = model.encoder
-    d_emb = np.zeros_like(encoder.embeddings)
+    if not isinstance(batch, _Windows):
+        batch = _compile(model, batch, loss)
+    embeddings = model.encoder.embeddings
+    n = len(batch)
+    lengths = batch.lengths[:, None]
+    # numpy sums along the first axis in an order that depends on the
+    # array's shape (pairwise when dim is 1, and in reduceat), so each
+    # window and each item is reduced by its own call, as in a loop.
+    gathered = embeddings[batch.rows]
+    means = np.array([np.add.reduce(gathered[a:b]) for a, b in pairwise(batch.starts)]) / lengths
+    d_sums = np.empty((n, embeddings.shape[1]))
     d_we = np.zeros_like(model.w_e)
     d_wr = np.zeros_like(model.w_r)
     total = 0.0
-    n = len(batch)
-    for model_input, label in batch:
-        tokens = tokenize(model_input.text)
-        if not model_input.mask_positions:
-            raise InvalidInputError("input has no mask positions")
-        windows = [encoder.window_buckets(tokens, p) for p in model_input.mask_positions]
-        xs = [encoder.embeddings[rows].mean(axis=0) for rows in windows]
-        s = np.sum(xs, axis=0)
+    for i, ((a, b), label) in enumerate(zip(pairwise(batch.item_windows), batch.labels)):
+        s = np.add.reduce(means[a:b])
         if loss == "mse":
-            err = float(model.w_e @ s) - float(label)
+            err = float(model.w_e @ s) - label
             total += err * err
             dv = 2.0 * err / n
             d_we += dv * s
-            ds = dv * model.w_e
+            d_sums[i] = dv * model.w_e
         else:
-            probs = _softmax(model.w_r @ s)
-            target = model.inventory.index(label)
-            total += -math.log(max(probs[target], 1e-300))
-            dz = probs.copy()
-            dz[target] -= 1.0
+            dz = _softmax(model.w_r @ s)
+            total += -math.log(max(dz[label], 1e-300))
+            dz[label] -= 1.0
             dz /= n
             d_wr += np.outer(dz, s)
-            ds = model.w_r.T @ dz
-        for rows in windows:
-            np.add.at(d_emb, rows, ds / len(rows))
+            d_sums[i] = model.w_r.T @ dz
+    d_windows = d_sums[np.repeat(np.arange(n), np.diff(batch.item_windows))] / lengths
+    d_emb = np.zeros_like(embeddings)
+    np.add.at(d_emb, batch.rows, np.repeat(d_windows, batch.lengths, axis=0))
     grads = {"embeddings": d_emb}
     if loss == "mse":
         grads["w_e"] = d_we
@@ -295,28 +381,63 @@ def evaluate_loss(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]
     return total / len(data)
 
 
+# Share of a table's rows that must have had a gradient before stepping
+# the whole table in place beats gathering and scattering those rows.
+_DENSE_STEP_SHARE = 0.5
+
+
 class _Adam:
-    """Adaptive-moment updates; the learning rate is supplied per step."""
+    """Adaptive-moment updates; the learning rate is supplied per step.
+
+    A parameter stepped with a row mask is updated only on the rows the
+    mask marks, which must include every row that has had a nonzero
+    gradient since the optimizer was made. Any other row has m = v = 0,
+    so the full update would leave it exactly as it is.
+    """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]],
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros(s) for k, s in shapes.items()}
         self.v = {k: np.zeros(s) for k, s in shapes.items()}
+        self.scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float,
+             row_masks: dict[str, np.ndarray]) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for key, grad in grads.items():
-            m = self.m[key]
-            v = self.v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            params[key] -= lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            mask = row_masks.get(key)
+            if mask is not None and np.count_nonzero(mask) < _DENSE_STEP_SHARE * len(mask):
+                rows = np.flatnonzero(mask)
+                p, m, v, g = params[key][rows], self.m[key][rows], self.v[key][rows], grad[rows]
+                self._update(p, m, v, g, lr, b1t, b2t, np.empty_like(g), np.empty_like(g))
+                params[key][rows], self.m[key][rows], self.v[key][rows] = p, m, v
+            else:
+                if key not in self.scratch:
+                    self.scratch[key] = (np.empty_like(grad), np.empty_like(grad))
+                self._update(params[key], self.m[key], self.v[key], grad, lr, b1t, b2t,
+                             *self.scratch[key])
+
+    def _update(self, param, m, v, grad, lr, b1t, b2t, step, denom) -> None:
+        """param -= lr * (m / b1t) / (sqrt(v / b2t) + eps) after the moment
+        updates, in place; `step` and `denom` are scratch of grad's shape."""
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=step)
+        m += step
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=step)
+        step *= grad
+        v += step
+        np.divide(m, b1t, out=step)
+        step *= lr
+        np.divide(v, b2t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        param -= step
 
 
 def _warmup_lr(base: float, step: int, warmup_steps: int) -> float:
@@ -356,17 +477,20 @@ def train(
     total_steps = steps_per_epoch * cfg.epochs
     warmup_steps = math.ceil(cfg.warmup_proportion * total_steps)
 
+    windows = _compile(model, data, cfg.loss)
+    touched = np.zeros(len(model.encoder.embeddings), dtype=bool)
     rng = np.random.default_rng(cfg.seed)
     curve: list[float] = []
     step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            batch = [data[i] for i in order[start:start + cfg.batch_size]]
+            batch = windows.take(order[start:start + cfg.batch_size])
             loss, grads = loss_and_grads(model, batch, cfg.loss)
             step += 1
             lr = _warmup_lr(cfg.learning_rate, step, warmup_steps)
-            optimizer.step(params, grads, lr)
+            touched[batch.rows] = True
+            optimizer.step(params, grads, lr, {"embeddings": touched})
             curve.append(loss)
     return model, curve
 

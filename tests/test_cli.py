@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -135,6 +136,34 @@ def test_train_determinism(tmp_path, small_pipeline):
     assert run("train", instances, "--out", tmp_path / "t1", *args) == 0
     assert run("train", instances, "--out", tmp_path / "t2", *args) == 0
     assert (tmp_path / "t1" / "model.ckpt").read_bytes() == (tmp_path / "t2" / "model.ckpt").read_bytes()
+
+
+# Checkpoint bytes of a small fixed recipe. A faster training path must
+# reproduce them exactly; a deliberate change to training updates them
+# and says why.
+PINNED_CHECKPOINTS = {
+    "exact": "3648df815440e24f5ee4a39755d4edcb17b25b20613e7d90a2c6b97eaa3b95dc",
+    "range": "40f976433505604e69c0dfee95ecffc6e9338d7dd35b123460bbf430e9e16760",
+}
+
+
+def test_train_checkpoint_bytes_are_pinned(tmp_path):
+    assert run("synth", "--out", tmp_path / "synth", "--size", 200, "--holdout", 40, "--seed", 3) == 0
+    assert run("extract", tmp_path / "synth" / "corpus.jsonl", "--out", tmp_path / "ex") == 0
+    for head, digest in PINNED_CHECKPOINTS.items():
+        out = tmp_path / f"train-{head}"
+        assert run("train", tmp_path / "ex" / "instances.jsonl", "--head", head,
+                   "--learning-rate", 0.05, "--epochs", 3, "--seed", 3, "--out", out) == 0
+        assert hashlib.sha256((out / "model.ckpt").read_bytes()).hexdigest() == digest, head
+
+
+def test_train_rejects_out_of_range_mask_position(tmp_path):
+    data = tmp_path / "instances.jsonl"
+    row = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2, 20],
+           "exact_label": 3.0, "range_label": "hours", "source_id": "x"}
+    data.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    assert run("train", data, "--epochs", 1, "--out", tmp_path / "t") == cli.EXIT_DATA
+    assert not (tmp_path / "t" / "model.ckpt").exists()
 
 
 def test_eval_fine_and_coarse(small_pipeline, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from durpipe import model as model_mod
 from durpipe.adapters import ModelInput
 from durpipe.model import (
     BaselineEncoder,
@@ -222,6 +223,9 @@ def test_train_config_validation():
         TrainConfig(warmup_proportion=1.5)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
+    for rate in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            TrainConfig(learning_rate=rate)
     assert TrainConfig.pretraining().learning_rate == 5e-5
     assert TrainConfig.pretraining().batch_size == 16
     assert TrainConfig.finetuning().learning_rate == 2e-5
@@ -283,3 +287,183 @@ def test_evaluate_loss_matches_definitions():
     assert evaluate_loss(model, [(SAMPLE, 1.0)], "mse") == pytest.approx(4.0)
     # zero logits -> uniform probabilities -> loss ln(8)
     assert evaluate_loss(model, [(SAMPLE, TemporalUnit.DAY)], "cross_entropy") == pytest.approx(math.log(8))
+
+
+def test_train_rejects_no_or_out_of_range_mask_positions():
+    good = (ModelInput(text="It took [MASK] [MASK] today.", mask_positions=(2, 3)), 3.0)
+    model = DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2)
+    before = model.encoder.embeddings.copy()
+    for positions in [(), (-1,), (5,), (9,), (20,), (2, 20)]:
+        bad = (ModelInput(text="It took [MASK] [MASK] today.", mask_positions=positions), 3.0)
+        with pytest.raises(InvalidInputError, match="item 1"):
+            train(model, [good, bad], TrainConfig(learning_rate=0.1, epochs=1, seed=0))
+    assert np.array_equal(model.encoder.embeddings, before)
+
+
+@pytest.mark.parametrize("epochs", [1, 5])
+def test_train_hashes_each_window_once(monkeypatch, epochs):
+    calls = []
+    original = BaselineEncoder.window_buckets
+
+    def counting(self, tokens, position):
+        calls.append(position)
+        return original(self, tokens, position)
+
+    monkeypatch.setattr(BaselineEncoder, "window_buckets", counting)
+    rng = np.random.default_rng(4)
+    model = DualHeadModel.create(dim=4, seed=0, buckets=64, radius=2)
+    data = _random_batch(rng, model, 21, "mse")
+    train(model, data, TrainConfig(learning_rate=0.01, batch_size=4, epochs=epochs, seed=0))
+    assert len(calls) == sum(len(mi.mask_positions) for mi, _ in data)
+
+
+# --- reference implementations: a loop over items and a dense Adam step ------
+
+
+def _reference_loss_and_grads(model, batch, loss):
+    encoder = model.encoder
+    d_emb = np.zeros_like(encoder.embeddings)
+    d_we = np.zeros_like(model.w_e)
+    d_wr = np.zeros_like(model.w_r)
+    total = 0.0
+    n = len(batch)
+    for model_input, label in batch:
+        tokens = model_input.text.split()
+        windows = [encoder.window_buckets(tokens, p) for p in model_input.mask_positions]
+        s = np.sum([encoder.embeddings[rows].mean(axis=0) for rows in windows], axis=0)
+        if loss == "mse":
+            err = float(model.w_e @ s) - float(label)
+            total += err * err
+            dv = 2.0 * err / n
+            d_we += dv * s
+            ds = dv * model.w_e
+        else:
+            z = model.w_r @ s
+            probs = np.exp(z - np.max(z))
+            probs = probs / probs.sum()
+            target = model.inventory.index(label)
+            total += -math.log(max(probs[target], 1e-300))
+            dz = probs.copy()
+            dz[target] -= 1.0
+            dz /= n
+            d_wr += np.outer(dz, s)
+            ds = model.w_r.T @ dz
+        for rows in windows:
+            np.add.at(d_emb, rows, ds / len(rows))
+    head = {"w_e": d_we} if loss == "mse" else {"w_r": d_wr}
+    return total / n, {"embeddings": d_emb, **head}
+
+
+class _DenseAdam:
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        self.t = 0
+
+    def step(self, params, grads, lr):
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for key, grad in grads.items():
+            m, v = self.m[key], self.v[key]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad * grad
+            params[key] -= lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+
+def _reference_train(model, data, cfg):
+    head = "w_e" if cfg.loss == "mse" else "w_r"
+    params = {"embeddings": model.encoder.embeddings, head: getattr(model, head)}
+    optimizer = _DenseAdam(params)
+    steps = math.ceil(len(data) / cfg.batch_size)
+    warmup = math.ceil(cfg.warmup_proportion * steps * cfg.epochs)
+    rng = np.random.default_rng(cfg.seed)
+    curve, step = [], 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            loss, grads = _reference_loss_and_grads(
+                model, [data[i] for i in order[start:start + cfg.batch_size]], cfg.loss)
+            step += 1
+            optimizer.step(params, grads, cfg.learning_rate * min(1.0, step / warmup))
+            curve.append(loss)
+    return curve
+
+
+def _vocabulary_batch(rng, model, n, vocabulary, loss):
+    batch = []
+    for _ in range(n):
+        words = [f"w{int(rng.integers(vocabulary))}" for _ in range(int(rng.integers(1, 9)))]
+        positions = tuple(sorted(rng.choice(len(words), int(rng.integers(1, min(3, len(words)) + 1)),
+                                            replace=False).tolist()))
+        label = (float(rng.uniform(0.0, 6.0)) if loss == "mse"
+                 else model.inventory[int(rng.integers(len(model.inventory)))])
+        batch.append((ModelInput(text=" ".join(words), mask_positions=positions), label))
+    return batch
+
+
+@pytest.mark.parametrize("dim", [1, 6, 32])
+@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+def test_loss_and_grads_bit_identical_to_item_loop(dim, loss):
+    rng = np.random.default_rng(dim)
+    model = DualHeadModel.create(dim=dim, seed=2, buckets=64, radius=4)
+    for size in (1, 7, 16):
+        batch = _vocabulary_batch(rng, model, size, 200, loss)
+        value, grads = loss_and_grads(model, batch, loss)
+        ref_value, ref_grads = _reference_loss_and_grads(model, batch, loss)
+        assert value == ref_value
+        assert grads.keys() == ref_grads.keys()
+        for key in grads:
+            assert np.array_equal(grads[key], ref_grads[key])
+
+
+@pytest.mark.parametrize("vocabulary,buckets,under_half", [(6, 256, True), (400, 64, False)])
+@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+def test_train_bit_identical_to_dense_reference(vocabulary, buckets, under_half, loss):
+    # A few words leave most of the 256 rows untouched (row-restricted
+    # steps); many words touch more than half of 64 (dense steps).
+    rng = np.random.default_rng(buckets)
+    model = DualHeadModel.create(dim=5, seed=3, buckets=buckets, radius=2)
+    reference = DualHeadModel.create(dim=5, seed=3, buckets=buckets, radius=2)
+    initial = model.encoder.embeddings.copy()
+    data = _vocabulary_batch(rng, model, 40, vocabulary, loss)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=6, epochs=3, seed=1, loss=loss)
+    _, curve = train(model, data, cfg)
+    assert curve == _reference_train(reference, data, cfg)
+    assert save(model) == save(reference)
+    changed = np.any(model.encoder.embeddings != initial, axis=1).mean()
+    assert (changed < 0.5) == under_half
+
+
+def test_row_restricted_adam_step_matches_dense_reference():
+    # Few words first, so fewer than half the rows have had a gradient,
+    # then many, so the optimizer crosses over to the dense step.
+    rng = np.random.default_rng(8)
+    model = DualHeadModel.create(dim=4, seed=6, buckets=48, radius=1)
+    reference = DualHeadModel.create(dim=4, seed=6, buckets=48, radius=1)
+    initial = model.encoder.embeddings.copy()
+
+    def params(m):
+        return {"embeddings": m.encoder.embeddings, "w_e": m.w_e}
+
+    optimizer = model_mod._Adam({k: p.shape for k, p in params(model).items()})
+    dense = _DenseAdam(params(reference))
+    touched = np.zeros(48, dtype=bool)
+    shares = []
+    for vocabulary in [4] * 6 + [300] * 6:
+        batch = _vocabulary_batch(rng, model, 5, vocabulary, "mse")
+        _, grads = loss_and_grads(model, batch, "mse")
+        _, ref_grads = _reference_loss_and_grads(reference, batch, "mse")
+        touched |= np.any(grads["embeddings"] != 0, axis=1)
+        optimizer.step(params(model), grads, 0.1, {"embeddings": touched})
+        dense.step(params(reference), ref_grads, 0.1)
+        for key in ("embeddings", "w_e"):
+            assert np.array_equal(params(model)[key], params(reference)[key])
+            assert np.array_equal(optimizer.m[key], dense.m[key])
+            assert np.array_equal(optimizer.v[key], dense.v[key])
+        assert np.array_equal(model.encoder.embeddings[~touched], initial[~touched])
+        shares.append(touched.mean())
+    assert min(shares) < 0.5 < max(shares)
