@@ -2,8 +2,8 @@
 
 Harvests duration-bearing sentences from raw text, trains a dual-head
 predictor (exact log-second regression and unit-range classification)
-over a pluggable token encoder, and scores predictions under the coarse,
-fine-grained, and QA evaluation protocols.
+on one forward pass over hashed token-window embeddings, and scores
+predictions under the coarse, fine-grained, and QA evaluation protocols.
 """
 
 from .units import (

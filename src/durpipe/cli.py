@@ -114,25 +114,13 @@ def _iter_input_files(paths: list[str]) -> list[Path]:
 def _iter_documents(files: list[Path], stats: extraction.ExtractionStats):
     for path in files:
         try:
-            raw = path.read_bytes()
-            text = raw.decode("utf-8")
-        except OSError:
-            raise
+            text = path.read_bytes().decode("utf-8")
         except UnicodeDecodeError:
             stats.skipped_documents += 1
             logger.warning("skipping undecodable file %s", path)
             continue
         if path.suffix == ".jsonl":
-            for i, line in enumerate(text.splitlines()):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    yield str(obj.get("id", f"{path.name}:{i}")), obj["text"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    stats.skipped_documents += 1
-                    logger.warning("skipping malformed document %s:%d", path, i)
+            yield from extraction.read_documents(text.splitlines(), path.name, stats)
         else:
             yield path.name, text
 
@@ -143,7 +131,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out = _ensure_out(settings.get("extract", "out", args.out, "extract-out"))
     settings.effective.setdefault("extract", {})["inputs"] = " ".join(args.inputs)
 
-    cfg = extraction.ExtractionConfig.from_selector(patterns)
+    try:
+        cfg = extraction.ExtractionConfig.from_selector(patterns)
+    except ValueError as exc:
+        raise ConfigError(f"patterns {patterns!r}: {exc}") from exc
     files = _iter_input_files(args.inputs)
     if not files:
         logger.warning("no input files found under %s", args.inputs)
@@ -215,7 +206,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     buckets = settings.get("train", "buckets", args.buckets, 4096, int)
     radius = settings.get("train", "radius", args.radius, 5, int)
     finetune = init != "fresh"
-    base = TrainConfig.finetuning() if finetune else TrainConfig.pretraining()
+    base = TrainConfig.finetuning() if finetune else TrainConfig()
     lr = settings.get("train", "learning_rate", args.learning_rate, base.learning_rate, float)
     batch = settings.get("train", "batch_size", args.batch_size, base.batch_size, int)
     warmup = settings.get("train", "warmup_proportion", args.warmup, base.warmup_proportion, float)

@@ -364,14 +364,23 @@ def extract_corpus(
     return instances, stats
 
 
-def read_documents(lines: Iterable[str], default_id: str = "doc") -> Iterator[tuple[str, str]]:
-    """Parse JSONL document records ({"id": ..., "text": ...})."""
+def read_documents(lines: Iterable[str], source: str,
+                   stats: ExtractionStats) -> Iterator[tuple[str, str]]:
+    """Parse JSONL document records ({"id": ..., "text": ...}).
+
+    A record without an id gets "<source>:<line index>". A malformed
+    line is skipped with a warning and counted in `stats`.
+    """
     for i, line in enumerate(lines):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
-        yield str(obj.get("id", f"{default_id}-{i}")), obj["text"]
+        try:
+            obj = json.loads(line)
+            yield str(obj.get("id", f"{source}:{i}")), obj["text"]
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError):
+            stats.skipped_documents += 1
+            logger.warning("skipping malformed document %s:%d", source, i)
 
 
 def write_instances(instances: Sequence[LabeledInstance]) -> str:

@@ -1,23 +1,26 @@
-"""Dual-head duration predictor over a pluggable token encoder.
+"""Dual-head duration predictor over hashed token-window embeddings.
 
-Both heads read the sum of the masked-token embeddings: the exact head
-is a bias-free linear regression to a log-second value, the range head a
-bias-free linear layer plus softmax over the unit inventory. The bundled
-BaselineEncoder is a deterministic hashed embedding table averaged over
-a context window around each mask position; anything exposing the same
-small surface can stand in for it.
+Both heads read the same vector: the sum, over an input's mask
+positions, of the mean embedding of the tokens in a window around each
+one (BaselineEncoder hashes tokens into a fixed embedding table). The
+exact head is a bias-free linear regression to a log-second value, the
+range head a bias-free linear layer plus softmax over the unit
+inventory. One forward pass computes that vector for prediction, loss
+evaluation and training alike: `_compile` hashes the mask windows of its
+inputs, and `_item_sums` reduces their embeddings window by window and
+item by item, in the order of a loop over them.
 
 Training is minibatch gradient descent with adaptive per-parameter
 moments and a linear-warmup-then-constant schedule. All randomness flows
 from the config seed, so runs are bit-reproducible.
 
-`train` tokenizes and hashes its data once, into flat arrays of window
-bucket ids, and every step gathers its batch from those arrays. The
-optimizer steps the embedding table only on rows that have had a
-gradient in this run: every other row still has zero moments, so its
-update is exactly zero and skipping it changes no bit (unlike "lazy"
-Adam, which also skips the moment decay of rows without a gradient).
-Once half the rows have had one, the whole table is stepped in place.
+`train` tokenizes and hashes its data once, and every step gathers its
+batch from the window bucket ids that this leaves. The optimizer steps
+the embedding table only on rows that have had a gradient in this run:
+every other row still has zero moments, so its update is exactly zero
+and skipping it changes no bit (unlike "lazy" Adam, which also skips
+the moment decay of rows without a gradient). Once half the rows have
+had one, the whole table is stepped in place.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import pairwise
-from typing import Iterable, Protocol, Sequence
+from itertools import accumulate, pairwise
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .units import UNITS_8, TemporalUnit, UnitInventory
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "Encoder",
     "BaselineEncoder",
     "DualHeadModel",
     "TrainConfig",
@@ -74,37 +75,22 @@ class CheckpointError(ValueError):
     """Raised when checkpoint bytes cannot be loaded."""
 
 
-class Encoder(Protocol):
-    dim: int
-
-    def encode(self, tokens: Sequence[str], mask_positions: Sequence[int]) -> list[np.ndarray]:
-        """One vector of length `dim` per mask position."""
-        ...
-
-
 class BaselineEncoder:
     """Hashed-bucket token embeddings averaged over a context window.
 
     Tokens are canonicalized (clinging punctuation stripped, lowercased)
-    and hashed into a fixed number of buckets, so there is no vocabulary
-    to build. The vector for a mask position is the mean embedding of
-    the tokens within `radius` positions of it, the mask token included.
+    and hashed into the rows of the embedding table, so there is no
+    vocabulary to build. The vector for a mask position is the mean
+    embedding of the tokens within `radius` positions of it, the mask
+    token included.
     """
 
-    def __init__(self, dim: int = 32, buckets: int = 4096, radius: int = 5,
-                 seed: int = 0, embeddings: np.ndarray | None = None):
-        if dim < 1 or buckets < 1 or radius < 0:
-            raise ConfigError(f"bad encoder shape: dim={dim} buckets={buckets} radius={radius}")
-        self.dim = dim
-        self.buckets = buckets
-        self.radius = radius
-        self.seed = seed
-        if embeddings is None:
-            rng = np.random.default_rng(seed)
-            embeddings = rng.uniform(-0.05, 0.05, size=(buckets, dim))
+    def __init__(self, embeddings: np.ndarray, radius: int = 5):
         self.embeddings = np.asarray(embeddings, dtype=np.float64)
-        if self.embeddings.shape != (buckets, dim):
-            raise ConfigError(f"embedding table shape {self.embeddings.shape} != ({buckets}, {dim})")
+        if self.embeddings.ndim != 2 or min(self.embeddings.shape) < 1 or radius < 0:
+            raise ConfigError(f"bad encoder shape: table {self.embeddings.shape} radius={radius}")
+        self.buckets, self.dim = self.embeddings.shape
+        self.radius = radius
 
     def bucket(self, token: str) -> int:
         canonical = strip_clinging(token).lower()
@@ -115,19 +101,6 @@ class BaselineEncoder:
         lo = max(0, position - self.radius)
         hi = min(len(tokens), position + self.radius + 1)
         return np.array([self.bucket(tokens[q]) for q in range(lo, hi)], dtype=np.intp)
-
-    def encode(self, tokens: Sequence[str], mask_positions: Sequence[int]) -> list[np.ndarray]:
-        out = []
-        for p in mask_positions:
-            if not 0 <= p < len(tokens):
-                raise InvalidInputError(f"mask position {p} outside token range 0..{len(tokens) - 1}")
-            rows = self.window_buckets(tokens, p)
-            out.append(self.embeddings[rows].mean(axis=0))
-        return out
-
-    def clone(self) -> "BaselineEncoder":
-        return BaselineEncoder(self.dim, self.buckets, self.radius, self.seed,
-                               embeddings=self.embeddings.copy())
 
 
 @dataclass
@@ -146,10 +119,7 @@ class DualHeadModel:
         if not inventory:
             raise ConfigError("inventory must be nonempty")
         rng = np.random.default_rng(seed)
-        encoder = BaselineEncoder(
-            dim=dim, buckets=buckets, radius=radius, seed=seed,
-            embeddings=rng.uniform(-0.05, 0.05, size=(buckets, dim)),
-        )
+        encoder = BaselineEncoder(rng.uniform(-0.05, 0.05, size=(buckets, dim)), radius)
         w_e = rng.uniform(-0.05, 0.05, size=dim)
         w_r = rng.uniform(-0.05, 0.05, size=(len(inventory), dim))
         return cls(encoder=encoder, w_e=w_e, w_r=w_r, inventory=inventory, seed=seed)
@@ -158,32 +128,72 @@ class DualHeadModel:
     def dim(self) -> int:
         return self.encoder.dim
 
-    def clone(self) -> "DualHeadModel":
-        return DualHeadModel(
-            encoder=self.encoder.clone(),
-            w_e=self.w_e.copy(),
-            w_r=self.w_r.copy(),
-            inventory=self.inventory,
-            seed=self.seed,
-        )
+
+@dataclass(frozen=True)
+class _Windows:
+    """Items compiled to the bucket ids of their mask windows.
+
+    The windows of one item are adjacent and items keep their order, so
+    every sum over `rows` runs in the order a loop over items, windows
+    and tokens would take. The counts are lists: a prediction is a batch
+    of one, and arrays would cost it more than they save.
+    """
+
+    rows: np.ndarray  # bucket id of every window token
+    lengths: list[int]  # tokens per window
+    counts: list[int]  # windows per item
+    labels: list  # log-seconds for mse, inventory index for cross_entropy
+
+    @classmethod
+    def of(cls, items: Sequence[list[np.ndarray]], labels: Sequence = ()) -> "_Windows":
+        """Flatten the per-item window bucket ids that `_compile` returns."""
+        windows = [w for item in items for w in item]
+        return cls(rows=np.concatenate(windows), lengths=[len(w) for w in windows],
+                   counts=[len(item) for item in items], labels=list(labels))
 
 
-def _masked_sum(model: DualHeadModel, model_input: ModelInput) -> np.ndarray:
-    if not model_input.mask_positions:
-        raise InvalidInputError("input has no mask positions")
-    vectors = model.encoder.encode(tokenize(model_input.text), model_input.mask_positions)
-    return np.sum(vectors, axis=0)
+def _compile(model: DualHeadModel, inputs: Sequence[ModelInput]) -> list[list[np.ndarray]]:
+    """Tokenize every input and hash each of its mask windows once."""
+    encoder = model.encoder
+    items = []
+    for i, model_input in enumerate(inputs):
+        if not model_input.mask_positions:
+            raise InvalidInputError(f"item {i}: input has no mask positions")
+        tokens = tokenize(model_input.text)
+        for p in model_input.mask_positions:
+            if not 0 <= p < len(tokens):
+                raise InvalidInputError(
+                    f"item {i}: mask position {p} outside token range 0..{len(tokens) - 1}"
+                )
+        items.append([encoder.window_buckets(tokens, p) for p in model_input.mask_positions])
+    return items
+
+
+def _item_sums(embeddings: np.ndarray, batch: _Windows) -> list[np.ndarray]:
+    """For each item, the sum of its windows' mean token embeddings.
+
+    numpy sums along the first axis in an order that depends on the
+    array's shape (pairwise when dim is 1, and in reduceat), so each
+    window and each item is reduced by its own call, as in a loop.
+    """
+    gathered = embeddings[batch.rows]
+    means = np.array([np.add.reduce(gathered[a:b])
+                      for a, b in pairwise([0, *accumulate(batch.lengths)])])
+    means /= np.array(batch.lengths)[:, None]
+    return [np.add.reduce(means[a:b]) for a, b in pairwise([0, *accumulate(batch.counts)])]
 
 
 def predict_exact(model: DualHeadModel, model_input: ModelInput) -> float:
     """Exact-value head: dot product of the regression weights with the
     summed mask embeddings, in log-seconds."""
-    return float(model.w_e @ _masked_sum(model, model_input))
+    s, = _item_sums(model.encoder.embeddings, _Windows.of(_compile(model, [model_input])))
+    return float(model.w_e @ s)
 
 
 def predict_range(model: DualHeadModel, model_input: ModelInput) -> tuple[TemporalUnit, np.ndarray]:
     """Range head: softmax over the inventory; ties go to the smaller unit."""
-    probs = _softmax(model.w_r @ _masked_sum(model, model_input))
+    s, = _item_sums(model.encoder.embeddings, _Windows.of(_compile(model, [model_input])))
+    probs = _softmax(model.w_r @ s)
     return model.inventory[int(np.argmax(probs))], probs
 
 
@@ -217,92 +227,28 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
     @classmethod
-    def pretraining(cls, **overrides) -> "TrainConfig":
-        return cls(**{"learning_rate": 5e-5, "batch_size": 16, "epochs": 1, **overrides})
-
-    @classmethod
     def finetuning(cls, **overrides) -> "TrainConfig":
         return cls(**{"learning_rate": 2e-5, "batch_size": 32, "epochs": 3, **overrides})
 
 
-def _check_labels(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]], loss: str) -> None:
+def _labels(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]], loss: str) -> list:
+    """The labels of `data` as log-seconds for mse and as inventory
+    indices for cross_entropy; a label of the wrong kind is a ConfigError."""
+    labels = []
     for i, (_, label) in enumerate(data):
         if loss == "mse":
             if isinstance(label, TemporalUnit) or not isinstance(label, (int, float)):
                 raise ConfigError(f"mse loss needs numeric labels; item {i} has {type(label).__name__}")
+            labels.append(float(label))
+        elif not isinstance(label, TemporalUnit):
+            raise ConfigError(
+                f"cross_entropy loss needs TemporalUnit labels; item {i} has {type(label).__name__}"
+            )
+        elif label not in model.inventory:
+            raise ConfigError(f"label {label.word} outside the model inventory")
         else:
-            if not isinstance(label, TemporalUnit):
-                raise ConfigError(
-                    f"cross_entropy loss needs TemporalUnit labels; item {i} has {type(label).__name__}"
-                )
-            if label not in model.inventory:
-                raise ConfigError(f"label {label.word} outside the model inventory")
-
-
-@dataclass(frozen=True)
-class _Windows:
-    """Labeled items compiled to the bucket ids of their mask windows.
-
-    The windows of one item are adjacent and items keep their order, so
-    every sum over `rows` runs in the order a loop over items, windows
-    and tokens would take.
-    """
-
-    rows: np.ndarray  # bucket id of every window token
-    lengths: np.ndarray  # tokens per window
-    item_windows: np.ndarray  # index of each item's first window, then the window count
-    labels: list  # log-seconds for mse, inventory index for cross_entropy
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    @cached_property
-    def starts(self) -> np.ndarray:
-        """Index of each window's first token in `rows`, then the token count."""
-        return np.concatenate(([0], np.cumsum(self.lengths)))
-
-    def take(self, items: np.ndarray) -> "_Windows":
-        """The given items, in the given order."""
-        first, stop = self.item_windows[items], self.item_windows[items + 1]
-        return _Windows(
-            rows=self.rows[_ranges(self.starts[first], self.starts[stop])],
-            lengths=self.lengths[_ranges(first, stop)],
-            item_windows=np.concatenate(([0], np.cumsum(stop - first))),
-            labels=[self.labels[i] for i in items],
-        )
-
-
-def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Concatenation of range(start, stop) over the pairs; no range is empty."""
-    counts = stops - starts
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
-
-
-def _compile(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]], loss: str) -> _Windows:
-    """Tokenize and hash every mask window of `data` once."""
-    encoder = model.encoder
-    rows, lengths, item_windows, labels = [], [], [0], []
-    for i, (model_input, label) in enumerate(data):
-        if not model_input.mask_positions:
-            raise InvalidInputError(f"item {i}: input has no mask positions")
-        tokens = tokenize(model_input.text)
-        for p in model_input.mask_positions:
-            if not 0 <= p < len(tokens):
-                raise InvalidInputError(
-                    f"item {i}: mask position {p} outside token range 0..{len(tokens) - 1}"
-                )
-            window = encoder.window_buckets(tokens, p)
-            rows.append(window)
-            lengths.append(len(window))
-        item_windows.append(len(lengths))
-        labels.append(float(label) if loss == "mse" else model.inventory.index(label))
-    return _Windows(
-        rows=np.concatenate(rows),
-        lengths=np.array(lengths, dtype=np.intp),
-        item_windows=np.array(item_windows, dtype=np.intp),
-        labels=labels,
-    )
+            labels.append(model.inventory.index(label))
+    return labels
 
 
 def loss_and_grads(
@@ -314,8 +260,7 @@ def loss_and_grads(
 
     `batch` holds (input, label) pairs; `train` passes its items already
     compiled to window bucket ids, so that each dataset is hashed once.
-    The forward pass gathers every window token's embedding at once and
-    reduces them to window means and per-item sums; the backward pass
+    The forward pass is the one prediction runs; the backward pass
     spreads each item's gradient over its window tokens with one
     scatter-add in item, window and token order. Every sum runs in the
     order of a loop over items, so the result is bit-identical to one.
@@ -325,21 +270,15 @@ def loss_and_grads(
     ("embeddings", dense (buckets, dim)).
     """
     if not isinstance(batch, _Windows):
-        batch = _compile(model, batch, loss)
+        batch = _Windows.of(_compile(model, [mi for mi, _ in batch]), _labels(model, batch, loss))
     embeddings = model.encoder.embeddings
-    n = len(batch)
-    lengths = batch.lengths[:, None]
-    # numpy sums along the first axis in an order that depends on the
-    # array's shape (pairwise when dim is 1, and in reduceat), so each
-    # window and each item is reduced by its own call, as in a loop.
-    gathered = embeddings[batch.rows]
-    means = np.array([np.add.reduce(gathered[a:b]) for a, b in pairwise(batch.starts)]) / lengths
+    sums = _item_sums(embeddings, batch)
+    n = len(sums)
     d_sums = np.empty((n, embeddings.shape[1]))
     d_we = np.zeros_like(model.w_e)
     d_wr = np.zeros_like(model.w_r)
     total = 0.0
-    for i, ((a, b), label) in enumerate(zip(pairwise(batch.item_windows), batch.labels)):
-        s = np.add.reduce(means[a:b])
+    for i, (s, label) in enumerate(zip(sums, batch.labels)):
         if loss == "mse":
             err = float(model.w_e @ s) - label
             total += err * err
@@ -353,9 +292,10 @@ def loss_and_grads(
             dz /= n
             d_wr += np.outer(dz, s)
             d_sums[i] = model.w_r.T @ dz
-    d_windows = d_sums[np.repeat(np.arange(n), np.diff(batch.item_windows))] / lengths
+    lengths = np.array(batch.lengths)
+    d_windows = np.repeat(d_sums, batch.counts, axis=0) / lengths[:, None]
     d_emb = np.zeros_like(embeddings)
-    np.add.at(d_emb, batch.rows, np.repeat(d_windows, batch.lengths, axis=0))
+    np.add.at(d_emb, batch.rows, np.repeat(d_windows, lengths, axis=0))
     grads = {"embeddings": d_emb}
     if loss == "mse":
         grads["w_e"] = d_we
@@ -368,17 +308,7 @@ def evaluate_loss(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]
     """Mean loss over `data` without touching any parameter."""
     if not data:
         raise ConfigError("cannot evaluate loss on empty data")
-    _check_labels(model, data, loss)
-    total = 0.0
-    for model_input, label in data:
-        s = _masked_sum(model, model_input)
-        if loss == "mse":
-            err = float(model.w_e @ s) - float(label)
-            total += err * err
-        else:
-            probs = _softmax(model.w_r @ s)
-            total += -math.log(max(probs[model.inventory.index(label)], 1e-300))
-    return total / len(data)
+    return loss_and_grads(model, data, loss)[0]
 
 
 # Share of a table's rows that must have had a gradient before stepping
@@ -462,7 +392,7 @@ def train(
     if not data:
         logger.warning("train called with no data; model left unchanged")
         return model, []
-    _check_labels(model, data, cfg.loss)
+    labels = _labels(model, data, cfg.loss)
 
     head_key = "w_e" if cfg.loss == "mse" else "w_r"
     params = {
@@ -477,15 +407,16 @@ def train(
     total_steps = steps_per_epoch * cfg.epochs
     warmup_steps = math.ceil(cfg.warmup_proportion * total_steps)
 
-    windows = _compile(model, data, cfg.loss)
+    items = _compile(model, [mi for mi, _ in data])
     touched = np.zeros(len(model.encoder.embeddings), dtype=bool)
     rng = np.random.default_rng(cfg.seed)
     curve: list[float] = []
     step = 0
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = rng.permutation(n).tolist()
         for start in range(0, n, cfg.batch_size):
-            batch = windows.take(order[start:start + cfg.batch_size])
+            chosen = order[start:start + cfg.batch_size]
+            batch = _Windows.of([items[i] for i in chosen], [labels[i] for i in chosen])
             loss, grads = loss_and_grads(model, batch, cfg.loss)
             step += 1
             lr = _warmup_lr(cfg.learning_rate, step, warmup_steps)
@@ -560,10 +491,18 @@ def load(blob: bytes) -> DualHeadModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
 
+    expected = {"embeddings": (buckets, dim), "w_e": (dim,), "w_r": (len(inventory), dim)}
+    if [name for name, _ in specs] != list(expected):
+        raise CheckpointError(f"checkpoint arrays {[name for name, _ in specs]} are not {list(expected)}")
     arrays = {}
     offset = fixed + header_len
     for name, shape in specs:
-        count = int(np.prod(shape)) if shape else 1
+        if shape != expected[name]:
+            raise CheckpointError(f"array {name} has shape {list(shape)}, not the header's "
+                                  f"{list(expected[name])}")
+        if min(shape) < 1:
+            raise CheckpointError(f"array {name} has an empty or negative shape {list(shape)}")
+        count = math.prod(shape)
         nbytes = count * 8
         if len(blob) < offset + nbytes:
             raise CheckpointError(f"truncated checkpoint (array {name})")
@@ -572,9 +511,8 @@ def load(blob: bytes) -> DualHeadModel:
     if offset != len(blob):
         raise CheckpointError("trailing bytes after checkpoint payload")
     try:
-        encoder = BaselineEncoder(dim=dim, buckets=buckets, radius=radius, seed=seed,
-                                  embeddings=arrays["embeddings"])
-        return DualHeadModel(encoder=encoder, w_e=arrays["w_e"], w_r=arrays["w_r"],
-                             inventory=inventory, seed=seed)
-    except (ConfigError, KeyError) as exc:
+        encoder = BaselineEncoder(arrays["embeddings"], radius)
+    except (ConfigError, TypeError) as exc:
         raise CheckpointError(f"inconsistent checkpoint contents: {exc}") from exc
+    return DualHeadModel(encoder=encoder, w_e=arrays["w_e"], w_r=arrays["w_r"],
+                         inventory=inventory, seed=seed)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +81,11 @@ def test_extract_cli_pattern_subset(tmp_path, corpus_file):
     assert set(stats["by_trigger"]) == {"for"}
 
 
+def test_extract_cli_unknown_pattern_is_config_error(tmp_path, corpus_file, capsys):
+    assert run("extract", corpus_file, "--out", tmp_path / "ex", "--patterns", "bogus") == cli.EXIT_CONFIG
+    assert "bogus" in capsys.readouterr().err
+
+
 def test_extract_cli_plain_text_and_directory(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
@@ -145,6 +151,12 @@ PINNED_CHECKPOINTS = {
     "exact": "3648df815440e24f5ee4a39755d4edcb17b25b20613e7d90a2c6b97eaa3b95dc",
     "range": "40f976433505604e69c0dfee95ecffc6e9338d7dd35b123460bbf430e9e16760",
 }
+# Bytes of the fine-protocol report of each of those checkpoints on the
+# recipe's 40 held-out rows, under the same rule.
+PINNED_REPORTS = {
+    "exact": "27a6dea8e56265d99874caf63a8a52dcaa09f9381b79941d16cbfbe356d3e87f",
+    "range": "dac17ba2f97cde05764c637e5ca5c9f18d8eb500c8e17bbf4bdfe4cad1379e06",
+}
 
 
 def test_train_checkpoint_bytes_are_pinned(tmp_path):
@@ -155,6 +167,11 @@ def test_train_checkpoint_bytes_are_pinned(tmp_path):
         assert run("train", tmp_path / "ex" / "instances.jsonl", "--head", head,
                    "--learning-rate", 0.05, "--epochs", 3, "--seed", 3, "--out", out) == 0
         assert hashlib.sha256((out / "model.ckpt").read_bytes()).hexdigest() == digest, head
+        report = tmp_path / f"eval-{head}"
+        assert run("eval", out / "model.ckpt", tmp_path / "synth" / "holdout.tsv",
+                   "--protocol", "fine", "--head", head, "--out", report) == 0
+        assert (hashlib.sha256((report / "report.json").read_bytes()).hexdigest()
+                == PINNED_REPORTS[head]), head
 
 
 def test_train_rejects_out_of_range_mask_position(tmp_path):
@@ -306,7 +323,9 @@ def test_log_verbosity_env_var(tmp_path):
     bad.write_text("this is not json\n", encoding="utf-8")
 
     def run_subprocess(level):
-        env = dict(os.environ)
+        # The child imports the durpipe that this test imported.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
         if level:
             env["DURPIPE_LOG"] = level
         else:

@@ -5,6 +5,7 @@ import pytest
 
 from durpipe.extraction import (
     ExtractionConfig,
+    ExtractionStats,
     DurationExpression,
     MatchResult,
     extract_corpus,
@@ -245,10 +246,12 @@ def test_instances_jsonl_roundtrip():
 
 
 def test_read_documents_jsonl():
-    lines = ['{"id": "a", "text": "It took 2 days."}', "", '{"text": "He smiled."}']
-    docs = list(read_documents(lines))
-    assert docs[0] == ("a", "It took 2 days.")
-    assert docs[1][1] == "He smiled."
+    lines = ['{"id": "a", "text": "It took 2 days."}', "", '{"text": "He smiled."}',
+             "not json", '{"id": "b"}', "[1]"]
+    stats = ExtractionStats()
+    docs = list(read_documents(lines, "docs.jsonl", stats))
+    assert docs == [("a", "It took 2 days."), ("docs.jsonl:2", "He smiled.")]
+    assert stats.skipped_documents == 3
 
 
 # --- agreement with the reference scanner ---------------------------------

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,20 +26,11 @@ from durpipe.model import (
 from durpipe.units import UNITS_7, UNITS_8, TemporalUnit
 
 
-class StubEncoder:
-    """Returns fixed vectors regardless of input, for hand-computed checks."""
-
-    def __init__(self, vectors):
-        self.vectors = [np.asarray(v, dtype=float) for v in vectors]
-        self.dim = len(self.vectors[0])
-
-    def encode(self, tokens, mask_positions):
-        return [self.vectors[i] for i in range(len(mask_positions))]
-
-
-def _stub_model(vectors, w_e, w_r, inventory=UNITS_8):
+def _one_row_model(row, w_e, w_r, inventory=UNITS_8):
+    """Every token hashes to the table's one row and every window is the
+    mask token alone, so each mask position's vector is `row`."""
     return DualHeadModel(
-        encoder=StubEncoder(vectors),
+        encoder=BaselineEncoder(np.array([row], dtype=float), radius=0),
         w_e=np.asarray(w_e, dtype=float),
         w_r=np.asarray(w_r, dtype=float),
         inventory=tuple(inventory),
@@ -54,7 +47,8 @@ def test_predict_exact_zero_weights_gives_zero():
 
 
 def test_predict_exact_hand_computed():
-    model = _stub_model([(1.0, 0.0), (0.0, 2.0)], w_e=(1.0, 1.0), w_r=np.zeros((8, 2)))
+    # two mask positions: summed embedding (2.0, 1.0)
+    model = _one_row_model((1.0, 0.5), w_e=(1.0, 1.0), w_r=np.zeros((8, 2)))
     assert predict_exact(model, SAMPLE) == pytest.approx(3.0)
 
 
@@ -68,8 +62,7 @@ def test_predict_range_uniform_for_zero_weights():
 
 def test_predict_range_hand_computed_softmax():
     # one-dimensional, two units, summed embedding (2.0)
-    model = _stub_model([(1.0,), (1.0,)], w_e=(0.0,), w_r=[[1.0], [-1.0]],
-                        inventory=UNITS_8[:2])
+    model = _one_row_model((1.0,), w_e=(0.0,), w_r=[[1.0], [-1.0]], inventory=UNITS_8[:2])
     unit, probs = predict_range(model, SAMPLE)
     z = np.array([2.0, -2.0])
     expected = np.exp(z) / np.exp(z).sum()
@@ -96,11 +89,11 @@ def test_predict_requires_mask_positions():
 
 
 def test_encoder_is_deterministic_and_position_hashed():
-    enc = BaselineEncoder(dim=8, buckets=64, radius=2, seed=9)
+    enc = BaselineEncoder(np.zeros((64, 8)), radius=2)
     tokens = "The seminar lasted for [MASK] [MASK].".split()
-    a = enc.encode(tokens, (4, 5))
-    b = enc.encode(tokens, (4, 5))
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    for p in (4, 5):
+        assert np.array_equal(enc.window_buckets(tokens, p), enc.window_buckets(tokens, p))
+        assert enc.window_buckets(tokens, p).tolist() == [enc.bucket(t) for t in tokens[p - 2:p + 3]]
     # clinging punctuation does not change the bucket
     assert enc.bucket("[MASK].") == enc.bucket("[MASK]")
     assert enc.bucket("Years,") == enc.bucket("years")
@@ -226,8 +219,8 @@ def test_train_config_validation():
     for rate in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=rate)
-    assert TrainConfig.pretraining().learning_rate == 5e-5
-    assert TrainConfig.pretraining().batch_size == 16
+    assert TrainConfig().learning_rate == 5e-5
+    assert TrainConfig().batch_size == 16
     assert TrainConfig.finetuning().learning_rate == 2e-5
     assert TrainConfig.finetuning().batch_size == 32
     assert TrainConfig().warmup_proportion == 0.1
@@ -265,6 +258,33 @@ def test_load_rejects_truncation_and_garbage():
         load(blob + b"trailing junk")
 
 
+def _with_header(blob, edit):
+    """`blob` with its JSON header passed through `edit`."""
+    header_len = int.from_bytes(blob[12:16], "big")
+    header = json.loads(blob[16:16 + header_len])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:12] + len(raw).to_bytes(4, "big") + raw + blob[16 + header_len:]
+
+
+def test_load_rejects_arrays_that_disagree_with_the_header():
+    model = DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2)
+    with pytest.raises(CheckpointError, match="w_r"):
+        load(save(replace(model, w_r=model.w_r[:3])))
+    with pytest.raises(CheckpointError, match="w_e"):
+        load(save(replace(model, w_e=np.zeros(7))))
+
+    def rename(header):
+        header["arrays"][1]["name"] = "bias"
+
+    def swap(header):
+        header["arrays"][1:] = header["arrays"][:0:-1]
+
+    for edit in (rename, swap):
+        with pytest.raises(CheckpointError, match="arrays"):
+            load(_with_header(save(model), edit))
+
+
 def test_load_rejects_unsupported_version():
     blob = bytearray(save(DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2)))
     blob[8:12] = (99).to_bytes(4, "big")
@@ -282,7 +302,7 @@ def test_with_inventory_slices_range_head():
 
 
 def test_evaluate_loss_matches_definitions():
-    model = _stub_model([(1.0, 0.0), (0.0, 2.0)], w_e=(1.0, 1.0), w_r=np.zeros((8, 2)))
+    model = _one_row_model((1.0, 0.5), w_e=(1.0, 1.0), w_r=np.zeros((8, 2)))
     # prediction is 3.0; label 1.0 -> squared error 4.0
     assert evaluate_loss(model, [(SAMPLE, 1.0)], "mse") == pytest.approx(4.0)
     # zero logits -> uniform probabilities -> loss ln(8)
@@ -418,6 +438,17 @@ def test_loss_and_grads_bit_identical_to_item_loop(dim, loss):
         assert grads.keys() == ref_grads.keys()
         for key in grads:
             assert np.array_equal(grads[key], ref_grads[key])
+        # Under a zero range head, one item's reference w_r gradient row
+        # for a non-target unit is its sum s divided by 8, which is exact.
+        zero_head = replace(model, w_r=np.zeros_like(model.w_r))
+        for model_input, _ in batch:
+            _, ref_grads = _reference_loss_and_grads(
+                zero_head, [(model_input, model.inventory[0])], "cross_entropy")
+            s = ref_grads["w_r"][1] * len(model.inventory)
+            assert predict_exact(model, model_input) == float(model.w_e @ s)
+            z = model.w_r @ s
+            probs = np.exp(z - np.max(z))
+            assert np.array_equal(predict_range(model, model_input)[1], probs / probs.sum())
 
 
 @pytest.mark.parametrize("vocabulary,buckets,under_half", [(6, 256, True), (400, 64, False)])
