@@ -48,8 +48,21 @@ _DATA_ERRORS = (
 )
 
 
+# The values a setting may take, by section and key, whether it comes
+# from a flag or from the config file; the flags take their choices here.
+CHOICES = {
+    ("train", "format"): ("instances", "timebank", "mctaco"),
+    ("train", "head"): ("exact", "range"),
+    ("train", "inventory"): (7, 8),
+    ("eval", "protocol"): ("coarse", "fine", "mctaco"),
+    ("eval", "head"): ("exact", "range"),
+    ("eval", "inventory"): (7, 8),
+}
+
+
 class Settings:
-    """Layered settings: flag value, then config file, then default."""
+    """Layered settings: flag value, then config file, then default.
+    A value outside CHOICES, or one the cast rejects, is a ConfigError."""
 
     def __init__(self, config_path: str | None):
         self.parser = configparser.ConfigParser()
@@ -63,13 +76,24 @@ class Settings:
         if flag_value is not None:
             value = flag_value
         elif self.parser.has_option(section, key):
-            value = cast(self.parser.get(section, key))
+            value = self._read(section, key, cast)
         elif self.parser.has_option("common", key):
-            value = cast(self.parser.get("common", key))
+            value = self._read("common", key, cast)
         else:
             value = default
+        choices = CHOICES.get((section, key))
+        if choices and value is not None and value not in choices:
+            raise ConfigError(f"[{section}] {key} = {value!r} is not one of "
+                              f"{', '.join(map(str, choices))}")
         self.effective.setdefault(section, {})[key] = "" if value is None else str(value)
         return value
+
+    def _read(self, section: str, key: str, cast):
+        raw = self.parser.get(section, key)
+        try:
+            return cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
     def write_effective(self, out_dir: Path) -> None:
         echo = configparser.ConfigParser()
@@ -256,13 +280,6 @@ def _timebank_eval_frame(path: Path, inventory):
     return rows, inputs, ids, keys
 
 
-def _predict(mdl: DualHeadModel, model_input: adapters.ModelInput, head: str):
-    if head == "exact":
-        return model_lib.predict_exact(mdl, model_input)
-    unit, _ = model_lib.predict_range(mdl, model_input)
-    return unit
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     settings = Settings(args.config)
     protocol = settings.get("eval", "protocol", args.protocol, "fine")
@@ -280,24 +297,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     inventory = mdl.inventory
 
     data_path = Path(args.data)
-    if protocol in ("coarse", "fine"):
-        _, inputs, ids, keys = _timebank_eval_frame(data_path, inventory)
-        preds = [_predict(mdl, mi, head) for mi in inputs]
-        if protocol == "coarse":
-            golds = [coarse_of_value(mi.exact_label) for mi in inputs]
-            report = evaluation.eval_coarse(preds, golds, ids=ids, keys=keys)
-        else:
-            golds = [mi.range_label for mi in inputs]
-            units = [p if isinstance(p, TemporalUnit) else closest_unit(p, inventory) for p in preds]
-            report = evaluation.eval_fine(units, golds, inventory, ids=ids, keys=keys)
-    elif protocol == "mctaco":
+    if protocol == "mctaco":
         with open(data_path, encoding="utf-8") as fh:
             rows = adapters.read_mctaco_jsonl(fh)
-        groups = adapters.group_mctaco_rows(rows)
-        preds: dict[str, object] = {}
+        qids: list[str] = []
+        inputs = []
         answers: list[tuple[str, float, bool]] = []
         dropped = 0
-        for qid, group in groups:
+        for qid, group in adapters.group_mctaco_rows(rows):
             model_input, _ = adapters.mctaco_to_input(group[0])
             parsed = []
             for row in group:
@@ -310,14 +317,27 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 logger.info("question %s has no parseable answers; skipped", qid)
                 continue
             answers.extend(parsed)
-            preds[qid] = _predict(mdl, model_input, head)
+            qids.append(qid)
+            inputs.append(model_input)
+    else:
+        _, inputs, ids, keys = _timebank_eval_frame(data_path, inventory)
+
+    preds = model_lib.predict_many(mdl, inputs, head)
+    if head == "range":
+        preds = [unit for unit, _ in preds]
+    if protocol == "coarse":
+        golds = [coarse_of_value(mi.exact_label) for mi in inputs]
+        report = evaluation.eval_coarse(preds, golds, ids=ids, keys=keys)
+    elif protocol == "fine":
+        golds = [mi.range_label for mi in inputs]
+        units = [p if isinstance(p, TemporalUnit) else closest_unit(p, inventory) for p in preds]
+        report = evaluation.eval_fine(units, golds, inventory, ids=ids, keys=keys)
+    else:
         report = evaluation.eval_mctaco(
-            preds, answers, evaluation.RangeRule(range_width), inventory
+            dict(zip(qids, preds)), answers, evaluation.RangeRule(range_width), inventory
         )
         if dropped:
             report.diagnostics["unparseable_answers"] = dropped
-    else:
-        raise ConfigError(f"unknown protocol {protocol!r}")
 
     _write_report(out, settings, report)
     return EXIT_OK
@@ -405,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one head on labeled instances")
     common(p)
     p.add_argument("instances", help="training data file")
-    p.add_argument("--format", choices=("instances", "timebank", "mctaco"))
-    p.add_argument("--head", choices=("exact", "range"))
+    p.add_argument("--format", choices=CHOICES["train", "format"])
+    p.add_argument("--head", choices=CHOICES["train", "head"])
     p.add_argument("--init", help="'fresh' or a checkpoint path")
     p.add_argument("--learning-rate", type=float, dest="learning_rate")
     p.add_argument("--batch-size", type=int, dest="batch_size")
@@ -415,24 +435,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int)
     p.add_argument("--buckets", type=int)
     p.add_argument("--radius", type=int)
-    p.add_argument("--inventory", type=int, choices=(7, 8))
+    p.add_argument("--inventory", type=int, choices=CHOICES["train", "inventory"])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint under one protocol")
     common(p)
     p.add_argument("checkpoint", help="model checkpoint path")
     p.add_argument("data", help="dataset path (TSV for coarse/fine, JSONL for mctaco)")
-    p.add_argument("--protocol", choices=("coarse", "fine", "mctaco"))
-    p.add_argument("--head", choices=("exact", "range"))
+    p.add_argument("--protocol", choices=CHOICES["eval", "protocol"])
+    p.add_argument("--head", choices=CHOICES["eval", "head"])
     p.add_argument("--range", type=float, help="acceptance band in log-seconds")
-    p.add_argument("--inventory", type=int, choices=(7, 8))
+    p.add_argument("--inventory", type=int, choices=CHOICES["eval", "inventory"])
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("baseline", help="majority-class baseline on gold data")
     common(p)
     p.add_argument("data", help="dataset path (TSV)")
     p.add_argument("--protocol", choices=("coarse", "fine"))
-    p.add_argument("--inventory", type=int, choices=(7, 8))
+    p.add_argument("--inventory", type=int, choices=CHOICES["eval", "inventory"])
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark")

@@ -10,6 +10,14 @@ evaluation and training alike: `_compile` hashes the mask windows of its
 inputs, and `_item_sums` reduces their embeddings window by window and
 item by item, in the order of a loop over them.
 
+The encoder remembers the bucket of every raw token it has hashed, so
+canonicalizing and hashing run once per distinct token per encoder.
+`predict_many` predicts a whole input list in chunks of `_PREDICT_CHUNK`
+items: each chunk is compiled and reduced at once, which bounds the
+embedding rows gathered at a time, and each item's head still runs on
+its own vector. `predict_exact` and `predict_range` are one-item calls
+into it.
+
 Training is minibatch gradient descent with adaptive per-parameter
 moments and a linear-warmup-then-constant schedule. All randomness flows
 from the config seed, so runs are bit-reproducible.
@@ -51,6 +59,7 @@ __all__ = [
     "CheckpointError",
     "predict_exact",
     "predict_range",
+    "predict_many",
     "train",
     "loss_and_grads",
     "evaluate_loss",
@@ -82,7 +91,7 @@ class BaselineEncoder:
     and hashed into the rows of the embedding table, so there is no
     vocabulary to build. The vector for a mask position is the mean
     embedding of the tokens within `radius` positions of it, the mask
-    token included.
+    token included. The bucket of each raw token is kept once computed.
     """
 
     def __init__(self, embeddings: np.ndarray, radius: int = 5):
@@ -91,16 +100,22 @@ class BaselineEncoder:
             raise ConfigError(f"bad encoder shape: table {self.embeddings.shape} radius={radius}")
         self.buckets, self.dim = self.embeddings.shape
         self.radius = radius
+        self._bucket_of: dict[str, int] = {}
 
     def bucket(self, token: str) -> int:
-        canonical = strip_clinging(token).lower()
-        digest = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big") % self.buckets
+        b = self._bucket_of.get(token)
+        if b is None:
+            canonical = strip_clinging(token).lower()
+            digest = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).digest()
+            b = self._bucket_of[token] = int.from_bytes(digest, "big") % self.buckets
+        return b
 
     def window_buckets(self, tokens: Sequence[str], position: int) -> np.ndarray:
-        lo = max(0, position - self.radius)
-        hi = min(len(tokens), position + self.radius + 1)
-        return np.array([self.bucket(tokens[q]) for q in range(lo, hi)], dtype=np.intp)
+        window = tokens[max(0, position - self.radius):position + self.radius + 1]
+        ids = list(map(self._bucket_of.get, window))
+        if None in ids:
+            ids = [self.bucket(t) for t in window]
+        return np.array(ids, dtype=np.intp)
 
 
 @dataclass
@@ -118,6 +133,8 @@ class DualHeadModel:
         inventory = tuple(inventory)
         if not inventory:
             raise ConfigError("inventory must be nonempty")
+        if dim < 1 or buckets < 1:
+            raise ConfigError(f"dim and buckets must be >= 1, got dim={dim} buckets={buckets}")
         rng = np.random.default_rng(seed)
         encoder = BaselineEncoder(rng.uniform(-0.05, 0.05, size=(buckets, dim)), radius)
         w_e = rng.uniform(-0.05, 0.05, size=dim)
@@ -135,8 +152,9 @@ class _Windows:
 
     The windows of one item are adjacent and items keep their order, so
     every sum over `rows` runs in the order a loop over items, windows
-    and tokens would take. The counts are lists: a prediction is a batch
-    of one, and arrays would cost it more than they save.
+    and tokens would take. The counts are lists: a training batch or a
+    one-item prediction is small, and arrays would cost it more than
+    they save.
     """
 
     rows: np.ndarray  # bucket id of every window token
@@ -152,11 +170,13 @@ class _Windows:
                    counts=[len(item) for item in items], labels=list(labels))
 
 
-def _compile(model: DualHeadModel, inputs: Sequence[ModelInput]) -> list[list[np.ndarray]]:
-    """Tokenize every input and hash each of its mask windows once."""
+def _compile(model: DualHeadModel, inputs: Sequence[ModelInput],
+             first: int = 0) -> list[list[np.ndarray]]:
+    """Tokenize every input and hash each of its mask windows once; an
+    error names the item by its index plus `first`."""
     encoder = model.encoder
     items = []
-    for i, model_input in enumerate(inputs):
+    for i, model_input in enumerate(inputs, first):
         if not model_input.mask_positions:
             raise InvalidInputError(f"item {i}: input has no mask positions")
         tokens = tokenize(model_input.text)
@@ -183,18 +203,43 @@ def _item_sums(embeddings: np.ndarray, batch: _Windows) -> list[np.ndarray]:
     return [np.add.reduce(means[a:b]) for a, b in pairwise([0, *accumulate(batch.counts)])]
 
 
+# Items compiled and reduced at once by predict_many; it bounds the
+# gathered embedding rows, whatever the size of the input list.
+_PREDICT_CHUNK = 256
+
+
+def predict_many(model: DualHeadModel, inputs: Sequence[ModelInput], head: str) -> list:
+    """Predictions of one head for every input, in order.
+
+    The "exact" head gives the dot product of the regression weights
+    with the summed mask embeddings, in log-seconds; the "range" head a
+    (unit, probabilities) pair from a softmax over the inventory, where
+    ties go to the smaller unit. Each item's head runs on its own
+    vector, so a prediction does not depend on the items around it.
+    """
+    if head not in ("exact", "range"):
+        raise ConfigError(f"head must be 'exact' or 'range', got {head!r}")
+    embeddings = model.encoder.embeddings
+    out = []
+    for first in range(0, len(inputs), _PREDICT_CHUNK):
+        chunk = _compile(model, inputs[first:first + _PREDICT_CHUNK], first)
+        for s in _item_sums(embeddings, _Windows.of(chunk)):
+            if head == "exact":
+                out.append(float(model.w_e @ s))
+            else:
+                probs = _softmax(model.w_r @ s)
+                out.append((model.inventory[int(np.argmax(probs))], probs))
+    return out
+
+
 def predict_exact(model: DualHeadModel, model_input: ModelInput) -> float:
-    """Exact-value head: dot product of the regression weights with the
-    summed mask embeddings, in log-seconds."""
-    s, = _item_sums(model.encoder.embeddings, _Windows.of(_compile(model, [model_input])))
-    return float(model.w_e @ s)
+    """Exact-value head on one input; see predict_many."""
+    return predict_many(model, [model_input], "exact")[0]
 
 
 def predict_range(model: DualHeadModel, model_input: ModelInput) -> tuple[TemporalUnit, np.ndarray]:
-    """Range head: softmax over the inventory; ties go to the smaller unit."""
-    s, = _item_sums(model.encoder.embeddings, _Windows.of(_compile(model, [model_input])))
-    probs = _softmax(model.w_r @ s)
-    return model.inventory[int(np.argmax(probs))], probs
+    """Range head on one input; see predict_many."""
+    return predict_many(model, [model_input], "range")[0]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -490,6 +535,9 @@ def load(blob: bytes) -> DualHeadModel:
         dim, buckets, radius, seed = (header[k] for k in ("dim", "buckets", "radius", "seed"))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
+    for key, value in zip(("dim", "buckets", "radius", "seed"), (dim, buckets, radius, seed)):
+        if type(value) is not int:
+            raise CheckpointError(f"checkpoint header {key} is {value!r}, not an integer")
 
     expected = {"embeddings": (buckets, dim), "w_e": (dim,), "w_r": (len(inventory), dim)}
     if [name for name, _ in specs] != list(expected):

@@ -157,21 +157,49 @@ PINNED_REPORTS = {
     "exact": "27a6dea8e56265d99874caf63a8a52dcaa09f9381b79941d16cbfbe356d3e87f",
     "range": "dac17ba2f97cde05764c637e5ca5c9f18d8eb500c8e17bbf4bdfe4cad1379e06",
 }
+# Bytes of the coarse report on the same rows and of the mctaco report on
+# PINNED_QA (band 3.0) of each of those checkpoints.
+PINNED_OTHER_REPORTS = {
+    ("coarse", "exact"): "0a712b3008b20c1528ee0e02d2f8337d5bfdc734012db75c3596d5e9ed906cf4",
+    ("coarse", "range"): "ca816d3375b6953e5cfe7bdbe515b8e838e2c1c3d490c5cdc3a2b25e4544e5ac",
+    ("mctaco", "exact"): "5526f7f6b09463a4cbd64b03663e823bcda4591538ab86c2baa9d309bebaaea8",
+    ("mctaco", "range"): "49d03bd49122299dd617d36d1542d97874d0495fb09481ed457b12b732d87096",
+}
+# Questions with one to four answers; "a while" and "soonish" do not
+# parse, so the last question has no answer left and is skipped.
+PINNED_QA = [
+    ("Maria worked on the report.", "How long did Maria work on the report?",
+     [("3 hours", True), ("2 days", True), ("a while", False), ("5 years", False)]),
+    ("The team held a meeting.", "How long did the meeting last?",
+     [("45 minutes", True), ("1 week", False)]),
+    ("The ship crossed the ocean.", "How long did the crossing take?",
+     [("2 weeks", True), ("10 seconds", False), ("1 month", True)]),
+    ("He waited at the station.", "How long did he wait?", [("20 minutes", True)]),
+    ("The storm passed.", "How long did the storm last?", [("soonish", True)]),
+]
 
 
 def test_train_checkpoint_bytes_are_pinned(tmp_path):
     assert run("synth", "--out", tmp_path / "synth", "--size", 200, "--holdout", 40, "--seed", 3) == 0
     assert run("extract", tmp_path / "synth" / "corpus.jsonl", "--out", tmp_path / "ex") == 0
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text("".join(json.dumps({"context": c, "question": q, "answer": a, "gold": g}) + "\n"
+                          for c, q, answers in PINNED_QA for a, g in answers), encoding="utf-8")
+    data = {"coarse": tmp_path / "synth" / "holdout.tsv", "fine": tmp_path / "synth" / "holdout.tsv",
+            "mctaco": qa}
     for head, digest in PINNED_CHECKPOINTS.items():
         out = tmp_path / f"train-{head}"
         assert run("train", tmp_path / "ex" / "instances.jsonl", "--head", head,
                    "--learning-rate", 0.05, "--epochs", 3, "--seed", 3, "--out", out) == 0
         assert hashlib.sha256((out / "model.ckpt").read_bytes()).hexdigest() == digest, head
-        report = tmp_path / f"eval-{head}"
-        assert run("eval", out / "model.ckpt", tmp_path / "synth" / "holdout.tsv",
-                   "--protocol", "fine", "--head", head, "--out", report) == 0
-        assert (hashlib.sha256((report / "report.json").read_bytes()).hexdigest()
-                == PINNED_REPORTS[head]), head
+        pins = {"fine": PINNED_REPORTS[head],
+                **{p: d for (p, h), d in PINNED_OTHER_REPORTS.items() if h == head}}
+        for protocol, report_digest in pins.items():
+            report = tmp_path / f"eval-{protocol}-{head}"
+            assert run("eval", out / "model.ckpt", data[protocol], "--protocol", protocol,
+                       "--head", head, "--out", report) == 0
+            assert (hashlib.sha256((report / "report.json").read_bytes()).hexdigest()
+                    == report_digest), (protocol, head)
 
 
 def test_train_rejects_out_of_range_mask_position(tmp_path):
@@ -276,6 +304,54 @@ def test_eval_with_corrupt_checkpoint_is_data_error(small_pipeline, tmp_path):
     code = run("eval", bad, small_pipeline / "synth" / "holdout.tsv",
                "--protocol", "fine", "--head", "exact", "--out", tmp_path / "x")
     assert code == cli.EXIT_DATA
+
+
+def test_eval_with_non_integer_header_radius_is_data_error(small_pipeline, tmp_path, capsys):
+    blob = (small_pipeline / "te" / "model.ckpt").read_bytes()
+    header_len = int.from_bytes(blob[12:16], "big")
+    header = json.loads(blob[16:16 + header_len])
+    header["radius"] = 2.5
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:12] + len(raw).to_bytes(4, "big") + raw + blob[16 + header_len:])
+    code = run("eval", bad, small_pipeline / "synth" / "holdout.tsv",
+               "--protocol", "fine", "--head", "exact", "--out", tmp_path / "x")
+    assert code == cli.EXIT_DATA
+    assert "radius" in capsys.readouterr().err
+
+
+def test_train_negative_dim_is_config_error(small_pipeline, tmp_path, capsys):
+    for flag, value in [("--dim", -1), ("--dim", 0), ("--buckets", -2)]:
+        code = run("train", small_pipeline / "ex" / "instances.jsonl", flag, value,
+                   "--epochs", 1, "--out", tmp_path / "t")
+        assert code == cli.EXIT_CONFIG, (flag, value)
+        assert "dim and buckets" in capsys.readouterr().err
+    assert not (tmp_path / "t" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("train", "train", "head", "exatc"),
+    ("train", "train", "format", "csv"),
+    ("train", "train", "inventory", "9"),
+    ("train", "common", "inventory", "6"),
+    ("train", "train", "dim", "wide"),
+    ("eval", "eval", "protocol", "finer"),
+    ("eval", "eval", "head", "both"),
+    ("eval", "eval", "inventory", "5"),
+    ("baseline", "eval", "inventory", "9"),
+])
+def test_config_file_value_outside_choices_is_config_error(
+        small_pipeline, tmp_path, capsys, command, section, key, value):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    data = {"train": [small_pipeline / "ex" / "instances.jsonl"],
+            "eval": [small_pipeline / "te" / "model.ckpt", small_pipeline / "synth" / "holdout.tsv"],
+            "baseline": [small_pipeline / "synth" / "holdout.tsv"]}[command]
+    out = tmp_path / "out"
+    assert run(command, *data, "--config", config, "--out", out) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and value in err
+    assert not (out / "config.ini").exists()
 
 
 def test_config_file_layering(tmp_path, corpus_file):

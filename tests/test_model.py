@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -18,11 +19,13 @@ from durpipe.model import (
     load,
     loss_and_grads,
     predict_exact,
+    predict_many,
     predict_range,
     save,
     train,
     with_inventory,
 )
+from durpipe.text import strip_clinging
 from durpipe.units import UNITS_7, UNITS_8, TemporalUnit
 
 
@@ -97,6 +100,23 @@ def test_encoder_is_deterministic_and_position_hashed():
     # clinging punctuation does not change the bucket
     assert enc.bucket("[MASK].") == enc.bucket("[MASK]")
     assert enc.bucket("Years,") == enc.bucket("years")
+
+
+def _fresh_bucket(token, buckets):
+    digest = hashlib.blake2b(strip_clinging(token).lower().encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % buckets
+
+
+def test_bucket_memo_returns_the_fresh_hash():
+    small, large = BaselineEncoder(np.zeros((64, 2))), BaselineEncoder(np.zeros((4096, 2)))
+    tokens = ["Years,", "years", "YEARS", "years", "(days)", "Years,", "minutes."]
+    for _ in range(2):
+        for token in tokens:
+            for enc in (small, large):
+                assert enc.bucket(token) == _fresh_bucket(token, enc.buckets), (token, enc.buckets)
+    assert small.bucket("Years,") == small.bucket("years")
+    assert large.bucket("Years,") == large.bucket("years")
+    assert large.window_buckets(tokens, 3).tolist() == [_fresh_bucket(t, 4096) for t in tokens]
 
 
 def test_permuting_tokens_outside_window_is_invisible():
@@ -285,6 +305,20 @@ def test_load_rejects_arrays_that_disagree_with_the_header():
             load(_with_header(save(model), edit))
 
 
+def test_load_rejects_header_scalars_that_are_not_integers():
+    blob = save(DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2))
+    for key, value in [("radius", 2.5), ("dim", 4.0), ("buckets", True), ("seed", "0"),
+                       ("radius", None), ("seed", False)]:
+        with pytest.raises(CheckpointError, match=key):
+            load(_with_header(blob, lambda header: header.update({key: value})))
+
+
+def test_create_rejects_empty_or_negative_sizes():
+    for dim, buckets in [(-1, 16), (0, 16), (4, 0), (4, -3)]:
+        with pytest.raises(ConfigError, match="dim and buckets"):
+            DualHeadModel.create(dim=dim, seed=0, buckets=buckets, radius=2)
+
+
 def test_load_rejects_unsupported_version():
     blob = bytearray(save(DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2)))
     blob[8:12] = (99).to_bytes(4, "big")
@@ -449,6 +483,35 @@ def test_loss_and_grads_bit_identical_to_item_loop(dim, loss):
             z = model.w_r @ s
             probs = np.exp(z - np.max(z))
             assert np.array_equal(predict_range(model, model_input)[1], probs / probs.sum())
+
+
+@pytest.mark.parametrize("dim", [1, 6, 32])
+def test_predict_many_bit_identical_to_one_item_predict(dim):
+    rng = np.random.default_rng(10 + dim)
+    model = DualHeadModel.create(dim=dim, seed=5, buckets=64, radius=4)
+    chunk = model_mod._PREDICT_CHUNK
+    inputs = [mi for mi, _ in _vocabulary_batch(rng, model, 2 * chunk + 9, 300, "mse")]
+    assert {len(mi.mask_positions) for mi in inputs} == {1, 2, 3}
+    # One-item calls go through an encoder of their own, whose token memo
+    # the batch calls have not filled.
+    single = replace(model, encoder=BaselineEncoder(model.encoder.embeddings, model.encoder.radius))
+    exact = predict_many(model, inputs, "exact")
+    ranged = predict_many(model, inputs, "range")
+    assert len(exact) == len(ranged) == len(inputs)
+    for mi, value, (unit, probs) in zip(inputs, exact, ranged):
+        assert value == predict_exact(single, mi)
+        one_unit, one_probs = predict_range(single, mi)
+        assert unit == one_unit
+        assert np.array_equal(probs, one_probs)
+    assert predict_many(model, [], "exact") == []
+
+    bad = list(inputs)
+    bad[2 * chunk + 1] = replace(bad[2 * chunk + 1], mask_positions=(50,))
+    for head in ("exact", "range"):
+        with pytest.raises(InvalidInputError, match=rf"^item {2 * chunk + 1}: mask position 50"):
+            predict_many(model, bad, head)
+    with pytest.raises(ConfigError, match="head"):
+        predict_many(model, inputs, "both")
 
 
 @pytest.mark.parametrize("vocabulary,buckets,under_half", [(6, 256, True), (400, 64, False)])
