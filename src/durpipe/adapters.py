@@ -160,12 +160,11 @@ def parse_answer_value(answer: str) -> float | None:
     return normalize(quantity, TemporalUnit.from_string(m.group("unit")))
 
 
-def mctaco_to_input(row: McTacoRow) -> tuple[ModelInput, float | None]:
-    """Build the masked input for a QA row and parse its answer value."""
+def mctaco_to_input(row: McTacoRow) -> ModelInput:
+    """Build the masked input for a QA row; its answer is not read."""
     statement, _ = question_to_statement(row.question)
     text = row.context.strip() + " " + statement + MASK_PATTERN_END
-    model_input = ModelInput(text=text, mask_positions=tuple(find_mask_positions(text)))
-    return model_input, parse_answer_value(row.answer)
+    return ModelInput(text=text, mask_positions=tuple(find_mask_positions(text)))
 
 
 def mctaco_training_label(rows: Sequence[McTacoRow]) -> float | None:

@@ -135,16 +135,16 @@ def _iter_input_files(paths: list[str]) -> list[Path]:
     return files
 
 
-def _iter_documents(files: list[Path], stats: extraction.ExtractionStats):
+def _iter_documents(files: list[Path]):
     for path in files:
         try:
             text = path.read_bytes().decode("utf-8")
         except UnicodeDecodeError:
-            stats.skipped_documents += 1
             logger.warning("skipping undecodable file %s", path)
+            yield path.name, None
             continue
         if path.suffix == ".jsonl":
-            yield from extraction.read_documents(text.splitlines(), path.name, stats)
+            yield from extraction.read_documents(text.splitlines(), path.name)
         else:
             yield path.name, text
 
@@ -163,9 +163,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if not files:
         logger.warning("no input files found under %s", args.inputs)
 
-    pre_stats = extraction.ExtractionStats()
-    instances, stats = extraction.extract_corpus(_iter_documents(files, pre_stats), cfg)
-    stats = pre_stats.merge(stats)
+    instances, stats = extraction.extract_corpus(_iter_documents(files), cfg)
 
     (out / "instances.jsonl").write_text(extraction.write_instances(instances), encoding="utf-8")
     (out / "stats.json").write_text(
@@ -209,7 +207,7 @@ def _load_training_data(path: Path, fmt: str, head: str, inventory) -> list[tupl
             if value is None:
                 unlabeled += 1
                 continue
-            model_input, _ = adapters.mctaco_to_input(group[0])
+            model_input = adapters.mctaco_to_input(group[0])
             label = value if want_exact else closest_unit(value, inventory)
             data.append((model_input, label))
         if unlabeled:
@@ -276,8 +274,7 @@ def _timebank_eval_frame(path: Path, inventory):
         raise MalformedRowError(f"no rows in {path}")
     inputs = [adapters.timebank_to_input(row, inventory) for row in rows]
     keys = [row.sentence[row.event_span[0]:row.event_span[1]] for row in rows]
-    ids = [str(i) for i in range(len(rows))]
-    return rows, inputs, ids, keys
+    return inputs, keys
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -305,7 +302,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         answers: list[tuple[str, float, bool]] = []
         dropped = 0
         for qid, group in adapters.group_mctaco_rows(rows):
-            model_input, _ = adapters.mctaco_to_input(group[0])
+            model_input = adapters.mctaco_to_input(group[0])
             parsed = []
             for row in group:
                 value = adapters.parse_answer_value(row.answer)
@@ -320,18 +317,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
             qids.append(qid)
             inputs.append(model_input)
     else:
-        _, inputs, ids, keys = _timebank_eval_frame(data_path, inventory)
+        inputs, keys = _timebank_eval_frame(data_path, inventory)
 
     preds = model_lib.predict_many(mdl, inputs, head)
     if head == "range":
         preds = [unit for unit, _ in preds]
     if protocol == "coarse":
         golds = [coarse_of_value(mi.exact_label) for mi in inputs]
-        report = evaluation.eval_coarse(preds, golds, ids=ids, keys=keys)
+        report = evaluation.eval_coarse(preds, golds, keys=keys)
     elif protocol == "fine":
         golds = [mi.range_label for mi in inputs]
         units = [p if isinstance(p, TemporalUnit) else closest_unit(p, inventory) for p in preds]
-        report = evaluation.eval_fine(units, golds, inventory, ids=ids, keys=keys)
+        report = evaluation.eval_fine(units, golds, inventory, keys=keys)
     else:
         report = evaluation.eval_mctaco(
             dict(zip(qids, preds)), answers, evaluation.RangeRule(range_width), inventory
@@ -353,7 +350,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     if protocol not in ("coarse", "fine"):
         raise ConfigError(f"majority baseline supports coarse/fine, not {protocol!r}")
     inventory = inventory_of_size(inv_size)
-    _, inputs, _, _ = _timebank_eval_frame(Path(args.data), inventory)
+    inputs, _ = _timebank_eval_frame(Path(args.data), inventory)
     if protocol == "fine":
         golds = [mi.range_label for mi in inputs]
     else:
@@ -414,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="run seed")
 
     p = sub.add_parser("extract", help="harvest labeled instances from raw text")
     common(p)
@@ -424,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one head on labeled instances")
     common(p)
+    p.add_argument("--seed", type=int, help="run seed")
     p.add_argument("instances", help="training data file")
     p.add_argument("--format", choices=CHOICES["train", "format"])
     p.add_argument("--head", choices=CHOICES["train", "head"])
@@ -457,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark")
     common(p)
+    p.add_argument("--seed", type=int, help="run seed")
     p.add_argument("--size", type=int, help="training corpus sentences")
     p.add_argument("--holdout", type=int, help="held-out gold items")
     p.add_argument("--sigma", type=float, help="log-space duration jitter")

@@ -218,10 +218,7 @@ def eval_mctaco(
     """
     if not answers:
         raise ValueError("no answers to evaluate")
-    question_order: list[str] = []
-    for qid, _, _ in answers:
-        if qid not in question_order:
-            question_order.append(qid)
+    question_order = list(dict.fromkeys(qid for qid, _, _ in answers))
     if isinstance(preds, Mapping):
         pred_by_qid = dict(preds)
     else:

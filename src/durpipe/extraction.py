@@ -15,6 +15,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .text import find_mask_positions, mask_string, tokenize
@@ -23,7 +24,6 @@ from .units import UNITS_8, InvalidQuantityError, TemporalUnit, closest_unit, no
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "DEFAULT_TRIGGER_WORDS",
     "TRIGGER_FAMILIES",
     "FILTER_NAMES",
     "ExtractionConfig",
@@ -32,7 +32,6 @@ __all__ = [
     "LabeledInstance",
     "ExtractionStats",
     "match_sentence",
-    "passes_filters",
     "failed_filters",
     "label_sentence",
     "extract_corpus",
@@ -53,13 +52,7 @@ TRIGGER_FAMILIES: dict[str, tuple[str, ...]] = {
     "take": ("take", "took", "taken"),
 }
 
-DEFAULT_TRIGGER_WORDS: tuple[str, ...] = tuple(
-    w for words in TRIGGER_FAMILIES.values() for w in words
-)
-
 _FAMILY_OF_WORD = {w: fam for fam, words in TRIGGER_FAMILIES.items() for w in words}
-
-DEFAULT_GAP_CLASS = "[^,.!?;]"
 
 _UNIT_ALTERNATION = "|".join(u.word for u in UNITS_8)
 
@@ -82,17 +75,17 @@ _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    """Pattern knobs; the defaults reproduce the published extraction rules."""
+    """The trigger families to match; the default, all of them, reproduces
+    the published extraction rules."""
 
-    trigger_words: tuple[str, ...] = DEFAULT_TRIGGER_WORDS
-    max_gap_class: str = DEFAULT_GAP_CLASS
-    enabled_patterns: tuple[str, ...] | None = None  # None = all families
+    families: tuple[str, ...] = tuple(TRIGGER_FAMILIES)
 
     def __post_init__(self) -> None:
-        if not self.trigger_words:
-            raise ValueError("trigger_words must be nonempty")
-        if self.enabled_patterns is not None and not self.enabled_patterns:
-            raise ValueError("enabled_patterns must be nonempty when given")
+        if not self.families:
+            raise ValueError("families must be nonempty")
+        unknown = [f for f in self.families if f not in TRIGGER_FAMILIES]
+        if unknown:
+            raise ValueError(f"unknown trigger families: {unknown}")
 
     @classmethod
     def from_selector(cls, selector: str) -> "ExtractionConfig":
@@ -103,22 +96,28 @@ class ExtractionConfig:
             return cls()
         if sel.endswith("-only"):
             sel = sel[: -len("-only")]
-        families = tuple(part.strip() for part in sel.split(",") if part.strip())
-        unknown = [f for f in families if f not in TRIGGER_FAMILIES]
-        if unknown:
-            raise ValueError(f"unknown trigger families: {unknown}")
-        return cls(enabled_patterns=families)
+        return cls(tuple(part.strip() for part in sel.split(",") if part.strip()))
 
-    def active_words(self) -> tuple[str, ...]:
-        if self.enabled_patterns is None:
-            return self.trigger_words
-        return tuple(
-            w for w in self.trigger_words
-            if _FAMILY_OF_WORD.get(w, w) in self.enabled_patterns
+    @cached_property
+    def pattern(self) -> re.Pattern[str]:
+        # Longest trigger variants first so the reported trigger is the full
+        # word ("lasting", not its prefix "last"); the overall span is the
+        # same either way because the gap absorbs the remainder. Triggers are
+        # matched verbatim (no word boundary, no case folding) while the unit
+        # is case-insensitive with an optional plural "s".
+        words = sorted((w for f in self.families for w in TRIGGER_FAMILIES[f]),
+                       key=len, reverse=True)
+        trigger = "|".join(re.escape(w) for w in words)
+        # The gap is any run free of clause punctuation. The lookbehind keeps
+        # the greedy gap from splitting a numeral: the quantity is always the
+        # full digit run ("23 years", never "3 years" inside "23 years").
+        return re.compile(
+            rf"(?P<trigger>{trigger})[^,.!?;]*"
+            rf"(?<!\d)(?P<expr>(?P<qty>\d+) (?i:(?P<unit>{_UNIT_ALTERNATION})s?)\b)"
         )
 
-    def family_of(self, trigger: str) -> str:
-        return _FAMILY_OF_WORD.get(trigger, trigger)
+
+_DEFAULT_CONFIG = ExtractionConfig()
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,7 @@ class LabeledInstance:
 
 @dataclass
 class ExtractionStats:
-    """Counters for one extraction run; merging is an associative add."""
+    """Counters for one extraction run."""
 
     documents: int = 0
     skipped_documents: int = 0
@@ -179,24 +178,6 @@ class ExtractionStats:
     emitted: int = 0
     by_trigger: dict[str, int] = field(default_factory=dict)
     by_filter: dict[str, int] = field(default_factory=dict)
-
-    def merge(self, other: "ExtractionStats") -> "ExtractionStats":
-        merged = ExtractionStats(
-            documents=self.documents + other.documents,
-            skipped_documents=self.skipped_documents + other.skipped_documents,
-            sentences=self.sentences + other.sentences,
-            matched=self.matched + other.matched,
-            filtered=self.filtered + other.filtered,
-            skipped_instances=self.skipped_instances + other.skipped_instances,
-            emitted=self.emitted + other.emitted,
-            by_trigger=dict(self.by_trigger),
-            by_filter=dict(self.by_filter),
-        )
-        for key, n in other.by_trigger.items():
-            merged.by_trigger[key] = merged.by_trigger.get(key, 0) + n
-        for key, n in other.by_filter.items():
-            merged.by_filter[key] = merged.by_filter.get(key, 0) + n
-        return merged
 
     def to_json(self) -> dict:
         return {
@@ -212,34 +193,6 @@ class ExtractionStats:
         }
 
 
-def _build_pattern(cfg: ExtractionConfig) -> re.Pattern[str]:
-    # Longest trigger variants first so the reported trigger is the full
-    # word ("lasting", not its prefix "last"); the overall span is the
-    # same either way because the gap absorbs the remainder. Triggers are
-    # matched verbatim (no word boundary, no case folding) while the unit
-    # is case-insensitive with an optional plural "s".
-    words = sorted(cfg.active_words(), key=len, reverse=True)
-    trigger = "|".join(re.escape(w) for w in words)
-    # The lookbehind keeps the greedy gap from splitting a numeral: the
-    # quantity is always the full digit run ("23 years", never "3 years"
-    # inside "23 years").
-    return re.compile(
-        rf"(?P<trigger>{trigger}){cfg.max_gap_class}*"
-        rf"(?<!\d)(?P<expr>(?P<qty>\d+) (?i:(?P<unit>{_UNIT_ALTERNATION})s?)\b)"
-    )
-
-
-_PATTERN_CACHE: dict[tuple, re.Pattern[str]] = {}
-
-
-def _pattern_for(cfg: ExtractionConfig) -> re.Pattern[str]:
-    key = (cfg.trigger_words, cfg.max_gap_class, cfg.enabled_patterns)
-    pattern = _PATTERN_CACHE.get(key)
-    if pattern is None:
-        pattern = _PATTERN_CACHE[key] = _build_pattern(cfg)
-    return pattern
-
-
 def match_sentence(sentence: str, cfg: ExtractionConfig | None = None) -> MatchResult | None:
     """Leftmost match of the trigger-gap-value pattern, or None.
 
@@ -247,8 +200,7 @@ def match_sentence(sentence: str, cfg: ExtractionConfig | None = None) -> MatchR
     stop character the furthest one is taken, mirroring the source
     pattern's behavior.
     """
-    cfg = cfg or ExtractionConfig()
-    m = _pattern_for(cfg).search(sentence)
+    m = (cfg or _DEFAULT_CONFIG).pattern.search(sentence)
     if m is None:
         return None
     # float() saturates huge numerals to inf; label_sentence rejects those.
@@ -261,7 +213,7 @@ def match_sentence(sentence: str, cfg: ExtractionConfig | None = None) -> MatchR
     trigger = m.group("trigger")
     return MatchResult(
         trigger=trigger,
-        trigger_family=cfg.family_of(trigger),
+        trigger_family=_FAMILY_OF_WORD[trigger],
         trigger_span=(m.start("trigger"), m.end("trigger")),
         expression=expression,
         matched_text=m.group(0),
@@ -281,10 +233,6 @@ def failed_filters(m: MatchResult, sentence: str) -> list[str]:
     if _UNIT_OLD_RE.search(sentence):
         fired.append("unit_old")
     return fired
-
-
-def passes_filters(m: MatchResult, sentence: str) -> bool:
-    return not failed_filters(m, sentence)
 
 
 def label_sentence(sentence: str, m: MatchResult, source_id: str = "") -> LabeledInstance:
@@ -316,31 +264,24 @@ def segment_sentences(document: str) -> list[str]:
 
 
 def extract_corpus(
-    documents: Iterable[tuple[str, str]],
+    documents: Iterable[tuple[str, str | None]],
     cfg: ExtractionConfig | None = None,
 ) -> tuple[list[LabeledInstance], ExtractionStats]:
     """Run match/filter/label over a stream of (doc_id, text) pairs.
 
-    Documents that are not text (bytes that fail UTF-8 decoding, None)
-    are skipped and counted. Filter counts can exceed the number of
-    rejected sentences because several rules may fire on one match.
+    A document whose text is not a str (None for a malformed record or
+    an undecodable file) is skipped and counted; this is the one place
+    skipped documents are counted. Filter counts can exceed the number
+    of rejected sentences because several rules may fire on one match.
     """
-    cfg = cfg or ExtractionConfig()
     stats = ExtractionStats()
     instances: list[LabeledInstance] = []
-    for doc_id, raw_text in documents:
-        if isinstance(raw_text, bytes):
-            try:
-                raw_text = raw_text.decode("utf-8")
-            except UnicodeDecodeError:
-                stats.skipped_documents += 1
-                logger.debug("skipping undecodable document %s", doc_id)
-                continue
-        elif not isinstance(raw_text, str):
+    for doc_id, text in documents:
+        if not isinstance(text, str):
             stats.skipped_documents += 1
             continue
         stats.documents += 1
-        for idx, sentence in enumerate(segment_sentences(raw_text)):
+        for idx, sentence in enumerate(segment_sentences(text)):
             stats.sentences += 1
             m = match_sentence(sentence, cfg)
             if m is None:
@@ -364,12 +305,12 @@ def extract_corpus(
     return instances, stats
 
 
-def read_documents(lines: Iterable[str], source: str,
-                   stats: ExtractionStats) -> Iterator[tuple[str, str]]:
+def read_documents(lines: Iterable[str], source: str) -> Iterator[tuple[str, str | None]]:
     """Parse JSONL document records ({"id": ..., "text": ...}).
 
     A record without an id gets "<source>:<line index>". A malformed
-    line is skipped with a warning and counted in `stats`.
+    line is warned about and yields that id with text None, which
+    extract_corpus counts as skipped.
     """
     for i, line in enumerate(lines):
         line = line.strip()
@@ -377,10 +318,11 @@ def read_documents(lines: Iterable[str], source: str,
             continue
         try:
             obj = json.loads(line)
-            yield str(obj.get("id", f"{source}:{i}")), obj["text"]
+            doc = str(obj.get("id", f"{source}:{i}")), obj["text"]
         except (json.JSONDecodeError, AttributeError, KeyError, TypeError):
-            stats.skipped_documents += 1
             logger.warning("skipping malformed document %s:%d", source, i)
+            doc = f"{source}:{i}", None
+        yield doc
 
 
 def write_instances(instances: Sequence[LabeledInstance]) -> str:

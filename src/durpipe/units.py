@@ -89,7 +89,8 @@ _UNIT_SECONDS = {
     TemporalUnit.YEAR: 31_536_000,
     TemporalUnit.DECADE: 315_360_000,
 }
-_UNIT_LOG_SECONDS = {u: math.log(s) for u, s in _UNIT_SECONDS.items()}
+# Indexed by the unit's ordinal.
+_UNIT_LOG_SECONDS = tuple(math.log(_UNIT_SECONDS[u]) for u in TemporalUnit)
 
 DAY_BOUNDARY_SECONDS = 86_400
 _LOG_DAY = math.log(DAY_BOUNDARY_SECONDS)
@@ -131,10 +132,12 @@ def closest_unit(value: float, inventory: UnitInventory = UNITS_8) -> TemporalUn
         raise InvalidQuantityError(f"value must be finite, got {value!r}")
     if not inventory:
         raise ValueError("inventory must be nonempty")
+    # The tuple, not the log_seconds property: this runs twice per
+    # fine-eval item, and a property call per unit doubles its time.
     best = inventory[0]
-    best_dist = abs(value - best.log_seconds)
+    best_dist = abs(value - _UNIT_LOG_SECONDS[best])
     for unit in inventory[1:]:
-        dist = abs(value - unit.log_seconds)
+        dist = abs(value - _UNIT_LOG_SECONDS[unit])
         if dist < best_dist:
             best, best_dist = unit, dist
     return best

@@ -111,12 +111,12 @@ def test_mctaco_input_worked_example():
         answer="2 hours",
         gold=True,
     )
-    model_input, value = mctaco_to_input(row)
+    model_input = mctaco_to_input(row)
     assert model_input.text == (
         "They were playing all afternoon. they run through the fields, lasting [MASK] [MASK]."
     )
     assert len(model_input.mask_positions) == 2
-    assert value == pytest.approx(math.log(7200))
+    assert parse_answer_value(row.answer) == pytest.approx(math.log(7200))
 
 
 @pytest.mark.parametrize(

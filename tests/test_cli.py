@@ -106,6 +106,21 @@ def test_extract_cli_empty_dir_warns_but_succeeds(tmp_path):
     assert (out / "instances.jsonl").read_text() == ""
 
 
+def test_extract_cli_counts_skipped_documents(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "bad.txt").write_bytes(b"It took \xff 3 days.")
+    (data / "docs.jsonl").write_text(
+        '{"id": "a", "text": "It took 2 days."}\nnot json\n[1]\n{"id": "b", "text": null}\n',
+        encoding="utf-8")
+    out = tmp_path / "ex"
+    assert run("extract", data, "--out", out) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["documents"] == 1
+    assert stats["skipped_documents"] == 4
+    assert stats["emitted"] == 1
+
+
 def test_extract_cli_missing_path_is_io_error(tmp_path):
     assert run("extract", tmp_path / "nope.jsonl", "--out", tmp_path / "o") == cli.EXIT_IO
 
@@ -282,6 +297,17 @@ def test_baseline_cli(small_pipeline, tmp_path):
     out2 = tmp_path / "base2"
     assert run("baseline", small_pipeline / "synth" / "holdout.tsv",
                "--protocol", "coarse", "--out", out2) == 0
+
+
+def test_seed_is_an_option_only_where_it_is_read(small_pipeline, tmp_path, corpus_file):
+    # extract, eval and baseline draw nothing at random, so --seed there is
+    # a usage error rather than a silently ignored setting
+    holdout = small_pipeline / "synth" / "holdout.tsv"
+    assert run("extract", corpus_file, "--out", tmp_path / "ex", "--seed", 3) == cli.EXIT_CONFIG
+    assert run("eval", small_pipeline / "te" / "model.ckpt", holdout,
+               "--out", tmp_path / "ev", "--seed", 3) == cli.EXIT_CONFIG
+    assert run("baseline", holdout, "--out", tmp_path / "base", "--seed", 3) == cli.EXIT_CONFIG
+    assert not (tmp_path / "ev").exists()
 
 
 def test_baseline_rejects_mctaco_protocol(small_pipeline, tmp_path):

@@ -154,6 +154,17 @@ def test_mctaco_preds_as_mapping_or_sequence():
         eval_mctaco({"a": 1.0}, answers, RangeRule(0.5))
 
 
+def test_mctaco_question_order_is_first_appearance():
+    # a prediction sequence aligns with question ids in order of first
+    # appearance, also when the answers of questions are interleaved
+    answers = [("q2", 5.0, True), ("q1", 1.0, True), ("q2", 5.5, True),
+               ("q3", 9.0, True), ("q1", 1.2, True), ("q3", 9.1, True)]
+    seq = eval_mctaco([5.0, 1.0, 9.0], answers, RangeRule(0.6))
+    mapped = eval_mctaco({"q1": 1.0, "q2": 5.0, "q3": 9.0}, answers, RangeRule(0.6))
+    assert seq.to_json() == mapped.to_json()
+    assert seq.accuracy == 1.0 and seq.exact_match == 1.0
+
+
 def test_mctaco_extra_predictions_are_diagnosed():
     answers = [("a", 1.0, True)]
     report = eval_mctaco({"a": 1.0, "ghost": 2.0}, answers, RangeRule(1.0))
