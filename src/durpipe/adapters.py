@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .text import find_mask_positions
@@ -32,13 +32,15 @@ __all__ = [
     "ModelInput",
     "timebank_to_input",
     "question_to_statement",
+    "McTacoQuestion",
     "mctaco_to_input",
-    "mctaco_training_label",
     "parse_answer_value",
     "group_mctaco_rows",
     "read_timebank_tsv",
+    "read_timebank_inputs",
     "write_timebank_tsv",
     "read_mctaco_jsonl",
+    "read_mctaco_questions",
 ]
 
 MASK_PATTERN_MID = ", lasting [MASK] [MASK],"
@@ -81,6 +83,17 @@ class ModelInput:
     mask_positions: tuple[int, ...]
     exact_label: float | None = None
     range_label: TemporalUnit | None = None
+
+
+@dataclass(frozen=True)
+class McTacoQuestion:
+    """One QA question: its input, the (log-second value, gold) of each
+    answer that parses, and how many answers did not."""
+
+    qid: str
+    input: ModelInput
+    answers: tuple[tuple[float, bool], ...]
+    dropped: int
 
 
 def _mean_log_seconds(row: TimeBankRow) -> float:
@@ -167,22 +180,6 @@ def mctaco_to_input(row: McTacoRow) -> ModelInput:
     return ModelInput(text=text, mask_positions=tuple(find_mask_positions(text)))
 
 
-def mctaco_training_label(rows: Sequence[McTacoRow]) -> float | None:
-    """Mean log-second value of the parseable correct answers of one question.
-
-    Averaging happens in log space (the geometric mean of the durations),
-    which keeps one outlier answer from dominating. None when no correct
-    answer parses.
-    """
-    values = [
-        v for row in rows
-        if row.gold and (v := parse_answer_value(row.answer)) is not None
-    ]
-    if not values:
-        return None
-    return sum(values) / len(values)
-
-
 def group_mctaco_rows(rows: Iterable[McTacoRow]) -> list[tuple[str, list[McTacoRow]]]:
     """Group rows by (context, question), preserving first-seen order.
 
@@ -227,6 +224,15 @@ def read_timebank_tsv(lines: Iterable[str]) -> list[TimeBankRow]:
     return out
 
 
+def read_timebank_inputs(
+    lines: Iterable[str], inventory: UnitInventory
+) -> tuple[list[ModelInput], list[str]]:
+    """Labelled inputs of a TimeBank-style TSV, and the event word of each row."""
+    rows = read_timebank_tsv(lines)
+    inputs = [timebank_to_input(row, inventory) for row in rows]
+    return inputs, [row.sentence[row.event_span[0]:row.event_span[1]] for row in rows]
+
+
 def write_timebank_tsv(rows: Sequence[TimeBankRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter="\t", lineterminator="\n")
@@ -251,7 +257,7 @@ def _format_quantity(q: float) -> str:
 def read_mctaco_jsonl(lines: Iterable[str]) -> list[McTacoRow]:
     """Parse JSONL rows with fields context, question, answer, gold."""
     out = []
-    for line in lines:
+    for n, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
@@ -265,6 +271,28 @@ def read_mctaco_jsonl(lines: Iterable[str]) -> list[McTacoRow]:
                     gold=bool(obj["gold"]),
                 )
             )
-        except KeyError as exc:
-            raise MalformedRowError(f"missing field {exc} in row: {line[:80]}") from exc
+        except (KeyError, TypeError) as exc:
+            raise MalformedRowError(f"line {n}: not a QA row ({exc!r}): {line[:80]}") from exc
     return out
+
+
+def read_mctaco_questions(lines: Iterable[str], inventory: UnitInventory) -> list[McTacoQuestion]:
+    """Every question of a McTACO-style JSONL file, in first-seen order.
+
+    A question's input is labelled when at least one correct answer
+    parses: with the mean of those answers' log-second values in row
+    order (the geometric mean of the durations, which keeps one outlier
+    answer from dominating) and its closest inventory unit.
+    """
+    questions = []
+    for qid, group in group_mctaco_rows(read_mctaco_jsonl(lines)):
+        parsed = [(parse_answer_value(row.answer), row.gold) for row in group]
+        answers = tuple((v, gold) for v, gold in parsed if v is not None)
+        model_input = mctaco_to_input(group[0])
+        correct = [v for v, gold in answers if gold]
+        if correct:
+            mean = sum(correct) / len(correct)
+            model_input = replace(model_input, exact_label=mean,
+                                  range_label=closest_unit(mean, inventory))
+        questions.append(McTacoQuestion(qid, model_input, answers, len(parsed) - len(answers)))
+    return questions

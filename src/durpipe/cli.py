@@ -1,9 +1,15 @@
 """Command-line pipeline: synth, extract, train, eval, baseline.
 
-One executable with subcommands. Settings come from an INI config file
-(flat sections: common, extract, train, eval, synth) overridden by
-flags; every run echoes its effective settings to <out>/config.ini so a
-run can be reproduced from its output directory alone.
+One executable with subcommands. Each setting is one row of COMMANDS,
+which gives its flag, type, default and allowed values, and, for some,
+the setting it depends on: `--range` is read only under `--protocol
+mctaco`, and `--dim`, `--buckets` and `--radius` only with `--init
+fresh`. A setting takes its flag's value, else the value in the INI
+config file's section of the subcommand (`baseline` reads `[eval]`),
+else the one in `[common]`, else its default. A flag for a setting the
+run does not read is a configuration error; a config-file value for it
+is ignored. Every run echoes the settings it read to <out>/config.ini,
+so a run can be reproduced from its output directory alone.
 
 Exit codes: 0 success, 2 configuration errors, 3 I/O errors, 4 data
 errors. DURPIPE_LOG controls log verbosity (DEBUG/INFO/WARNING/ERROR).
@@ -15,20 +21,17 @@ import argparse
 import configparser
 import json
 import logging
+import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import adapters, evaluation, extraction, model as model_lib, synth as synth_lib
 from .adapters import MalformedRowError
-from .model import CheckpointError, ConfigError, DualHeadModel, InvalidInputError, TrainConfig
-from .units import (
-    InvalidQuantityError,
-    TemporalUnit,
-    closest_unit,
-    coarse_of_value,
-    inventory_of_size,
-)
+from .model import ConfigError, DualHeadModel, TrainConfig
+from .units import TemporalUnit, closest_unit, coarse_of_value, inventory_of_size
 
 logger = logging.getLogger(__name__)
 
@@ -38,75 +41,9 @@ EXIT_IO = 3
 EXIT_DATA = 4
 
 _CONFIG_ERRORS = (ConfigError, configparser.Error)
-_DATA_ERRORS = (
-    MalformedRowError,
-    CheckpointError,
-    InvalidQuantityError,
-    InvalidInputError,
-    json.JSONDecodeError,
-    ValueError,
-)
-
-
-# The values a setting may take, by section and key, whether it comes
-# from a flag or from the config file; the flags take their choices here.
-CHOICES = {
-    ("train", "format"): ("instances", "timebank", "mctaco"),
-    ("train", "head"): ("exact", "range"),
-    ("train", "inventory"): (7, 8),
-    ("eval", "protocol"): ("coarse", "fine", "mctaco"),
-    ("eval", "head"): ("exact", "range"),
-    ("eval", "inventory"): (7, 8),
-}
-
-
-class Settings:
-    """Layered settings: flag value, then config file, then default.
-    A value outside CHOICES, or one the cast rejects, is a ConfigError."""
-
-    def __init__(self, config_path: str | None):
-        self.parser = configparser.ConfigParser()
-        if config_path:
-            read = self.parser.read(config_path)
-            if not read:
-                raise FileNotFoundError(f"config file not found: {config_path}")
-        self.effective: dict[str, dict[str, str]] = {}
-
-    def get(self, section: str, key: str, flag_value, default, cast=str):
-        if flag_value is not None:
-            value = flag_value
-        elif self.parser.has_option(section, key):
-            value = self._read(section, key, cast)
-        elif self.parser.has_option("common", key):
-            value = self._read("common", key, cast)
-        else:
-            value = default
-        choices = CHOICES.get((section, key))
-        if choices and value is not None and value not in choices:
-            raise ConfigError(f"[{section}] {key} = {value!r} is not one of "
-                              f"{', '.join(map(str, choices))}")
-        self.effective.setdefault(section, {})[key] = "" if value is None else str(value)
-        return value
-
-    def _read(self, section: str, key: str, cast):
-        raw = self.parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-    def write_effective(self, out_dir: Path) -> None:
-        echo = configparser.ConfigParser()
-        for section in sorted(self.effective):
-            echo[section] = dict(sorted(self.effective[section].items()))
-        with open(out_dir / "config.ini", "w", encoding="utf-8") as fh:
-            echo.write(fh)
-
-
-def _ensure_out(path_str: str) -> Path:
-    out = Path(path_str)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# Every data error durpipe raises (bad rows, checkpoints, quantities and
+# inputs, and JSON that does not decode) is a ValueError.
+_DATA_ERRORS = ValueError
 
 
 def _setup_logging() -> None:
@@ -149,19 +86,14 @@ def _iter_documents(files: list[Path]):
             yield path.name, text
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    settings = Settings(args.config)
-    patterns = settings.get("extract", "patterns", args.patterns, "all")
-    out = _ensure_out(settings.get("extract", "out", args.out, "extract-out"))
-    settings.effective.setdefault("extract", {})["inputs"] = " ".join(args.inputs)
-
+def cmd_extract(settings: dict, out: Path) -> None:
     try:
-        cfg = extraction.ExtractionConfig.from_selector(patterns)
+        cfg = extraction.ExtractionConfig.from_selector(settings["patterns"])
     except ValueError as exc:
-        raise ConfigError(f"patterns {patterns!r}: {exc}") from exc
-    files = _iter_input_files(args.inputs)
+        raise ConfigError(f"patterns {settings['patterns']!r}: {exc}") from exc
+    files = _iter_input_files(settings["inputs"])
     if not files:
-        logger.warning("no input files found under %s", args.inputs)
+        logger.warning("no input files found under %s", settings["inputs"])
 
     instances, stats = extraction.extract_corpus(_iter_documents(files), cfg)
 
@@ -169,97 +101,59 @@ def cmd_extract(args: argparse.Namespace) -> int:
     (out / "stats.json").write_text(
         json.dumps(stats.to_json(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    settings.write_effective(out)
     print(f"extracted {stats.emitted} instances from {stats.documents} documents "
           f"({stats.filtered} filtered)")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
 
-
-def _load_training_data(path: Path, fmt: str, head: str, inventory) -> list[tuple[adapters.ModelInput, object]]:
-    want_exact = head == "exact"
-    data: list[tuple[adapters.ModelInput, object]] = []
-    if fmt == "instances":
-        with open(path, encoding="utf-8") as fh:
-            for inst in extraction.read_instances(fh):
-                model_input = adapters.ModelInput(
-                    text=inst.masked_text, mask_positions=inst.mask_positions
-                )
-                label = inst.exact_label if want_exact else inst.range_label
-                data.append((model_input, label))
-    elif fmt == "timebank":
-        with open(path, encoding="utf-8") as fh:
-            rows = adapters.read_timebank_tsv(fh)
-        for row in rows:
-            model_input = adapters.timebank_to_input(row, inventory)
-            label = model_input.exact_label if want_exact else model_input.range_label
-            data.append((model_input, label))
-    elif fmt == "mctaco":
-        with open(path, encoding="utf-8") as fh:
-            rows = adapters.read_mctaco_jsonl(fh)
-        unlabeled = 0
-        for _, group in adapters.group_mctaco_rows(rows):
-            value = adapters.mctaco_training_label(group)
-            if value is None:
-                unlabeled += 1
-                continue
-            model_input = adapters.mctaco_to_input(group[0])
-            label = value if want_exact else closest_unit(value, inventory)
-            data.append((model_input, label))
-        if unlabeled:
-            logger.info("skipped %d questions with no parseable correct answer", unlabeled)
-    else:
-        raise ConfigError(f"unknown training format {fmt!r}")
-    return data
+# Settings left unset take the TrainConfig default of the run's kind
+# (pre-training or fine-tuning); the echo records the values used.
+_OPTIMIZER_KEYS = ("learning_rate", "batch_size", "warmup_proportion", "epochs")
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    settings = Settings(args.config)
-    fmt = settings.get("train", "format", args.format, "instances")
-    head = settings.get("train", "head", args.head, "exact")
-    init = settings.get("train", "init", args.init, "fresh")
-    seed = settings.get("train", "seed", args.seed, 0, int)
-    inv_size = settings.get("train", "inventory", args.inventory, 8, int)
-    dim = settings.get("train", "dim", args.dim, 32, int)
-    buckets = settings.get("train", "buckets", args.buckets, 4096, int)
-    radius = settings.get("train", "radius", args.radius, 5, int)
-    finetune = init != "fresh"
-    base = TrainConfig.finetuning() if finetune else TrainConfig()
-    lr = settings.get("train", "learning_rate", args.learning_rate, base.learning_rate, float)
-    batch = settings.get("train", "batch_size", args.batch_size, base.batch_size, int)
-    warmup = settings.get("train", "warmup_proportion", args.warmup, base.warmup_proportion, float)
-    epochs = settings.get("train", "epochs", args.epochs, base.epochs, int)
-    out = _ensure_out(settings.get("train", "out", args.out, "train-out"))
-    settings.effective.setdefault("train", {})["instances"] = args.instances
+def _read_training_inputs(path: Path, fmt: str, inventory) -> list[adapters.ModelInput]:
+    with open(path, encoding="utf-8") as fh:
+        if fmt == "instances":
+            return [adapters.ModelInput(i.masked_text, i.mask_positions, i.exact_label, i.range_label)
+                    for i in extraction.read_instances(fh)]
+        if fmt == "timebank":
+            return adapters.read_timebank_inputs(fh, inventory)[0]
+        return [q.input for q in adapters.read_mctaco_questions(fh, inventory)
+                if q.input.exact_label is not None]
 
-    inventory = inventory_of_size(inv_size)
+
+def cmd_train(settings: dict, out: Path) -> None:
+    head, init, seed = settings["head"], settings["init"], settings["seed"]
+    given = {key: settings[key] for key in _OPTIMIZER_KEYS if settings[key] is not None}
+    make_config = TrainConfig if init == "fresh" else TrainConfig.finetuning
+    cfg = make_config(**given, seed=seed, loss="mse" if head == "exact" else "cross_entropy")
+    settings.update({key: getattr(cfg, key) for key in _OPTIMIZER_KEYS})
+
+    inventory = inventory_of_size(settings["inventory"])
     if init == "fresh":
-        mdl = DualHeadModel.create(dim=dim, inventory=inventory, seed=seed,
-                                   buckets=buckets, radius=radius)
+        mdl = DualHeadModel.create(dim=settings["dim"], inventory=inventory, seed=seed,
+                                   buckets=settings["buckets"], radius=settings["radius"])
     else:
         mdl = model_lib.load(Path(init).read_bytes())
         if len(inventory) != len(mdl.inventory):
             mdl = model_lib.with_inventory(mdl, inventory)
 
-    cfg = TrainConfig(
-        learning_rate=lr, batch_size=batch, warmup_proportion=warmup,
-        epochs=epochs, seed=seed, loss="mse" if head == "exact" else "cross_entropy",
-    )
-    data = _load_training_data(Path(args.instances), fmt, head, inventory)
+    path = Path(settings["instances"])
+    inputs = _read_training_inputs(path, settings["format"], inventory)
+    if not inputs:
+        raise MalformedRowError(f"no usable {settings['format']} training items in {path}")
+    data = [(mi, mi.exact_label if head == "exact" else mi.range_label) for mi in inputs]
     mdl, curve = model_lib.train(mdl, data, cfg)
 
     (out / "model.ckpt").write_bytes(model_lib.save(mdl))
     (out / "loss_curve.json").write_text(
         json.dumps({"loss": curve}, sort_keys=True) + "\n", encoding="utf-8"
     )
-    settings.write_effective(out)
     final = f"{curve[-1]:.6f}" if curve else "n/a"
     print(f"trained {head} head on {len(data)} instances, {len(curve)} steps, final loss {final}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -267,57 +161,35 @@ def cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _timebank_eval_frame(path: Path, inventory):
+def _timebank_inputs(path: Path, inventory):
+    """Inputs and event words of a TSV data file; a file with no rows is a data error."""
     with open(path, encoding="utf-8") as fh:
-        rows = adapters.read_timebank_tsv(fh)
-    if not rows:
+        inputs, keys = adapters.read_timebank_inputs(fh, inventory)
+    if not inputs:
         raise MalformedRowError(f"no rows in {path}")
-    inputs = [adapters.timebank_to_input(row, inventory) for row in rows]
-    keys = [row.sentence[row.event_span[0]:row.event_span[1]] for row in rows]
     return inputs, keys
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    settings = Settings(args.config)
-    protocol = settings.get("eval", "protocol", args.protocol, "fine")
-    head = settings.get("eval", "head", args.head, "exact")
-    inv_size = settings.get("eval", "inventory", args.inventory, None, int)
-    range_width = settings.get("eval", "range", args.range, 3.0, float)
-    out = _ensure_out(settings.get("eval", "out", args.out, "eval-out"))
-    settings.effective.setdefault("eval", {}).update(
-        {"checkpoint": args.checkpoint, "data": args.data}
-    )
-
-    mdl = model_lib.load(Path(args.checkpoint).read_bytes())
-    if inv_size is not None and inv_size != len(mdl.inventory):
-        mdl = model_lib.with_inventory(mdl, inventory_of_size(inv_size))
+def cmd_eval(settings: dict, out: Path) -> None:
+    protocol, head = settings["protocol"], settings["head"]
+    if protocol == "mctaco":
+        rule = evaluation.RangeRule(settings["range"])
+    mdl = model_lib.load(Path(settings["checkpoint"]).read_bytes())
+    if settings["inventory"] is not None and settings["inventory"] != len(mdl.inventory):
+        mdl = model_lib.with_inventory(mdl, inventory_of_size(settings["inventory"]))
     inventory = mdl.inventory
 
-    data_path = Path(args.data)
+    data_path = Path(settings["data"])
     if protocol == "mctaco":
         with open(data_path, encoding="utf-8") as fh:
-            rows = adapters.read_mctaco_jsonl(fh)
-        qids: list[str] = []
-        inputs = []
-        answers: list[tuple[str, float, bool]] = []
-        dropped = 0
-        for qid, group in adapters.group_mctaco_rows(rows):
-            model_input = adapters.mctaco_to_input(group[0])
-            parsed = []
-            for row in group:
-                value = adapters.parse_answer_value(row.answer)
-                if value is None:
-                    dropped += 1
-                    continue
-                parsed.append((qid, value, row.gold))
-            if not parsed:
-                logger.info("question %s has no parseable answers; skipped", qid)
-                continue
-            answers.extend(parsed)
-            qids.append(qid)
-            inputs.append(model_input)
+            questions = adapters.read_mctaco_questions(fh, inventory)
+        answered = [q for q in questions if q.answers]
+        for q in questions:
+            if not q.answers:
+                logger.info("question %s has no parseable answers; skipped", q.qid)
+        inputs = [q.input for q in answered]
     else:
-        inputs, keys = _timebank_eval_frame(data_path, inventory)
+        inputs, keys = _timebank_inputs(data_path, inventory)
 
     preds = model_lib.predict_many(mdl, inputs, head)
     if head == "range":
@@ -330,41 +202,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
         units = [p if isinstance(p, TemporalUnit) else closest_unit(p, inventory) for p in preds]
         report = evaluation.eval_fine(units, golds, inventory, keys=keys)
     else:
+        answers = [(q.qid, value, gold) for q in answered for value, gold in q.answers]
         report = evaluation.eval_mctaco(
-            dict(zip(qids, preds)), answers, evaluation.RangeRule(range_width), inventory
+            dict(zip((q.qid for q in answered), preds)), answers, rule, inventory
         )
+        dropped = sum(q.dropped for q in questions)
         if dropped:
             report.diagnostics["unparseable_answers"] = dropped
 
-    _write_report(out, settings, report)
-    return EXIT_OK
+    _write_report(out, report)
 
 
-def cmd_baseline(args: argparse.Namespace) -> int:
-    settings = Settings(args.config)
-    protocol = settings.get("eval", "protocol", args.protocol, "fine")
-    inv_size = settings.get("eval", "inventory", args.inventory, 7, int)
-    out = _ensure_out(settings.get("eval", "out", args.out, "baseline-out"))
-    settings.effective.setdefault("eval", {})["data"] = args.data
-
-    if protocol not in ("coarse", "fine"):
-        raise ConfigError(f"majority baseline supports coarse/fine, not {protocol!r}")
-    inventory = inventory_of_size(inv_size)
-    inputs, _ = _timebank_eval_frame(Path(args.data), inventory)
+def cmd_baseline(settings: dict, out: Path) -> None:
+    protocol = settings["protocol"]
+    inventory = inventory_of_size(settings["inventory"])
+    inputs, _ = _timebank_inputs(Path(settings["data"]), inventory)
     if protocol == "fine":
         golds = [mi.range_label for mi in inputs]
     else:
         golds = [coarse_of_value(mi.exact_label) for mi in inputs]
-    report = evaluation.majority_baseline(golds, protocol, inventory)
-
-    _write_report(out, settings, report)
-    return EXIT_OK
+    _write_report(out, evaluation.majority_baseline(golds, protocol, inventory))
 
 
-def _write_report(out: Path, settings: Settings, report: evaluation.EvalReport) -> None:
+def _write_report(out: Path, report: evaluation.EvalReport) -> None:
     (out / "report.json").write_text(evaluation.report_to_json(report), encoding="utf-8")
     (out / "items.tsv").write_text(report.to_item_tsv(), encoding="utf-8")
-    settings.write_effective(out)
     headline = f"{report.protocol}: accuracy {report.accuracy:.4f}"
     for label, f1 in report.f1_per_class.items():
         headline += f", {label} F1 " + (f"{f1:.4f}" if f1 is not None else "-")
@@ -378,89 +240,171 @@ def _write_report(out: Path, settings: Settings, report: evaluation.EvalReport) 
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    settings = Settings(args.config)
-    size = settings.get("synth", "size", args.size, 2000, int)
-    holdout = settings.get("synth", "holdout", args.holdout, 400, int)
-    seed = settings.get("synth", "seed", args.seed, 17, int)
-    sigma = settings.get("synth", "sigma", args.sigma, 0.25, float)
-    out = _ensure_out(settings.get("synth", "out", args.out, "synth-out"))
-
-    spec = synth_lib.SynthSpec(size=size, holdout=holdout, seed=seed, sigma=sigma)
+def cmd_synth(settings: dict, out: Path) -> None:
+    spec = synth_lib.SynthSpec(size=settings["size"], holdout=settings["holdout"],
+                               seed=settings["seed"], sigma=settings["sigma"])
     result = synth_lib.generate(spec)
     (out / "corpus.jsonl").write_text(result.corpus_jsonl(), encoding="utf-8")
     (out / "holdout.tsv").write_text(
         adapters.write_timebank_tsv(result.holdout_rows), encoding="utf-8"
     )
-    settings.write_effective(out)
     print(f"wrote {len(result.documents)} corpus sentences and "
           f"{len(result.holdout_rows)} held-out items")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# settings
 # ---------------------------------------------------------------------------
+
+
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One setting of a subcommand. `when` = (key, value): the setting is
+    read only when the setting `key`, resolved before it, equals `value`."""
+
+    key: str
+    cast: Callable = str
+    default: object = None
+    choices: tuple = ()
+    when: tuple[str, str] | None = None
+    flag: str | None = None
+    help: str | None = None
+
+    @property
+    def flag_name(self) -> str:
+        return self.flag or "--" + self.key.replace("_", "-")
+
+
+@dataclass(frozen=True)
+class Command:
+    section: str
+    run: Callable[[dict, Path], None]
+    help: str
+    positionals: tuple[tuple[str, str, str | None], ...]  # (name, help, nargs)
+    settings: tuple[Setting, ...]
+
+
+_INVENTORY = (7, 8)
+_HEADS = ("exact", "range")
+_OUT = "output directory"
+
+COMMANDS = {
+    "extract": Command("extract", cmd_extract, "harvest labeled instances from raw text",
+                       (("inputs", "text/JSONL files or directories", "+"),), (
+        Setting("patterns", default="all", help="'all', 'for-only', or comma-separated families"),
+        Setting("out", default="extract-out", help=_OUT),
+    )),
+    "train": Command("train", cmd_train, "train one head on labeled instances",
+                     (("instances", "training data file", None),), (
+        Setting("format", default="instances", choices=("instances", "timebank", "mctaco")),
+        Setting("head", default="exact", choices=_HEADS),
+        Setting("init", default="fresh", help="'fresh' or a checkpoint path"),
+        Setting("seed", int, 0, help="run seed"),
+        Setting("inventory", int, 8, _INVENTORY),
+        Setting("dim", int, 32, when=("init", "fresh")),
+        Setting("buckets", int, 4096, when=("init", "fresh")),
+        Setting("radius", int, 5, when=("init", "fresh")),
+        Setting("learning_rate", finite_float),
+        Setting("batch_size", int),
+        Setting("warmup_proportion", finite_float, flag="--warmup"),
+        Setting("epochs", int),
+        Setting("out", default="train-out", help=_OUT),
+    )),
+    "eval": Command("eval", cmd_eval, "score a checkpoint under one protocol",
+                    (("checkpoint", "model checkpoint path", None),
+                     ("data", "dataset path (TSV for coarse/fine, JSONL for mctaco)", None)), (
+        Setting("protocol", default="fine", choices=("coarse", "fine", "mctaco")),
+        Setting("head", default="exact", choices=_HEADS),
+        Setting("inventory", int, None, _INVENTORY),
+        Setting("range", finite_float, 3.0, when=("protocol", "mctaco"),
+                help="acceptance band in log-seconds"),
+        Setting("out", default="eval-out", help=_OUT),
+    )),
+    "baseline": Command("eval", cmd_baseline, "majority-class baseline on gold data",
+                        (("data", "dataset path (TSV)", None),), (
+        Setting("protocol", default="fine", choices=("coarse", "fine")),
+        Setting("inventory", int, 7, _INVENTORY),
+        Setting("out", default="baseline-out", help=_OUT),
+    )),
+    "synth": Command("synth", cmd_synth, "generate the synthetic benchmark", (), (
+        Setting("size", int, 2000, help="training corpus sentences"),
+        Setting("holdout", int, 400, help="held-out gold items"),
+        Setting("seed", int, 17, help="run seed"),
+        Setting("sigma", finite_float, 0.25, help="log-space duration jitter"),
+        Setting("out", default="synth-out", help=_OUT),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="durpipe", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("extract", help="harvest labeled instances from raw text")
-    common(p)
-    p.add_argument("inputs", nargs="+", help="text/JSONL files or directories")
-    p.add_argument("--patterns", help="'all', 'for-only', or comma-separated families")
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("train", help="train one head on labeled instances")
-    common(p)
-    p.add_argument("--seed", type=int, help="run seed")
-    p.add_argument("instances", help="training data file")
-    p.add_argument("--format", choices=CHOICES["train", "format"])
-    p.add_argument("--head", choices=CHOICES["train", "head"])
-    p.add_argument("--init", help="'fresh' or a checkpoint path")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--warmup", type=float)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--buckets", type=int)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--inventory", type=int, choices=CHOICES["train", "inventory"])
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="score a checkpoint under one protocol")
-    common(p)
-    p.add_argument("checkpoint", help="model checkpoint path")
-    p.add_argument("data", help="dataset path (TSV for coarse/fine, JSONL for mctaco)")
-    p.add_argument("--protocol", choices=CHOICES["eval", "protocol"])
-    p.add_argument("--head", choices=CHOICES["eval", "head"])
-    p.add_argument("--range", type=float, help="acceptance band in log-seconds")
-    p.add_argument("--inventory", type=int, choices=CHOICES["eval", "inventory"])
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("baseline", help="majority-class baseline on gold data")
-    common(p)
-    p.add_argument("data", help="dataset path (TSV)")
-    p.add_argument("--protocol", choices=("coarse", "fine"))
-    p.add_argument("--inventory", type=int, choices=CHOICES["eval", "inventory"])
-    p.set_defaults(func=cmd_baseline)
-
-    p = sub.add_parser("synth", help="generate the synthetic benchmark")
-    common(p)
-    p.add_argument("--seed", type=int, help="run seed")
-    p.add_argument("--size", type=int, help="training corpus sentences")
-    p.add_argument("--holdout", type=int, help="held-out gold items")
-    p.add_argument("--sigma", type=float, help="log-space duration jitter")
-    p.set_defaults(func=cmd_synth)
-
+        for positional, help_text, nargs in command.positionals:
+            p.add_argument(positional, nargs=nargs, help=help_text)
+        for row in command.settings:
+            p.add_argument(row.flag_name, dest=row.key, type=row.cast,
+                           choices=row.choices or None, help=row.help)
     return parser
+
+
+def resolve(args: argparse.Namespace) -> dict:
+    """The settings a run reads, with its positionals. Each row whose
+    `when` holds takes its flag (argparse checks its cast and choices),
+    else its value in the command's config section, else in [common],
+    else its default. A flag for a row not read is a ConfigError."""
+    command = COMMANDS[args.command]
+    config = configparser.ConfigParser(interpolation=None)
+    if args.config and not config.read(args.config, encoding="utf-8"):
+        raise FileNotFoundError(f"config file not found: {args.config}")
+    settings: dict = {}
+    for row in command.settings:
+        value = getattr(args, row.key)
+        if row.when and settings[row.when[0]] != row.when[1]:
+            if value is not None:
+                raise ConfigError(f"{row.flag_name} is read only when {row.when[0]} = "
+                                  f"{row.when[1]}, and this run has {row.when[0]} = "
+                                  f"{settings[row.when[0]]}")
+            continue
+        if value is None:
+            section = next((s for s in (command.section, "common") if config.has_option(s, row.key)), None)
+            value = _config_value(config, section, row) if section else row.default
+        settings[row.key] = value
+    for positional, _, _ in command.positionals:
+        settings[positional] = getattr(args, positional)
+    return settings
+
+
+def _config_value(config: configparser.ConfigParser, section: str, row: Setting):
+    raw = config.get(section, row.key)
+    if raw == "" and row.default is None:
+        return None  # how config.ini records an unset setting
+    try:
+        value = row.cast(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {row.key} = {raw!r}: {exc}") from exc
+    if row.choices and value not in row.choices:
+        raise ConfigError(f"[{section}] {row.key} = {value!r} is not one of "
+                          f"{', '.join(map(str, row.choices))}")
+    return value
+
+
+def _write_config(path: Path, section: str, settings: dict) -> None:
+    echo = configparser.ConfigParser(interpolation=None)
+    echo[section] = {key: " ".join(value) if isinstance(value, list) else
+                     "" if value is None else str(value) for key, value in sorted(settings.items())}
+    with open(path, "w", encoding="utf-8") as fh:
+        echo.write(fh)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -471,8 +415,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors, matching EXIT_CONFIG
         return int(exc.code or 0)
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
+        settings = resolve(args)
+        out = Path(settings["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        command.run(settings, out)
+        _write_config(out / "config.ini", command.section, settings)
+        return EXIT_OK
     except _CONFIG_ERRORS as exc:
         logger.error("configuration error: %s", exc)
         print(f"durpipe: configuration error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+from .model import ConfigError
 from .units import (
     LESS_THAN_DAY,
     MORE_THAN_DAY,
@@ -50,7 +51,7 @@ class RangeRule:
 
     def __post_init__(self) -> None:
         if not self.range_width > 0:
-            raise ValueError(f"range must be positive, got {self.range_width}")
+            raise ConfigError(f"range must be > 0, got {self.range_width}")
 
 
 @dataclass(frozen=True)

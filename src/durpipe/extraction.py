@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+from .adapters import MalformedRowError
 from .text import find_mask_positions, mask_string, tokenize
 from .units import UNITS_8, InvalidQuantityError, TemporalUnit, closest_unit, normalize
 
@@ -332,8 +333,12 @@ def write_instances(instances: Sequence[LabeledInstance]) -> str:
 
 def read_instances(lines: Iterable[str]) -> list[LabeledInstance]:
     out = []
-    for line in lines:
+    for n, line in enumerate(lines, 1):
         line = line.strip()
         if line:
-            out.append(LabeledInstance.from_json(json.loads(line)))
+            obj = json.loads(line)
+            try:
+                out.append(LabeledInstance.from_json(obj))
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise MalformedRowError(f"line {n}: not an instance ({exc!r}): {line[:80]}") from exc
     return out

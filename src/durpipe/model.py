@@ -270,6 +270,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def finetuning(cls, **overrides) -> "TrainConfig":

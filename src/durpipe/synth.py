@@ -18,11 +18,13 @@ length and vocabulary composition steady across the splits.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adapters import TimeBankRow
+from .model import ConfigError
 from .units import TemporalUnit, closest_unit, format_duration, normalize
 
 __all__ = ["CueSpec", "SynthSpec", "SynthOutput", "DEFAULT_CUES", "generate"]
@@ -103,9 +105,12 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         if not self.cues:
-            raise ValueError("cue table must be nonempty")
-        if self.size < 0 or self.holdout < 0:
-            raise ValueError("size and holdout must be nonnegative")
+            raise ConfigError("cue table must be nonempty")
+        for name in ("size", "holdout", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0 <= self.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass
@@ -142,6 +147,8 @@ def generate(spec: SynthSpec) -> SynthOutput:
             "adv": _ADVERBS[int(rng.integers(len(_ADVERBS)))],
         }
         seconds = cue.canonical_seconds * float(np.exp(rng.normal(0.0, spec.sigma)))
+        if not 0 < seconds < math.inf:
+            raise ConfigError(f"sigma = {spec.sigma} drew a duration of {seconds} s")
         quantity, unit = _render_duration(seconds)
         return frame.format(dur="{dur}", **slots), quantity, unit
 

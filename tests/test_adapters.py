@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import pytest
@@ -10,10 +11,10 @@ from durpipe.adapters import (
     TimeBankRow,
     group_mctaco_rows,
     mctaco_to_input,
-    mctaco_training_label,
     parse_answer_value,
     question_to_statement,
     read_mctaco_jsonl,
+    read_mctaco_questions,
     read_timebank_tsv,
     timebank_to_input,
     write_timebank_tsv,
@@ -141,6 +142,14 @@ def test_parse_answer_unparseable(answer):
     assert parse_answer_value(answer) is None
 
 
+def _training_label(rows):
+    """The exact label read_mctaco_questions gives the one question of `rows`."""
+    lines = [json.dumps({"context": r.context, "question": r.question, "answer": r.answer,
+                         "gold": r.gold}) for r in rows]
+    [question] = read_mctaco_questions(lines, UNITS_8)
+    return question.input.exact_label
+
+
 def test_mctaco_training_label_mean_in_log_space():
     rows = [
         McTacoRow("c", "q", "1 hour", True),
@@ -149,13 +158,26 @@ def test_mctaco_training_label_mean_in_log_space():
         McTacoRow("c", "q", "a few moments", True),  # unparseable, dropped
     ]
     expected = (math.log(3600) + math.log(7200)) / 2
-    assert mctaco_training_label(rows) == pytest.approx(expected)
+    assert _training_label(rows) == pytest.approx(expected)
 
 
 def test_mctaco_training_label_single_and_absent():
-    assert mctaco_training_label([McTacoRow("c", "q", "2 hours", True)]) == pytest.approx(math.log(7200))
-    assert mctaco_training_label([McTacoRow("c", "q", "soonish", True)]) is None
-    assert mctaco_training_label([McTacoRow("c", "q", "2 hours", False)]) is None
+    assert _training_label([McTacoRow("c", "q", "2 hours", True)]) == pytest.approx(math.log(7200))
+    assert _training_label([McTacoRow("c", "q", "soonish", True)]) is None
+    assert _training_label([McTacoRow("c", "q", "2 hours", False)]) is None
+
+
+def test_read_mctaco_questions_keeps_every_question_and_its_dropped_answers():
+    rows = [("q1", "2 hours", True), ("q2", "soonish", True), ("q1", "a while", False),
+            ("q1", "3 days", False), ("q2", "never", False)]
+    lines = [json.dumps({"context": "c", "question": q, "answer": a, "gold": g}) for q, a, g in rows]
+    first, second = read_mctaco_questions(lines, UNITS_7)
+    assert (first.qid, first.answers, first.dropped) == ("q0", ((math.log(7200), True),
+                                                                (math.log(3 * 86400), False)), 1)
+    assert first.input.range_label == HOUR
+    # a question with no parseable answer is still returned, with its drops counted
+    assert (second.qid, second.answers, second.dropped) == ("q1", (), 2)
+    assert second.input.exact_label is None and second.input.range_label is None
 
 
 def test_group_mctaco_rows_stable_order():

@@ -355,6 +355,69 @@ def test_train_negative_dim_is_config_error(small_pipeline, tmp_path, capsys):
     assert not (tmp_path / "t" / "model.ckpt").exists()
 
 
+# Each bad setting names itself; before the settings became configuration
+# errors these exited 4 (or 0, for an infinite band that accepts every answer).
+@pytest.mark.parametrize("argv,name", [
+    (["eval", "{te}", "{qa}", "--protocol", "mctaco", "--range", -1], "range"),
+    (["eval", "{te}", "{qa}", "--protocol", "mctaco", "--range", "nan"], "range"),
+    (["eval", "{te}", "{qa}", "--protocol", "mctaco", "--range", "inf"], "range"),
+    (["synth", "--size", -1], "size"),
+    (["synth", "--sigma", -1], "sigma"),
+    (["synth", "--sigma", 1e300, "--size", 20], "sigma"),
+    (["synth", "--seed", -1], "seed"),
+    (["train", "{instances}", "--seed", -1], "seed"),
+], ids=["range-negative", "range-nan", "range-inf", "size-negative", "sigma-negative",
+        "sigma-overflows", "synth-seed-negative", "train-seed-negative"])
+def test_bad_setting_is_config_error_naming_it(small_pipeline, tmp_path, capsys, argv, name):
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text(json.dumps({"context": "C.", "question": "How long?", "answer": "2 hours",
+                              "gold": True}) + "\n", encoding="utf-8")
+    paths = {"te": small_pipeline / "te" / "model.ckpt", "qa": qa,
+             "instances": small_pipeline / "ex" / "instances.jsonl"}
+    argv = [str(a).format(**paths) for a in argv]
+    assert run(*argv, "--out", tmp_path / "out") == cli.EXIT_CONFIG
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out" / "config.ini").exists()
+
+
+_QA_ROW = {"context": "C.", "question": "How long did it last?", "answer": "2 hours", "gold": True}
+_INSTANCE = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2, 3],
+             "exact_label": 3.0, "range_label": "hours", "source_id": "x"}
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["train", "{data}"], "[1, 2]"),
+    (["train", "{data}"], json.dumps({k: v for k, v in _INSTANCE.items() if k != "masked_text"})),
+    (["train", "{data}", "--format", "mctaco"], "[1, 2]"),
+    (["eval", "{te}", "{data}", "--protocol", "mctaco"], "[1, 2]"),
+    (["eval", "{te}", "{data}", "--protocol", "mctaco"], json.dumps({"context": "C."})),
+], ids=["instances-array", "instances-missing-field", "train-qa-array", "eval-qa-array",
+        "eval-qa-missing-field"])
+def test_malformed_jsonl_line_is_data_error(small_pipeline, tmp_path, capsys, argv, line):
+    # the bad line comes second, after a good one of the same kind
+    good = _QA_ROW if "mctaco" in argv else _INSTANCE
+    data = tmp_path / "data.jsonl"
+    data.write_text(json.dumps(good) + "\n" + line + "\n", encoding="utf-8")
+    argv = [a.format(data=data, te=small_pipeline / "te" / "model.ckpt") for a in argv]
+    assert run(*argv, "--out", tmp_path / "out") == cli.EXIT_DATA
+    assert "line 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("fmt,text", [
+    ("instances", ""),
+    ("timebank", "sentence\tevent_start\tevent_end\tmin_quantity\tmin_unit\tmax_quantity\tmax_unit\n"),
+    ("mctaco", "".join(json.dumps({**_QA_ROW, **change}) + "\n"
+                       for change in ({"answer": "a while"}, {"gold": False}))),
+], ids=["instances-empty", "timebank-header-only", "mctaco-no-parseable-correct-answer"])
+def test_train_without_usable_items_is_data_error(tmp_path, capsys, fmt, text):
+    data = tmp_path / f"data.{fmt}"
+    data.write_text(text, encoding="utf-8")
+    assert run("train", data, "--format", fmt, "--out", tmp_path / "out") == cli.EXIT_DATA
+    assert data.name in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
 @pytest.mark.parametrize("command,section,key,value", [
     ("train", "train", "head", "exatc"),
     ("train", "train", "format", "csv"),
