@@ -254,8 +254,12 @@ def _format_quantity(q: float) -> str:
     return str(int(q)) if float(q).is_integer() else repr(q)
 
 
+_QA_FIELDS = {"context": str, "question": str, "answer": str, "gold": bool}
+
+
 def read_mctaco_jsonl(lines: Iterable[str]) -> list[McTacoRow]:
-    """Parse JSONL rows with fields context, question, answer, gold."""
+    """Parse JSONL rows with string fields context, question and answer
+    and a JSON boolean gold."""
     out = []
     for n, line in enumerate(lines, 1):
         line = line.strip()
@@ -263,16 +267,14 @@ def read_mctaco_jsonl(lines: Iterable[str]) -> list[McTacoRow]:
             continue
         obj = json.loads(line)
         try:
-            out.append(
-                McTacoRow(
-                    context=obj["context"],
-                    question=obj["question"],
-                    answer=obj["answer"],
-                    gold=bool(obj["gold"]),
-                )
-            )
+            wrong = [key for key, kind in _QA_FIELDS.items() if not isinstance(obj[key], kind)]
         except (KeyError, TypeError) as exc:
             raise MalformedRowError(f"line {n}: not a QA row ({exc!r}): {line[:80]}") from exc
+        if wrong:
+            key = wrong[0]
+            raise MalformedRowError(f"line {n}: QA field {key} is {obj[key]!r}, "
+                                    f"not a {_QA_FIELDS[key].__name__}")
+        out.append(McTacoRow(**{key: obj[key] for key in _QA_FIELDS}))
     return out
 
 

@@ -7,24 +7,29 @@ exact head is a bias-free linear regression to a log-second value, the
 range head a bias-free linear layer plus softmax over the unit
 inventory. One forward pass computes that vector for prediction, loss
 evaluation and training alike: `_compile` hashes the mask windows of its
-inputs, and `_item_sums` reduces their embeddings window by window and
-item by item, in the order of a loop over them.
+inputs, and `_item_sums` reduces their embeddings with one call per
+window length and per window count, which gives each window and each
+item the bits of its own reduce in a loop. The heads run one
+matrix-vector product per item (a matrix product over the batch would
+sum in another order); the softmax runs on the whole batch.
 
 The encoder remembers the bucket of every raw token it has hashed, so
 canonicalizing and hashing run once per distinct token per encoder.
 `predict_many` predicts a whole input list in chunks of `_PREDICT_CHUNK`
-items: each chunk is compiled and reduced at once, which bounds the
-embedding rows gathered at a time, and each item's head still runs on
-its own vector. `predict_exact` and `predict_range` are one-item calls
-into it.
+items, which bounds the embedding rows gathered at a time.
+`predict_exact` and `predict_range` are one-item calls into it.
 
 Training is minibatch gradient descent with adaptive per-parameter
 moments and a linear-warmup-then-constant schedule. All randomness flows
 from the config seed, so runs are bit-reproducible.
 
 `train` tokenizes and hashes its data once, and every step gathers its
-batch from the window bucket ids that this leaves. The optimizer steps
-the embedding table only on rows that have had a gradient in this run:
+batch from the window bucket ids that this leaves. `loss_and_grads`
+gives a compiled batch's embedding gradient compactly, as the batch's
+distinct rows and their values; the head gradients are summed with
+`np.add.accumulate`, which is sequential at every shape, so every
+gradient has the bits of a loop over items. The optimizer steps the
+embedding table only on rows that have had a gradient in this run:
 every other row still has zero moments, so its update is exactly zero
 and skipping it changes no bit (unlike "lazy" Adam, which also skips
 the moment decay of rows without a gradient). Once half the rows have
@@ -39,7 +44,6 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, replace
-from itertools import accumulate, pairwise
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -189,18 +193,41 @@ def _compile(model: DualHeadModel, inputs: Sequence[ModelInput],
     return items
 
 
-def _item_sums(embeddings: np.ndarray, batch: _Windows) -> list[np.ndarray]:
-    """For each item, the sum of its windows' mean token embeddings.
+def _grouped_sums(values: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """The sum of each run of `sizes[i]` consecutive rows of `values`.
 
-    numpy sums along the first axis in an order that depends on the
-    array's shape (pairwise when dim is 1, and in reduceat), so each
-    window and each item is reduced by its own call, as in a loop.
+    numpy sums along an axis in an order that depends on the array's
+    shape (pairwise when the summed rows are single numbers), so runs of
+    one length are stacked into a (runs, length, dim) array and reduced
+    along axis 1 by one call, which sums each run as its own reduce would.
     """
-    gathered = embeddings[batch.rows]
-    means = np.array([np.add.reduce(gathered[a:b])
-                      for a, b in pairwise([0, *accumulate(batch.lengths)])])
+    sizes = np.array(sizes)
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty((len(sizes), values.shape[1]))
+    for size in np.flatnonzero(np.bincount(sizes)):
+        runs = np.flatnonzero(sizes == size)
+        out[runs] = np.add.reduce(values[starts[runs, None] + np.arange(size)], axis=1)
+    return out
+
+
+def _item_sums(embeddings: np.ndarray, batch: _Windows) -> np.ndarray:
+    """For each item, the sum of its windows' mean token embeddings, as
+    an (items, dim) array with the bits of a loop over items and windows."""
+    means = _grouped_sums(embeddings[batch.rows], batch.lengths)
     means /= np.array(batch.lengths)[:, None]
-    return [np.add.reduce(means[a:b]) for a, b in pairwise([0, *accumulate(batch.counts)])]
+    return _grouped_sums(means, batch.counts)
+
+
+def _logits(model: DualHeadModel, sums: np.ndarray) -> np.ndarray:
+    # One matrix-vector product per item: a matrix product over the batch
+    # would sum in another order.
+    return np.array([model.w_r @ s for s in sums])
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an (items, units) array."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 # Items compiled and reduced at once by predict_many; it bounds the
@@ -223,12 +250,13 @@ def predict_many(model: DualHeadModel, inputs: Sequence[ModelInput], head: str) 
     out = []
     for first in range(0, len(inputs), _PREDICT_CHUNK):
         chunk = _compile(model, inputs[first:first + _PREDICT_CHUNK], first)
-        for s in _item_sums(embeddings, _Windows.of(chunk)):
-            if head == "exact":
-                out.append(float(model.w_e @ s))
-            else:
-                probs = _softmax(model.w_r @ s)
-                out.append((model.inventory[int(np.argmax(probs))], probs))
+        sums = _item_sums(embeddings, _Windows.of(chunk))
+        if head == "exact":
+            out.extend(float(model.w_e @ s) for s in sums)
+        else:
+            probs = _softmax(_logits(model, sums))
+            units = [model.inventory[u] for u in np.argmax(probs, axis=1).tolist()]
+            out.extend(zip(units, probs))
     return out
 
 
@@ -240,12 +268,6 @@ def predict_exact(model: DualHeadModel, model_input: ModelInput) -> float:
 def predict_range(model: DualHeadModel, model_input: ModelInput) -> tuple[TemporalUnit, np.ndarray]:
     """Range head on one input; see predict_many."""
     return predict_many(model, [model_input], "range")[0]
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.max(z)
-    e = np.exp(shifted)
-    return e / e.sum()
 
 
 @dataclass(frozen=True)
@@ -302,52 +324,65 @@ def loss_and_grads(
     model: DualHeadModel,
     batch: Sequence[tuple[ModelInput, object]] | _Windows,
     loss: str,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, dict]:
     """Mean batch loss and its analytic gradients.
 
     `batch` holds (input, label) pairs; `train` passes its items already
     compiled to window bucket ids, so that each dataset is hashed once.
-    The forward pass is the one prediction runs; the backward pass
-    spreads each item's gradient over its window tokens with one
-    scatter-add in item, window and token order. Every sum runs in the
-    order of a loop over items, so the result is bit-identical to one.
+    The forward pass is the one prediction runs. The backward pass takes
+    the softmax, its target update and the head gradient sums over the
+    whole batch, the sums as `np.add.accumulate` from a zero row (always
+    sequential, unlike `np.add.reduce`), and spreads each item's gradient
+    over its window tokens with one scatter-add in item, window and token
+    order. Every sum runs in the order of a loop over items, so the
+    result is bit-identical to one.
 
     Returns gradients for the active head ("w_e" for mse, "w_r" for
-    cross_entropy) and for the full encoder embedding table
-    ("embeddings", dense (buckets, dim)).
+    cross_entropy) and for the encoder embeddings. For a compiled batch
+    "embeddings" is a (rows, values) pair: the batch's distinct table
+    rows, ascending, and their (len(rows), dim) gradient; every other
+    row's gradient is zero. For (input, label) pairs it is the dense
+    (buckets, dim) table.
     """
-    if not isinstance(batch, _Windows):
+    compiled = isinstance(batch, _Windows)
+    if not compiled:
         batch = _Windows.of(_compile(model, [mi for mi, _ in batch]), _labels(model, batch, loss))
     embeddings = model.encoder.embeddings
     sums = _item_sums(embeddings, batch)
     n = len(sums)
-    d_sums = np.empty((n, embeddings.shape[1]))
-    d_we = np.zeros_like(model.w_e)
-    d_wr = np.zeros_like(model.w_r)
+    if loss == "mse":
+        errs = [float(model.w_e @ s) - label for s, label in zip(sums, batch.labels)]
+        item_losses = [err * err for err in errs]
+        dv = 2.0 * np.array(errs) / n
+        key, terms = "w_e", dv[:, None] * sums
+        d_sums = dv[:, None] * model.w_e
+    else:
+        dz = _softmax(_logits(model, sums))
+        picked = np.arange(n), batch.labels
+        item_losses = [-math.log(max(p, 1e-300)) for p in dz[picked].tolist()]
+        dz[picked] -= 1.0
+        dz /= n
+        key, terms = "w_r", dz[:, :, None] * sums[:, None, :]
+        d_sums = np.array([model.w_r.T @ d for d in dz])
     total = 0.0
-    for i, (s, label) in enumerate(zip(sums, batch.labels)):
-        if loss == "mse":
-            err = float(model.w_e @ s) - label
-            total += err * err
-            dv = 2.0 * err / n
-            d_we += dv * s
-            d_sums[i] = dv * model.w_e
-        else:
-            dz = _softmax(model.w_r @ s)
-            total += -math.log(max(dz[label], 1e-300))
-            dz[label] -= 1.0
-            dz /= n
-            d_wr += np.outer(dz, s)
-            d_sums[i] = model.w_r.T @ dz
+    for item_loss in item_losses:  # not sum(): Python 3.12 compensates its float sums
+        total += item_loss
+    grads = {key: np.add.accumulate(np.concatenate([np.zeros((1, *terms.shape[1:])), terms]))[-1]}
+
     lengths = np.array(batch.lengths)
     d_windows = np.repeat(d_sums, batch.counts, axis=0) / lengths[:, None]
-    d_emb = np.zeros_like(embeddings)
-    np.add.at(d_emb, batch.rows, np.repeat(d_windows, lengths, axis=0))
-    grads = {"embeddings": d_emb}
-    if loss == "mse":
-        grads["w_e"] = d_we
+    rows = np.flatnonzero(np.bincount(batch.rows, minlength=len(embeddings)))
+    # A weighted bincount adds its weights in order from zero, so over
+    # (row, column) indices it is the token-order scatter-add.
+    dim = embeddings.shape[1]
+    cells = (np.searchsorted(rows, batch.rows)[:, None] * dim + np.arange(dim)).ravel()
+    d_rows = np.bincount(cells, weights=np.repeat(d_windows, lengths, axis=0).ravel(),
+                         minlength=len(rows) * dim).reshape(len(rows), dim)
+    if compiled:
+        grads["embeddings"] = (rows, d_rows)
     else:
-        grads["w_r"] = d_wr
+        grads["embeddings"] = np.zeros_like(embeddings)
+        grads["embeddings"][rows] = d_rows
     return total / n, grads
 
 
@@ -366,10 +401,11 @@ _DENSE_STEP_SHARE = 0.5
 class _Adam:
     """Adaptive-moment updates; the learning rate is supplied per step.
 
-    A parameter stepped with a row mask is updated only on the rows the
-    mask marks, which must include every row that has had a nonzero
-    gradient since the optimizer was made. Any other row has m = v = 0,
-    so the full update would leave it exactly as it is.
+    A parameter stepped on given rows is updated only on those rows, and
+    its gradient holds just their values. The rows must include every
+    row that has had a nonzero gradient since the optimizer was made:
+    any other row has m = v = 0, so the full update would leave it
+    exactly as it is.
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]],
@@ -381,17 +417,16 @@ class _Adam:
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float,
-             row_masks: dict[str, np.ndarray]) -> None:
+             rows: dict[str, np.ndarray]) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for key, grad in grads.items():
-            mask = row_masks.get(key)
-            if mask is not None and np.count_nonzero(mask) < _DENSE_STEP_SHARE * len(mask):
-                rows = np.flatnonzero(mask)
-                p, m, v, g = params[key][rows], self.m[key][rows], self.v[key][rows], grad[rows]
-                self._update(p, m, v, g, lr, b1t, b2t, np.empty_like(g), np.empty_like(g))
-                params[key][rows], self.m[key][rows], self.v[key][rows] = p, m, v
+            index = rows.get(key)
+            if index is not None:
+                p, m, v = params[key][index], self.m[key][index], self.v[key][index]
+                self._update(p, m, v, grad, lr, b1t, b2t, np.empty_like(grad), np.empty_like(grad))
+                params[key][index], self.m[key][index], self.v[key][index] = p, m, v
             else:
                 if key not in self.scratch:
                     self.scratch[key] = (np.empty_like(grad), np.empty_like(grad))
@@ -467,8 +502,18 @@ def train(
             loss, grads = loss_and_grads(model, batch, cfg.loss)
             step += 1
             lr = _warmup_lr(cfg.learning_rate, step, warmup_steps)
-            touched[batch.rows] = True
-            optimizer.step(params, grads, lr, {"embeddings": touched})
+            rows, d_rows = grads["embeddings"]
+            touched[rows] = True
+            active = np.flatnonzero(touched)
+            if len(active) < _DENSE_STEP_SHARE * len(touched):
+                index = {"embeddings": active}
+                grads["embeddings"] = np.zeros((len(active), model.dim))
+                grads["embeddings"][np.searchsorted(active, rows)] = d_rows
+            else:
+                index = {}
+                grads["embeddings"] = np.zeros_like(model.encoder.embeddings)
+                grads["embeddings"][rows] = d_rows
+            optimizer.step(params, grads, lr, index)
             curve.append(loss)
     return model, curve
 
@@ -529,13 +574,13 @@ def load(blob: bytes) -> DualHeadModel:
         raise CheckpointError("truncated checkpoint (incomplete header)")
     try:
         header = json.loads(blob[fixed:fixed + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
     try:
         inventory = tuple(TemporalUnit.from_string(w) for w in header["inventory"])
         specs = [(a["name"], tuple(a["shape"])) for a in header["arrays"]]
         dim, buckets, radius, seed = (header[k] for k in ("dim", "buckets", "radius", "seed"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
     for key, value in zip(("dim", "buckets", "radius", "seed"), (dim, buckets, radius, seed)):
         if type(value) is not int:
@@ -546,10 +591,11 @@ def load(blob: bytes) -> DualHeadModel:
         raise CheckpointError(f"checkpoint arrays {[name for name, _ in specs]} are not {list(expected)}")
     arrays = {}
     offset = fixed + header_len
-    for name, shape in specs:
-        if shape != expected[name]:
-            raise CheckpointError(f"array {name} has shape {list(shape)}, not the header's "
-                                  f"{list(expected[name])}")
+    for name, listed in specs:
+        shape = expected[name]
+        if listed != shape or any(type(n) is not int for n in listed):
+            raise CheckpointError(f"array {name} has shape {list(listed)}, not the header's "
+                                  f"{list(shape)}")
         if min(shape) < 1:
             raise CheckpointError(f"array {name} has an empty or negative shape {list(shape)}")
         count = math.prod(shape)
@@ -557,6 +603,8 @@ def load(blob: bytes) -> DualHeadModel:
         if len(blob) < offset + nbytes:
             raise CheckpointError(f"truncated checkpoint (array {name})")
         arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"array {name} holds NaN or infinite values")
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError("trailing bytes after checkpoint payload")

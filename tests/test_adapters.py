@@ -230,6 +230,15 @@ def test_mctaco_jsonl_reader():
         read_mctaco_jsonl(['{"context": "c"}'])
 
 
+@pytest.mark.parametrize("field,value", [("context", 5), ("question", None), ("answer", 2.0),
+                                         ("gold", "false"), ("gold", 0), ("gold", None)])
+def test_mctaco_jsonl_reader_rejects_wrong_field_types(field, value):
+    good = {"context": "c", "question": "q", "answer": "2 hours", "gold": True}
+    lines = [json.dumps(good), json.dumps({**good, field: value})]
+    with pytest.raises(MalformedRowError, match=rf"^line 2: QA field {field} is "):
+        read_mctaco_jsonl(lines)
+
+
 def test_adapter_inputs_have_exactly_two_masks():
     row = _row("The voyage resumed at dawn.", "voyage", (1.0, WEEK), (1.0, WEEK))
     out = timebank_to_input(row)

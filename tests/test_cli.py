@@ -2,11 +2,15 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from checkpoint_fuzz import damaged
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from durpipe import cli
-from durpipe.adapters import read_timebank_tsv
+from durpipe import cli, model
+from durpipe.adapters import read_timebank_inputs, read_timebank_tsv
 from durpipe.synth import SynthSpec, generate
+from durpipe.text import tokenize
 
 
 def run(*argv):
@@ -346,6 +350,37 @@ def test_eval_with_non_integer_header_radius_is_data_error(small_pipeline, tmp_p
     assert "radius" in capsys.readouterr().err
 
 
+def test_eval_with_non_finite_checkpoint_is_data_error(small_pipeline, tmp_path, capsys):
+    # inf in the range head and NaN in an embedding row that no holdout token uses
+    holdout = small_pipeline / "synth" / "holdout.tsv"
+    trained = model.load((small_pipeline / "tr" / "model.ckpt").read_bytes())
+    inputs, _ = read_timebank_inputs(holdout.read_text().splitlines(), trained.inventory)
+    used = {trained.encoder.bucket(token) for mi in inputs for token in tokenize(mi.text)}
+    trained.w_r[3, 0] = np.inf
+    trained.encoder.embeddings[min(set(range(trained.encoder.buckets)) - used), 0] = np.nan
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(model.save(trained))
+    code = run("eval", bad, holdout, "--protocol", "fine", "--head", "range", "--out", tmp_path / "x")
+    assert code == cli.EXIT_DATA
+    assert "array embeddings holds NaN" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "report.json").exists()
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_eval_with_damaged_checkpoint_exits_by_whether_it_loads(small_pipeline, tmp_path, data):
+    blob = data.draw(damaged((small_pipeline / "te" / "model.ckpt").read_bytes()))
+    try:
+        model.load(blob)
+        expected = cli.EXIT_OK
+    except model.CheckpointError:
+        expected = cli.EXIT_DATA
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob)
+    assert run("eval", bad, small_pipeline / "synth" / "holdout.tsv",
+               "--protocol", "fine", "--head", "exact", "--out", tmp_path / "x") == expected
+
+
 def test_train_negative_dim_is_config_error(small_pipeline, tmp_path, capsys):
     for flag, value in [("--dim", -1), ("--dim", 0), ("--buckets", -2)]:
         code = run("train", small_pipeline / "ex" / "instances.jsonl", flag, value,
@@ -391,8 +426,14 @@ _INSTANCE = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2
     (["train", "{data}", "--format", "mctaco"], "[1, 2]"),
     (["eval", "{te}", "{data}", "--protocol", "mctaco"], "[1, 2]"),
     (["eval", "{te}", "{data}", "--protocol", "mctaco"], json.dumps({"context": "C."})),
+    (["eval", "{te}", "{data}", "--protocol", "mctaco"], json.dumps({**_QA_ROW, "context": 5})),
+    (["eval", "{te}", "{data}", "--protocol", "mctaco"], json.dumps({**_QA_ROW, "answer": None})),
+    (["eval", "{te}", "{data}", "--protocol", "mctaco"], json.dumps({**_QA_ROW, "gold": "false"})),
+    (["train", "{data}", "--format", "mctaco"], json.dumps({**_QA_ROW, "question": ["q"]})),
+    (["train", "{data}", "--format", "mctaco"], json.dumps({**_QA_ROW, "gold": 1})),
 ], ids=["instances-array", "instances-missing-field", "train-qa-array", "eval-qa-array",
-        "eval-qa-missing-field"])
+        "eval-qa-missing-field", "eval-qa-context-int", "eval-qa-answer-null",
+        "eval-qa-gold-string", "train-qa-question-list", "train-qa-gold-int"])
 def test_malformed_jsonl_line_is_data_error(small_pipeline, tmp_path, capsys, argv, line):
     # the bad line comes second, after a good one of the same kind
     good = _QA_ROW if "mctaco" in argv else _INSTANCE

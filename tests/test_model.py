@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from checkpoint_fuzz import damaged
+from hypothesis import given, settings
 
 from durpipe import model as model_mod
 from durpipe.adapters import ModelInput
@@ -313,6 +315,47 @@ def test_load_rejects_header_scalars_that_are_not_integers():
             load(_with_header(blob, lambda header: header.update({key: value})))
 
 
+def test_load_rejects_non_finite_values():
+    model = DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2)
+    for name, index in [("embeddings", (15, 3)), ("w_e", (0,)), ("w_r", (7, 1))]:
+        for value in (math.nan, math.inf, -math.inf):
+            arrays = {"embeddings": model.encoder.embeddings.copy(), "w_e": model.w_e.copy(),
+                      "w_r": model.w_r.copy()}
+            arrays[name][index] = value
+            broken = replace(model, encoder=BaselineEncoder(arrays["embeddings"], 2),
+                             w_e=arrays["w_e"], w_r=arrays["w_r"])
+            with pytest.raises(CheckpointError, match=f"array {name} holds NaN or infinite"):
+                load(save(broken))
+
+
+def test_load_rejects_header_values_of_the_wrong_type():
+    blob = save(DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2))
+    edits = [lambda header: header["arrays"][1].update(shape=[4.0]),
+             lambda header: header["arrays"][0].update(shape=[16, True]),
+             lambda header: header.update(inventory=["second", 5])]
+    for edit in edits:
+        with pytest.raises(CheckpointError):
+            load(_with_header(blob, edit))
+    header_len = int.from_bytes(blob[12:16], "big")
+    deep = b"[" * 100_000
+    with pytest.raises(CheckpointError, match="header"):
+        load(blob[:12] + len(deep).to_bytes(4, "big") + deep + blob[16 + header_len:])
+
+
+_FUZZ_BLOB = save(DualHeadModel.create(dim=3, seed=0, buckets=8, radius=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=damaged(_FUZZ_BLOB))
+def test_damaged_checkpoint_raises_only_checkpoint_error(blob):
+    try:
+        model = load(blob)
+    except CheckpointError:
+        return
+    for array in (model.encoder.embeddings, model.w_e, model.w_r):
+        assert np.isfinite(array).all()
+
+
 def test_create_rejects_empty_or_negative_sizes():
     for dim, buckets in [(-1, 16), (0, 16), (4, 0), (4, -3)]:
         with pytest.raises(ConfigError, match="dim and buckets"):
@@ -447,10 +490,10 @@ def _reference_train(model, data, cfg):
     return curve
 
 
-def _vocabulary_batch(rng, model, n, vocabulary, loss):
+def _vocabulary_batch(rng, model, n, vocabulary, loss, max_words=8):
     batch = []
     for _ in range(n):
-        words = [f"w{int(rng.integers(vocabulary))}" for _ in range(int(rng.integers(1, 9)))]
+        words = [f"w{int(rng.integers(vocabulary))}" for _ in range(int(rng.integers(1, max_words + 1)))]
         positions = tuple(sorted(rng.choice(len(words), int(rng.integers(1, min(3, len(words)) + 1)),
                                             replace=False).tolist()))
         label = (float(rng.uniform(0.0, 6.0)) if loss == "mse"
@@ -483,6 +526,38 @@ def test_loss_and_grads_bit_identical_to_item_loop(dim, loss):
             z = model.w_r @ s
             probs = np.exp(z - np.max(z))
             assert np.array_equal(predict_range(model, model_input)[1], probs / probs.sum())
+    # Many batch sizes and long windows: a sum in another order (numpy's
+    # pairwise reduce at dim 1, say) differs from the loop on most batches.
+    for _ in range(50):
+        batch = _vocabulary_batch(rng, model, int(rng.integers(1, 41)), 200, loss, max_words=12)
+        value, grads = loss_and_grads(model, batch, loss)
+        ref_value, ref_grads = _reference_loss_and_grads(model, batch, loss)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        for key in grads:
+            assert grads[key].tobytes() == ref_grads[key].tobytes(), key
+
+
+@pytest.mark.parametrize("dim", [1, 5, 32])
+@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+def test_compact_embedding_gradient_scatters_to_the_dense_one(dim, loss):
+    rng = np.random.default_rng(20 + dim)
+    model = DualHeadModel.create(dim=dim, seed=4, buckets=64, radius=4)
+    head = "w_e" if loss == "mse" else "w_r"
+    for _ in range(20):
+        batch = _vocabulary_batch(rng, model, int(rng.integers(1, 41)), 100, loss, max_words=12)
+        compiled = model_mod._Windows.of(model_mod._compile(model, [mi for mi, _ in batch]),
+                                         model_mod._labels(model, batch, loss))
+        value, grads = loss_and_grads(model, compiled, loss)
+        rows, d_rows = grads["embeddings"]
+        assert rows.tolist() == sorted(set(compiled.rows.tolist()))
+        assert d_rows.shape == (len(rows), dim)
+        scattered = np.zeros_like(model.encoder.embeddings)
+        scattered[rows] = d_rows
+        for dense_value, dense in (loss_and_grads(model, batch, loss),
+                                   _reference_loss_and_grads(model, batch, loss)):
+            assert value == dense_value
+            assert scattered.tobytes() == dense["embeddings"].tobytes()
+            assert grads[head].tobytes() == dense[head].tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 6, 32])
@@ -514,16 +589,23 @@ def test_predict_many_bit_identical_to_one_item_predict(dim):
         predict_many(model, inputs, "both")
 
 
-@pytest.mark.parametrize("vocabulary,buckets,under_half", [(6, 256, True), (400, 64, False)])
+@pytest.mark.parametrize("vocabulary,buckets,under_half,dim,radius,max_words", [
+    pytest.param(6, 256, True, 5, 2, 8, id="6-256-True"),
+    pytest.param(400, 64, False, 5, 2, 8, id="400-64-False"),
+    pytest.param(6, 256, True, 1, 5, 14, id="6-256-True-dim1-radius5")])
 @pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
-def test_train_bit_identical_to_dense_reference(vocabulary, buckets, under_half, loss):
+def test_train_bit_identical_to_dense_reference(vocabulary, buckets, under_half, dim, radius,
+                                                max_words, loss):
     # A few words leave most of the 256 rows untouched (row-restricted
-    # steps); many words touch more than half of 64 (dense steps).
+    # steps); many words touch more than half of 64 (dense steps). At
+    # dim 1 numpy sums a window of 8 or more tokens pairwise.
     rng = np.random.default_rng(buckets)
-    model = DualHeadModel.create(dim=5, seed=3, buckets=buckets, radius=2)
-    reference = DualHeadModel.create(dim=5, seed=3, buckets=buckets, radius=2)
+    model = DualHeadModel.create(dim=dim, seed=3, buckets=buckets, radius=radius)
+    reference = DualHeadModel.create(dim=dim, seed=3, buckets=buckets, radius=radius)
     initial = model.encoder.embeddings.copy()
-    data = _vocabulary_batch(rng, model, 40, vocabulary, loss)
+    data = _vocabulary_batch(rng, model, 40, vocabulary, loss, max_words)
+    longest = max(len(w) for mi, _ in data for w in model_mod._compile(model, [mi])[0])
+    assert longest >= 8 if max_words > 8 else longest <= 5
     cfg = TrainConfig(learning_rate=0.05, batch_size=6, epochs=3, seed=1, loss=loss)
     _, curve = train(model, data, cfg)
     assert curve == _reference_train(reference, data, cfg)
@@ -552,7 +634,12 @@ def test_row_restricted_adam_step_matches_dense_reference():
         _, grads = loss_and_grads(model, batch, "mse")
         _, ref_grads = _reference_loss_and_grads(reference, batch, "mse")
         touched |= np.any(grads["embeddings"] != 0, axis=1)
-        optimizer.step(params(model), grads, 0.1, {"embeddings": touched})
+        if touched.mean() < model_mod._DENSE_STEP_SHARE:
+            rows = np.flatnonzero(touched)
+            optimizer.step(params(model), {**grads, "embeddings": grads["embeddings"][rows]}, 0.1,
+                           {"embeddings": rows})
+        else:
+            optimizer.step(params(model), grads, 0.1, {})
         dense.step(params(reference), ref_grads, 0.1)
         for key in ("embeddings", "w_e"):
             assert np.array_equal(params(model)[key], params(reference)[key])

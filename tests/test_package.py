@@ -1,4 +1,5 @@
 import importlib
+import os
 import pkgutil
 import subprocess
 import sys
@@ -28,3 +29,11 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(durpipe.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "durpipe", "--help"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert "synth" in done.stdout and "baseline" in done.stdout
