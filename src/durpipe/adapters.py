@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -130,21 +131,18 @@ _HOW_LONG_RE = re.compile(
 )
 
 
-def question_to_statement(question: str) -> tuple[str, bool]:
+def question_to_statement(question: str) -> str:
     """Rewrite a duration question into statement order.
 
     Strips a leading "How long" plus auxiliary and the trailing question
-    mark; no verb re-inflection is attempted. Returns (text, converted);
-    unconverted questions pass through unchanged so callers can flag them.
+    mark; no verb re-inflection is attempted. A question that does not
+    convert passes through unchanged.
     """
     m = _HOW_LONG_RE.match(question)
     if m is None:
-        return question, False
-    statement = question[m.end():].strip()
-    statement = statement.rstrip("?").rstrip()
-    if not statement:
-        return question, False
-    return statement, True
+        return question
+    statement = question[m.end():].strip().rstrip("?").rstrip()
+    return statement or question
 
 
 _NUMBER_WORDS = {
@@ -175,8 +173,7 @@ def parse_answer_value(answer: str) -> float | None:
 
 def mctaco_to_input(row: McTacoRow) -> ModelInput:
     """Build the masked input for a QA row; its answer is not read."""
-    statement, _ = question_to_statement(row.question)
-    text = row.context.strip() + " " + statement + MASK_PATTERN_END
+    text = row.context.strip() + " " + question_to_statement(row.question) + MASK_PATTERN_END
     return ModelInput(text=text, mask_positions=tuple(find_mask_positions(text)))
 
 
@@ -188,6 +185,13 @@ def group_mctaco_rows(rows: Iterable[McTacoRow]) -> list[tuple[str, list[McTacoR
     for row in rows:
         groups.setdefault((row.context, row.question), []).append(row)
     return [(f"q{i}", rows) for i, (_, rows) in enumerate(groups.items())]
+
+
+def _quantity(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError(f"quantity {text!r} is not a positive finite number")
+    return value
 
 
 def read_timebank_tsv(lines: Iterable[str]) -> list[TimeBankRow]:
@@ -210,8 +214,8 @@ def read_timebank_tsv(lines: Iterable[str]) -> list[TimeBankRow]:
             row = TimeBankRow(
                 sentence=sentence,
                 event_span=(int(start), int(end)),
-                min_duration=(float(min_q), TemporalUnit.from_string(min_u)),
-                max_duration=(float(max_q), TemporalUnit.from_string(max_u)),
+                min_duration=(_quantity(min_q), TemporalUnit.from_string(min_u)),
+                max_duration=(_quantity(max_q), TemporalUnit.from_string(max_u)),
             )
         except ValueError as exc:
             raise MalformedRowError(f"row {i}: {exc}") from exc
@@ -265,10 +269,10 @@ def read_mctaco_jsonl(lines: Iterable[str]) -> list[McTacoRow]:
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
         try:
+            obj = json.loads(line)
             wrong = [key for key, kind in _QA_FIELDS.items() if not isinstance(obj[key], kind)]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedRowError(f"line {n}: not a QA row ({exc!r}): {line[:80]}") from exc
         if wrong:
             key = wrong[0]

@@ -117,7 +117,7 @@ _OPTIMIZER_KEYS = ("learning_rate", "batch_size", "warmup_proportion", "epochs")
 def _read_training_inputs(path: Path, fmt: str, inventory) -> list[adapters.ModelInput]:
     with open(path, encoding="utf-8") as fh:
         if fmt == "instances":
-            return [adapters.ModelInput(i.masked_text, i.mask_positions, i.exact_label, i.range_label)
+            return [adapters.ModelInput(i.masked_text, i.mask_positions, i.exact_label)
                     for i in extraction.read_instances(fh)]
         if fmt == "timebank":
             return adapters.read_timebank_inputs(fh, inventory)[0]
@@ -145,7 +145,9 @@ def cmd_train(settings: dict, out: Path) -> None:
     inputs = _read_training_inputs(path, settings["format"], inventory)
     if not inputs:
         raise MalformedRowError(f"no usable {settings['format']} training items in {path}")
-    data = [(mi, mi.exact_label if head == "exact" else mi.range_label) for mi in inputs]
+    # The range head learns the exact label's closest unit of the inventory.
+    data = [(mi, mi.exact_label if head == "exact" else closest_unit(mi.exact_label, inventory))
+            for mi in inputs]
     mdl, curve = model_lib.train(mdl, data, cfg)
 
     (out / "model.ckpt").write_bytes(model_lib.save(mdl))

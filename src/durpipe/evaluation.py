@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import ConfigError
 from .units import (
@@ -80,7 +80,7 @@ class EvalReport:
             "f1_per_class": self.f1_per_class,
             "confusion": self.confusion,
             "exact_match": self.exact_match,
-            "diagnostics": dict(sorted(self.diagnostics.items())),
+            "diagnostics": self.diagnostics,
             "items": [
                 {
                     "id": rec.item_id,
@@ -132,7 +132,6 @@ def _coarse_label(pred: object) -> str:
 def eval_coarse(
     preds: Sequence[object],
     golds: Sequence[str],
-    ids: Sequence[str] | None = None,
     keys: Sequence[str] | None = None,
 ) -> EvalReport:
     """Binary less-than-a-day task. Predictions may be log-second values
@@ -154,7 +153,7 @@ def eval_coarse(
             counts[pred]["fp"] += 1
             counts[gold]["fn"] += 1
         items.append(ItemRecord(
-            item_id=ids[i] if ids else str(i),
+            item_id=str(i),
             prediction=pred,
             gold=gold,
             correct=correct,
@@ -175,7 +174,6 @@ def eval_fine(
     preds: Sequence[TemporalUnit],
     golds: Sequence[TemporalUnit],
     inventory: UnitInventory = UNITS_7,
-    ids: Sequence[str] | None = None,
     keys: Sequence[str] | None = None,
 ) -> EvalReport:
     """Fine-grained unit task under approximate agreement."""
@@ -192,7 +190,7 @@ def eval_fine(
         correct = approx_match(pred, gold)
         hits += correct
         items.append(ItemRecord(
-            item_id=ids[i] if ids else str(i),
+            item_id=str(i),
             prediction=pred.word,
             gold=gold.word,
             correct=correct,
@@ -202,7 +200,7 @@ def eval_fine(
 
 
 def eval_mctaco(
-    preds: Sequence[object] | Mapping[str, object],
+    preds: Mapping[str, object],
     answers: Sequence[tuple[str, float, bool]],
     rule: RangeRule = RangeRule(),
     inventory: UnitInventory = UNITS_8,
@@ -211,28 +209,19 @@ def eval_mctaco(
     against its one prediction for that question.
 
     `answers` holds (question_id, log-second answer value, gold) triples;
-    unparseable answers are expected to be dropped upstream. `preds` is
-    either a mapping from question id to prediction or a sequence aligned
-    with the question ids in order of first appearance. An exact-head
-    prediction accepts answers within the rule's band; a range-head
-    prediction accepts answers whose closest unit approximately matches.
+    unparseable answers are expected to be dropped upstream. `preds` maps
+    each question id to its prediction. An exact-head prediction accepts
+    answers within the rule's band; a range-head prediction accepts
+    answers whose closest unit approximately matches.
     """
     if not answers:
         raise ValueError("no answers to evaluate")
     question_order = list(dict.fromkeys(qid for qid, _, _ in answers))
-    if isinstance(preds, Mapping):
-        pred_by_qid = dict(preds)
-    else:
-        if len(preds) != len(question_order):
-            raise ValueError(
-                f"{len(question_order)} questions but {len(preds)} predictions"
-            )
-        pred_by_qid = dict(zip(question_order, preds))
-    missing = [q for q in question_order if q not in pred_by_qid]
+    missing = [q for q in question_order if q not in preds]
     if missing:
         raise ValueError(f"missing predictions for questions: {missing[:5]}")
     known = set(question_order)
-    extra = sum(1 for q in pred_by_qid if q not in known)
+    extra = sum(1 for q in preds if q not in known)
 
     inventory = tuple(inventory)
     tp = fp = fn = 0
@@ -241,7 +230,7 @@ def eval_mctaco(
     per_question_ok: dict[str, bool] = {q: True for q in question_order}
     answer_index: Counter[str] = Counter()
     for qid, value, gold in answers:
-        pred = pred_by_qid[qid]
+        pred = preds[qid]
         if isinstance(pred, TemporalUnit):
             verdict = approx_match(pred, closest_unit(value, inventory))
             shown = pred.word
@@ -298,22 +287,17 @@ def majority_baseline(
     raise ValueError(f"majority baseline not defined for protocol {protocol!r}")
 
 
-def error_profile(
-    report: EvalReport,
-    key_fn: Callable[[ItemRecord], str] | None = None,
-    top_k: int | None = 15,
-) -> ErrorProfile:
-    """Count item keys among incorrect and correct predictions, most
-    frequent first (ties broken lexicographically). top_k=None keeps all."""
-    key_fn = key_fn or (lambda rec: rec.key)
+def error_profile(report: EvalReport, top_k: int = 15) -> ErrorProfile:
+    """Count item keys among incorrect and correct predictions, the top_k
+    most frequent first (ties broken lexicographically)."""
     wrong: Counter[str] = Counter()
     right: Counter[str] = Counter()
     for rec in report.items:
-        (right if rec.correct else wrong)[key_fn(rec)] += 1
+        (right if rec.correct else wrong)[rec.key] += 1
 
     def ranked(counter: Counter[str]) -> tuple[tuple[str, int], ...]:
         ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-        return tuple(ordered[:top_k] if top_k is not None else ordered)
+        return tuple(ordered[:top_k])
 
     totals = dict(wrong)
     for key, n in right.items():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -132,10 +133,8 @@ class DurationExpression:
 class MatchResult:
     trigger: str
     trigger_family: str
-    trigger_span: tuple[int, int]
     expression: DurationExpression
     matched_text: str  # sub-sentence from trigger start to expression end
-    match_span: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -157,10 +156,13 @@ class LabeledInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LabeledInstance":
+        exact = obj["exact_label"]
+        if type(exact) not in (int, float) or not math.isfinite(exact):
+            raise ValueError(f"exact_label {exact!r} is not a finite number")
         return cls(
             masked_text=obj["masked_text"],
             mask_positions=tuple(obj["mask_positions"]),
-            exact_label=float(obj["exact_label"]),
+            exact_label=float(exact),
             range_label=TemporalUnit.from_string(obj["range_label"]),
             source_id=obj.get("source_id", ""),
         )
@@ -189,8 +191,8 @@ class ExtractionStats:
             "filtered": self.filtered,
             "skipped_instances": self.skipped_instances,
             "emitted": self.emitted,
-            "by_trigger": {k: self.by_trigger[k] for k in sorted(self.by_trigger)},
-            "by_filter": {k: self.by_filter[k] for k in sorted(self.by_filter)},
+            "by_trigger": self.by_trigger,
+            "by_filter": self.by_filter,
         }
 
 
@@ -215,10 +217,8 @@ def match_sentence(sentence: str, cfg: ExtractionConfig | None = None) -> MatchR
     return MatchResult(
         trigger=trigger,
         trigger_family=_FAMILY_OF_WORD[trigger],
-        trigger_span=(m.start("trigger"), m.end("trigger")),
         expression=expression,
         matched_text=m.group(0),
-        match_span=(m.start(), m.end()),
     )
 
 
@@ -336,9 +336,8 @@ def read_instances(lines: Iterable[str]) -> list[LabeledInstance]:
     for n, line in enumerate(lines, 1):
         line = line.strip()
         if line:
-            obj = json.loads(line)
             try:
-                out.append(LabeledInstance.from_json(obj))
-            except (KeyError, TypeError, AttributeError) as exc:
+                out.append(LabeledInstance.from_json(json.loads(line)))
+            except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
                 raise MalformedRowError(f"line {n}: not an instance ({exc!r}): {line[:80]}") from exc
     return out

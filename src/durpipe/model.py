@@ -408,9 +408,9 @@ class _Adam:
     exactly as it is.
     """
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]],
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
         self.m = {k: np.zeros(s) for k, s in shapes.items()}
         self.v = {k: np.zeros(s) for k, s in shapes.items()}
         self.scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}

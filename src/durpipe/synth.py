@@ -27,7 +27,7 @@ from .adapters import TimeBankRow
 from .model import ConfigError
 from .units import TemporalUnit, closest_unit, format_duration, normalize
 
-__all__ = ["CueSpec", "SynthSpec", "SynthOutput", "DEFAULT_CUES", "generate"]
+__all__ = ["SynthSpec", "SynthOutput", "DEFAULT_CUES", "generate"]
 
 # One cue per unit. None contains a trigger or unit word as a substring,
 # and none collides with a filter word.
@@ -86,26 +86,13 @@ _HOLDOUT_FRAMES: tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class CueSpec:
-    word: str
-    unit: TemporalUnit
-
-    @property
-    def canonical_seconds(self) -> float:
-        return float(self.unit.seconds)
-
-
-@dataclass(frozen=True)
 class SynthSpec:
     size: int = 2000
     holdout: int = 400
     seed: int = 17
     sigma: float = 0.25  # log-space jitter around each cue's canonical duration
-    cues: tuple[tuple[str, TemporalUnit], ...] = DEFAULT_CUES
 
     def __post_init__(self) -> None:
-        if not self.cues:
-            raise ConfigError("cue table must be nonempty")
         for name in ("size", "holdout", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -135,37 +122,35 @@ def generate(spec: SynthSpec) -> SynthOutput:
     Cues cycle round-robin so both splits stay balanced across units.
     """
     rng = np.random.default_rng(spec.seed)
-    cues = [CueSpec(word, unit) for word, unit in spec.cues]
     out = SynthOutput()
 
-    def render(frames: tuple[str, ...], cue: CueSpec) -> tuple[str, int, TemporalUnit]:
+    def render(frames: tuple[str, ...], word: str, cue_unit: TemporalUnit):
+        """A filled frame, and the (quantity, unit) drawn around the cue unit."""
         frame = frames[int(rng.integers(len(frames)))]
         slots = {
-            "cue": cue.word,
+            "cue": word,
             "name": _NAMES[int(rng.integers(len(_NAMES)))],
             "adj": _ADJECTIVES[int(rng.integers(len(_ADJECTIVES)))],
             "adv": _ADVERBS[int(rng.integers(len(_ADVERBS)))],
         }
-        seconds = cue.canonical_seconds * float(np.exp(rng.normal(0.0, spec.sigma)))
+        seconds = cue_unit.seconds * float(np.exp(rng.normal(0.0, spec.sigma)))
         if not 0 < seconds < math.inf:
             raise ConfigError(f"sigma = {spec.sigma} drew a duration of {seconds} s")
         quantity, unit = _render_duration(seconds)
-        return frame.format(dur="{dur}", **slots), quantity, unit
+        return frame.format(dur=format_duration(quantity, unit), **slots), quantity, unit
 
     for i in range(spec.size):
-        cue = cues[i % len(cues)]
-        sentence, quantity, unit = render(_TRAIN_TEMPLATES, cue)
-        sentence = sentence.format(dur=format_duration(quantity, unit))
+        sentence, _, _ = render(_TRAIN_TEMPLATES, *DEFAULT_CUES[i % len(DEFAULT_CUES)])
         out.documents.append({"id": f"synth-{i:05d}", "text": sentence})
 
     for i in range(spec.holdout):
-        cue = cues[i % len(cues)]
-        sentence, quantity, unit = render(_HOLDOUT_FRAMES, cue)
-        start = sentence.index(cue.word)
+        word, cue_unit = DEFAULT_CUES[i % len(DEFAULT_CUES)]
+        sentence, quantity, unit = render(_HOLDOUT_FRAMES, word, cue_unit)
+        start = sentence.index(word)
         out.holdout_rows.append(
             TimeBankRow(
                 sentence=sentence,
-                event_span=(start, start + len(cue.word)),
+                event_span=(start, start + len(word)),
                 min_duration=(float(quantity), unit),
                 max_duration=(float(quantity), unit),
             )

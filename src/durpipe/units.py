@@ -55,10 +55,6 @@ class TemporalUnit(enum.IntEnum):
         return _UNIT_SECONDS[self]
 
     @property
-    def log_seconds(self) -> float:
-        return _UNIT_LOG_SECONDS[self]
-
-    @property
     def word(self) -> str:
         return self.name.lower()
 
@@ -132,8 +128,6 @@ def closest_unit(value: float, inventory: UnitInventory = UNITS_8) -> TemporalUn
         raise InvalidQuantityError(f"value must be finite, got {value!r}")
     if not inventory:
         raise ValueError("inventory must be nonempty")
-    # The tuple, not the log_seconds property: this runs twice per
-    # fine-eval item, and a property call per unit doubles its time.
     best = inventory[0]
     best_dist = abs(value - _UNIT_LOG_SECONDS[best])
     for unit in inventory[1:]:

@@ -92,17 +92,12 @@ def test_timebank_bad_span_raises():
     ],
 )
 def test_question_to_statement(question, expected):
-    statement, converted = question_to_statement(question)
-    assert converted
-    assert statement == expected
+    assert question_to_statement(question) == expected
 
 
-def test_question_to_statement_passthrough_flagged():
-    statement, converted = question_to_statement("They ran.")
-    assert not converted
-    assert statement == "They ran."
-    statement, converted = question_to_statement("How long?")
-    assert not converted
+def test_question_to_statement_passthrough():
+    assert question_to_statement("They ran.") == "They ran."
+    assert question_to_statement("How long?") == "How long?"
 
 
 def test_mctaco_input_worked_example():

@@ -47,8 +47,6 @@ def test_synth_generate_shapes():
 def test_synth_rejects_degenerate_spec():
     with pytest.raises(ValueError):
         SynthSpec(size=-1)
-    with pytest.raises(ValueError):
-        SynthSpec(cues=())
 
 
 # --- extract ----------------------------------------------------------------
@@ -292,6 +290,24 @@ def test_train_on_timebank_format(small_pipeline, tmp_path):
     assert code == 0
 
 
+def test_range_training_labels_instances_by_the_inventory(small_pipeline, tmp_path):
+    # The corpus has decade instances; under --inventory 7 they train as
+    # year, and the range_label a file stores is not read.
+    instances = small_pipeline / "ex" / "instances.jsonl"
+    rows = [json.loads(line) for line in instances.read_text().splitlines()]
+    assert any(row["range_label"] == "decade" for row in rows)
+    relabeled = tmp_path / "relabeled.jsonl"
+    relabeled.write_text("".join(json.dumps({**row, "range_label": "second"}) + "\n"
+                                 for row in rows), encoding="utf-8")
+    for inventory in (7, 8):
+        args = ["--head", "range", "--inventory", inventory, "--epochs", 1, "--seed", 2]
+        assert run("train", instances, "--out", tmp_path / f"a{inventory}", *args) == 0
+        assert run("train", relabeled, "--out", tmp_path / f"b{inventory}", *args) == 0
+        ckpt = (tmp_path / f"a{inventory}" / "model.ckpt").read_bytes()
+        assert ckpt == (tmp_path / f"b{inventory}" / "model.ckpt").read_bytes()
+        assert len(model.load(ckpt).inventory) == inventory
+
+
 def test_baseline_cli(small_pipeline, tmp_path):
     out = tmp_path / "base"
     assert run("baseline", small_pipeline / "synth" / "holdout.tsv",
@@ -431,9 +447,21 @@ _INSTANCE = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2
     (["eval", "{te}", "{data}", "--protocol", "mctaco"], json.dumps({**_QA_ROW, "gold": "false"})),
     (["train", "{data}", "--format", "mctaco"], json.dumps({**_QA_ROW, "question": ["q"]})),
     (["train", "{data}", "--format", "mctaco"], json.dumps({**_QA_ROW, "gold": 1})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "exact_label": float("nan")})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "exact_label": float("inf")})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "exact_label": 10 ** 400})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "exact_label": "abc"})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "exact_label": True})),
+    (["train", "{data}", "--head", "range"], json.dumps({**_INSTANCE, "range_label": "fortnight"})),
+    (["train", "{data}"], '{"masked_text": "It took'),
+    (["train", "{data}", "--format", "mctaco"], '{"context": "C.'),
+    (["eval", "{te}", "{data}", "--protocol", "mctaco"], "not json"),
 ], ids=["instances-array", "instances-missing-field", "train-qa-array", "eval-qa-array",
         "eval-qa-missing-field", "eval-qa-context-int", "eval-qa-answer-null",
-        "eval-qa-gold-string", "train-qa-question-list", "train-qa-gold-int"])
+        "eval-qa-gold-string", "train-qa-question-list", "train-qa-gold-int",
+        "instances-label-nan", "instances-label-inf", "instances-label-huge-int",
+        "instances-label-string", "instances-label-bool", "instances-unknown-range-label",
+        "instances-not-json", "train-qa-not-json", "eval-qa-not-json"])
 def test_malformed_jsonl_line_is_data_error(small_pipeline, tmp_path, capsys, argv, line):
     # the bad line comes second, after a good one of the same kind
     good = _QA_ROW if "mctaco" in argv else _INSTANCE
@@ -442,6 +470,26 @@ def test_malformed_jsonl_line_is_data_error(small_pipeline, tmp_path, capsys, ar
     argv = [a.format(data=data, te=small_pipeline / "te" / "model.ckpt") for a in argv]
     assert run(*argv, "--out", tmp_path / "out") == cli.EXIT_DATA
     assert "line 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("quantity", ["-1", "0", "nan", "inf", "1e400"])
+@pytest.mark.parametrize("argv", [
+    ["train", "{data}", "--format", "timebank"],
+    ["eval", "{te}", "{data}", "--protocol", "fine"],
+    ["baseline", "{data}"],
+], ids=["train", "eval", "baseline"])
+def test_timebank_quantity_not_positive_finite_is_data_error(
+        small_pipeline, tmp_path, capsys, argv, quantity):
+    # the bad row comes second, after a good one; the header is row 0
+    data = tmp_path / "data.tsv"
+    data.write_text("sentence\tevent_start\tevent_end\tmin_quantity\tmin_unit\tmax_quantity\t"
+                    "max_unit\nThey met.\t5\t8\t1\thour\t1\thour\n"
+                    f"They met.\t5\t8\t{quantity}\thour\t2\thours\n", encoding="utf-8")
+    argv = [a.format(data=data, te=small_pipeline / "te" / "model.ckpt") for a in argv]
+    assert run(*argv, "--out", tmp_path / "out") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "row 2" in err and repr(quantity) in err
     assert not (tmp_path / "out" / "model.ckpt").exists()
 
 

@@ -114,7 +114,7 @@ def test_fine_rejects_units_outside_inventory():
 def test_mctaco_range_rule_hand_example():
     d = normalize(2, U.HOUR)
     answers = [("q0", normalize(1, U.HOUR), True)]
-    report = eval_mctaco([d], answers, RangeRule(3.0))
+    report = eval_mctaco({"q0": d}, answers, RangeRule(3.0))
     # |ln 7200 - ln 3600| = ln 2, inside the band, so judged correct
     assert report.items[0].prediction.endswith(":correct")
     assert report.accuracy == 1.0
@@ -122,7 +122,7 @@ def test_mctaco_range_rule_hand_example():
 
 def test_mctaco_infinite_range_accepts_everything():
     answers = [("q0", 1.0, True), ("q0", 30.0, False), ("q1", 2.0, True)]
-    report = eval_mctaco([5.0, 2.0], answers, RangeRule(math.inf))
+    report = eval_mctaco({"q0": 5.0, "q1": 2.0}, answers, RangeRule(math.inf))
     verdicts = [r.prediction.endswith(":correct") for r in report.items]
     assert verdicts == [True, True, True]
     # recall is 1; EM counts only the question with no gold-false answers
@@ -131,35 +131,33 @@ def test_mctaco_infinite_range_accepts_everything():
 
 def test_mctaco_range_head_uses_approximate_agreement():
     answers = [("q0", normalize(30, U.MINUTE), True), ("q0", normalize(3, U.WEEK), False)]
-    report = eval_mctaco([U.HOUR], answers, RangeRule(3.0), UNITS_8)
+    report = eval_mctaco({"q0": U.HOUR}, answers, RangeRule(3.0), UNITS_8)
     assert report.accuracy == 1.0  # minute~hour matches, week does not
 
 
 def test_mctaco_em_definition():
     # one question, two answers, both verdicts match the golds
     answers = [("q0", 1.0, True), ("q0", 9.0, False)]
-    report = eval_mctaco([1.5], answers, RangeRule(1.0))
+    report = eval_mctaco({"q0": 1.5}, answers, RangeRule(1.0))
     assert report.exact_match == 1.0
     assert report.accuracy == 1.0
 
 
-def test_mctaco_preds_as_mapping_or_sequence():
+def test_mctaco_report_does_not_depend_on_mapping_order():
     answers = [("a", 1.0, True), ("b", 9.0, True), ("a", 2.0, False)]
-    seq = eval_mctaco([1.0, 9.0], answers, RangeRule(0.5))
+    reordered = eval_mctaco({"b": 9.0, "a": 1.0}, answers, RangeRule(0.5))
     mapped = eval_mctaco({"a": 1.0, "b": 9.0}, answers, RangeRule(0.5))
-    assert seq.to_json() == mapped.to_json()
-    with pytest.raises(ValueError):
-        eval_mctaco([1.0], answers, RangeRule(0.5))
+    assert reordered.to_json() == mapped.to_json()
     with pytest.raises(ValueError):
         eval_mctaco({"a": 1.0}, answers, RangeRule(0.5))
 
 
 def test_mctaco_question_order_is_first_appearance():
-    # a prediction sequence aligns with question ids in order of first
-    # appearance, also when the answers of questions are interleaved
+    # questions count in order of first appearance, also when the answers
+    # of questions are interleaved
     answers = [("q2", 5.0, True), ("q1", 1.0, True), ("q2", 5.5, True),
                ("q3", 9.0, True), ("q1", 1.2, True), ("q3", 9.1, True)]
-    seq = eval_mctaco([5.0, 1.0, 9.0], answers, RangeRule(0.6))
+    seq = eval_mctaco({"q2": 5.0, "q1": 1.0, "q3": 9.0}, answers, RangeRule(0.6))
     mapped = eval_mctaco({"q1": 1.0, "q2": 5.0, "q3": 9.0}, answers, RangeRule(0.6))
     assert seq.to_json() == mapped.to_json()
     assert seq.accuracy == 1.0 and seq.exact_match == 1.0
@@ -348,11 +346,11 @@ def test_f1_reproducible_from_stored_confusion():
 
 
 def test_report_json_roundtrip():
-    report = eval_fine([U.DAY, U.WEEK], [U.DAY, U.YEAR], UNITS_8, ids=["a", "b"], keys=["x", "y"])
+    report = eval_fine([U.DAY, U.WEEK], [U.DAY, U.YEAR], UNITS_8, keys=["x", "y"])
     payload = json.loads(report_to_json(report))
     assert payload["protocol"] == "fine"
     assert payload["accuracy"] == report.accuracy
     assert payload["items"][0] == {
-        "id": "a", "prediction": "day", "gold": "day", "correct": True, "key": "x"
+        "id": "0", "prediction": "day", "gold": "day", "correct": True, "key": "x"
     }
-    assert report.to_item_tsv().splitlines()[1] == "a\tday\tday\t1\tx"
+    assert report.to_item_tsv().splitlines()[1] == "0\tday\tday\t1\tx"

@@ -132,9 +132,9 @@ def test_label_sentence_expression_at_start():
     # label_sentence only needs a consistent MatchResult, wherever it came from
     sentence = "3 days of work remained."
     m = MatchResult(
-        trigger="", trigger_family="", trigger_span=(0, 0),
+        trigger="", trigger_family="",
         expression=DurationExpression(3.0, TemporalUnit.DAY, (0, 6)),
-        matched_text="3 days", match_span=(0, 6),
+        matched_text="3 days",
     )
     inst = label_sentence(sentence, m)
     assert inst.masked_text == "[MASK] [MASK] of work remained."
