@@ -105,13 +105,17 @@ def _mean_log_seconds(row: TimeBankRow) -> float:
     return normalize((lo + hi) / 2.0, TemporalUnit.SECOND)
 
 
-def timebank_to_input(row: TimeBankRow, inventory: UnitInventory = UNITS_7) -> ModelInput:
-    """Insert the duration pattern after the event word and label the row."""
-    start, end = row.event_span
-    if not (0 <= start < end <= len(row.sentence)):
+def _check_span(row: TimeBankRow) -> None:
+    if not 0 <= row.event_span[0] < row.event_span[1] <= len(row.sentence):
         raise MalformedRowError(
             f"event span {row.event_span} outside sentence of length {len(row.sentence)}"
         )
+
+
+def timebank_to_input(row: TimeBankRow, inventory: UnitInventory = UNITS_7) -> ModelInput:
+    """Insert the duration pattern after the event word and label the row."""
+    _check_span(row)
+    end = row.event_span[1]
     text = row.sentence[:end] + MASK_PATTERN_MID + row.sentence[end:]
     exact = _mean_log_seconds(row)
     return ModelInput(
@@ -217,6 +221,7 @@ def read_timebank_tsv(lines: Iterable[str]) -> list[TimeBankRow]:
                 min_duration=(_quantity(min_q), TemporalUnit.from_string(min_u)),
                 max_duration=(_quantity(max_q), TemporalUnit.from_string(max_u)),
             )
+            _check_span(row)
         except ValueError as exc:
             raise MalformedRowError(f"row {i}: {exc}") from exc
         if row.min_duration[0] * row.min_duration[1].seconds > (

@@ -186,6 +186,8 @@ def cmd_eval(settings: dict, out: Path) -> None:
         with open(data_path, encoding="utf-8") as fh:
             questions = adapters.read_mctaco_questions(fh, inventory)
         answered = [q for q in questions if q.answers]
+        if not answered:
+            raise MalformedRowError(f"no answer in {data_path} parses as a duration")
         for q in questions:
             if not q.answers:
                 logger.info("question %s has no parseable answers; skipped", q.qid)

@@ -156,12 +156,16 @@ class LabeledInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LabeledInstance":
-        exact = obj["exact_label"]
+        text, positions, exact = obj["masked_text"], obj["mask_positions"], obj["exact_label"]
+        if type(text) is not str:
+            raise ValueError(f"masked_text {text!r} is not a string")
+        if type(positions) is not list or any(type(p) is not int for p in positions):
+            raise ValueError(f"mask_positions {positions!r} is not a list of integers")
         if type(exact) not in (int, float) or not math.isfinite(exact):
             raise ValueError(f"exact_label {exact!r} is not a finite number")
         return cls(
-            masked_text=obj["masked_text"],
-            mask_positions=tuple(obj["mask_positions"]),
+            masked_text=text,
+            mask_positions=tuple(positions),
             exact_label=float(exact),
             range_label=TemporalUnit.from_string(obj["range_label"]),
             source_id=obj.get("source_id", ""),

@@ -28,12 +28,12 @@ batch from the window bucket ids that this leaves. `loss_and_grads`
 gives a compiled batch's embedding gradient compactly, as the batch's
 distinct rows and their values; the head gradients are summed with
 `np.add.accumulate`, which is sequential at every shape, so every
-gradient has the bits of a loop over items. The optimizer steps the
-embedding table only on rows that have had a gradient in this run:
-every other row still has zero moments, so its update is exactly zero
-and skipping it changes no bit (unlike "lazy" Adam, which also skips
-the moment decay of rows without a gradient). Once half the rows have
-had one, the whole table is stepped in place.
+gradient has the bits of a loop over items. Each trained parameter has
+its own optimizer; the table's steps only the rows that have had a
+gradient in this run: every other row still has zero moments, so its
+update is exactly zero and skipping it changes no bit (unlike "lazy"
+Adam, which also skips the moment decay of rows without a gradient).
+Once half the rows have had one, it steps the whole table in place.
 """
 
 from __future__ import annotations
@@ -393,49 +393,55 @@ def evaluate_loss(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]
     return loss_and_grads(model, data, loss)[0]
 
 
-# Share of a table's rows that must have had a gradient before stepping
-# the whole table in place beats gathering and scattering those rows.
+# Share of a parameter's rows that must have had a gradient before
+# stepping all of it in place beats gathering and scattering those rows.
 _DENSE_STEP_SHARE = 0.5
 
 
 class _Adam:
-    """Adaptive-moment updates; the learning rate is supplied per step.
+    """Adaptive-moment updates of one parameter, in place, at a learning
+    rate supplied per step.
 
-    A parameter stepped on given rows is updated only on those rows, and
-    its gradient holds just their values. The rows must include every
-    row that has had a nonzero gradient since the optimizer was made:
-    any other row has m = v = 0, so the full update would leave it
-    exactly as it is.
+    `step_rows` takes a gradient that is zero outside some rows and
+    updates only the rows that have had one since the optimizer was made,
+    until they are `_DENSE_STEP_SHARE` of the parameter: every other row
+    has m = v = 0, so the full update would leave it exactly as it is.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]]):
-        self.m = {k: np.zeros(s) for k, s in shapes.items()}
-        self.v = {k: np.zeros(s) for k, s in shapes.items()}
-        self.scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    def __init__(self, param: np.ndarray):
+        self.param = param
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
+        self.scratch = (np.empty_like(param), np.empty_like(param))
+        self.touched = np.zeros(len(param), dtype=bool)
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float,
-             rows: dict[str, np.ndarray]) -> None:
-        self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
-        for key, grad in grads.items():
-            index = rows.get(key)
-            if index is not None:
-                p, m, v = params[key][index], self.m[key][index], self.v[key][index]
-                self._update(p, m, v, grad, lr, b1t, b2t, np.empty_like(grad), np.empty_like(grad))
-                params[key][index], self.m[key][index], self.v[key][index] = p, m, v
-            else:
-                if key not in self.scratch:
-                    self.scratch[key] = (np.empty_like(grad), np.empty_like(grad))
-                self._update(params[key], self.m[key], self.v[key], grad, lr, b1t, b2t,
-                             *self.scratch[key])
+    def step(self, grad: np.ndarray, lr: float) -> None:
+        self._update(self.param, self.m, self.v, grad, lr)
 
-    def _update(self, param, m, v, grad, lr, b1t, b2t, step, denom) -> None:
-        """param -= lr * (m / b1t) / (sqrt(v / b2t) + eps) after the moment
-        updates, in place; `step` and `denom` are scratch of grad's shape."""
+    def step_rows(self, rows: np.ndarray, values: np.ndarray, lr: float) -> None:
+        """Step with a gradient that is `values` on the distinct,
+        ascending `rows` and zero elsewhere."""
+        self.touched[rows] = True
+        active = np.flatnonzero(self.touched)
+        if len(active) < _DENSE_STEP_SHARE * len(self.touched):
+            grad = np.zeros((len(active), *self.param.shape[1:]))
+            grad[np.searchsorted(active, rows)] = values
+            p, m, v = self.param[active], self.m[active], self.v[active]
+            self._update(p, m, v, grad, lr)
+            self.param[active], self.m[active], self.v[active] = p, m, v
+        else:
+            grad = np.zeros_like(self.param)
+            grad[rows] = values
+            self.step(grad, lr)
+
+    def _update(self, param, m, v, grad, lr) -> None:
+        """param -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+        after the moment updates, in place, with the scratch's leading rows."""
+        self.t += 1
+        step, denom = (s[:len(grad)] for s in self.scratch)
         m *= self.beta1
         np.multiply(grad, 1.0 - self.beta1, out=step)
         m += step
@@ -443,9 +449,9 @@ class _Adam:
         np.multiply(grad, 1.0 - self.beta2, out=step)
         step *= grad
         v += step
-        np.divide(m, b1t, out=step)
+        np.divide(m, 1.0 - self.beta1 ** self.t, out=step)
         step *= lr
-        np.divide(v, b2t, out=denom)
+        np.divide(v, 1.0 - self.beta2 ** self.t, out=denom)
         np.sqrt(denom, out=denom)
         denom += self.eps
         step /= denom
@@ -477,43 +483,25 @@ def train(
     labels = _labels(model, data, cfg.loss)
 
     head_key = "w_e" if cfg.loss == "mse" else "w_r"
-    params = {
-        "embeddings": model.encoder.embeddings,
-        "w_e": model.w_e,
-        "w_r": model.w_r,
-    }
-    optimizer = _Adam({k: params[k].shape for k in ("embeddings", head_key)})
+    table = _Adam(model.encoder.embeddings)
+    head = _Adam(getattr(model, head_key))
 
     n = len(data)
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    total_steps = steps_per_epoch * cfg.epochs
+    total_steps = math.ceil(n / cfg.batch_size) * cfg.epochs
     warmup_steps = math.ceil(cfg.warmup_proportion * total_steps)
 
     items = _compile(model, [mi for mi, _ in data])
-    touched = np.zeros(len(model.encoder.embeddings), dtype=bool)
     rng = np.random.default_rng(cfg.seed)
     curve: list[float] = []
-    step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n).tolist()
         for start in range(0, n, cfg.batch_size):
             chosen = order[start:start + cfg.batch_size]
             batch = _Windows.of([items[i] for i in chosen], [labels[i] for i in chosen])
             loss, grads = loss_and_grads(model, batch, cfg.loss)
-            step += 1
-            lr = _warmup_lr(cfg.learning_rate, step, warmup_steps)
-            rows, d_rows = grads["embeddings"]
-            touched[rows] = True
-            active = np.flatnonzero(touched)
-            if len(active) < _DENSE_STEP_SHARE * len(touched):
-                index = {"embeddings": active}
-                grads["embeddings"] = np.zeros((len(active), model.dim))
-                grads["embeddings"][np.searchsorted(active, rows)] = d_rows
-            else:
-                index = {}
-                grads["embeddings"] = np.zeros_like(model.encoder.embeddings)
-                grads["embeddings"][rows] = d_rows
-            optimizer.step(params, grads, lr, index)
+            lr = _warmup_lr(cfg.learning_rate, len(curve) + 1, warmup_steps)
+            table.step_rows(*grads["embeddings"], lr)
+            head.step(grads[head_key], lr)
             curve.append(loss)
     return model, curve
 

@@ -219,6 +219,30 @@ def test_train_checkpoint_bytes_are_pinned(tmp_path):
                     == report_digest), (protocol, head)
 
 
+# Checkpoint bytes of the same recipe on a 64-row table. More than half
+# the rows have had a gradient from the fourth step on, so the optimizer
+# crosses from row-indexed steps to stepping the whole table, which the
+# recipe above never does.
+PINNED_DENSE_STEP_CHECKPOINTS = {
+    "exact": "c2929e237c33b14559122775713d8b7b85347f4b35ff0a3fd7b4f84e7b9a72e5",
+    "range": "ceff1b91534ad559979edbb52a5f0647f6ab260e83780eac853355a48a279ed4",
+}
+
+
+def test_train_dense_step_checkpoint_bytes_are_pinned(tmp_path):
+    assert run("synth", "--out", tmp_path / "synth", "--size", 200, "--holdout", 40, "--seed", 3) == 0
+    assert run("extract", tmp_path / "synth" / "corpus.jsonl", "--out", tmp_path / "ex") == 0
+    initial = model.DualHeadModel.create(seed=3, buckets=64).encoder.embeddings
+    for head, digest in PINNED_DENSE_STEP_CHECKPOINTS.items():
+        out = tmp_path / f"train-{head}"
+        assert run("train", tmp_path / "ex" / "instances.jsonl", "--head", head, "--buckets", 64,
+                   "--learning-rate", 0.05, "--epochs", 3, "--seed", 3, "--out", out) == 0
+        blob = (out / "model.ckpt").read_bytes()
+        changed = np.any(model.load(blob).encoder.embeddings != initial, axis=1)
+        assert changed.mean() > 0.5, head
+        assert hashlib.sha256(blob).hexdigest() == digest, head
+
+
 def test_train_rejects_out_of_range_mask_position(tmp_path):
     data = tmp_path / "instances.jsonl"
     row = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2, 20],
@@ -452,6 +476,10 @@ _INSTANCE = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2
     (["train", "{data}"], json.dumps({**_INSTANCE, "exact_label": 10 ** 400})),
     (["train", "{data}"], json.dumps({**_INSTANCE, "exact_label": "abc"})),
     (["train", "{data}"], json.dumps({**_INSTANCE, "exact_label": True})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "mask_positions": "23"})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "mask_positions": [2.0, 3]})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "mask_positions": [True, 4]})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "masked_text": 7})),
     (["train", "{data}", "--head", "range"], json.dumps({**_INSTANCE, "range_label": "fortnight"})),
     (["train", "{data}"], '{"masked_text": "It took'),
     (["train", "{data}", "--format", "mctaco"], '{"context": "C.'),
@@ -460,7 +488,9 @@ _INSTANCE = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2
         "eval-qa-missing-field", "eval-qa-context-int", "eval-qa-answer-null",
         "eval-qa-gold-string", "train-qa-question-list", "train-qa-gold-int",
         "instances-label-nan", "instances-label-inf", "instances-label-huge-int",
-        "instances-label-string", "instances-label-bool", "instances-unknown-range-label",
+        "instances-label-string", "instances-label-bool", "instances-positions-string",
+        "instances-positions-float", "instances-positions-bool", "instances-text-int",
+        "instances-unknown-range-label",
         "instances-not-json", "train-qa-not-json", "eval-qa-not-json"])
 def test_malformed_jsonl_line_is_data_error(small_pipeline, tmp_path, capsys, argv, line):
     # the bad line comes second, after a good one of the same kind
@@ -473,24 +503,47 @@ def test_malformed_jsonl_line_is_data_error(small_pipeline, tmp_path, capsys, ar
     assert not (tmp_path / "out" / "model.ckpt").exists()
 
 
-@pytest.mark.parametrize("quantity", ["-1", "0", "nan", "inf", "1e400"])
-@pytest.mark.parametrize("argv", [
+_TSV_COMMANDS = pytest.mark.parametrize("argv", [
     ["train", "{data}", "--format", "timebank"],
     ["eval", "{te}", "{data}", "--protocol", "fine"],
     ["baseline", "{data}"],
 ], ids=["train", "eval", "baseline"])
-def test_timebank_quantity_not_positive_finite_is_data_error(
-        small_pipeline, tmp_path, capsys, argv, quantity):
+
+
+def _run_on_tsv_with_bad_second_row(pipeline, tmp_path, argv, row):
     # the bad row comes second, after a good one; the header is row 0
     data = tmp_path / "data.tsv"
     data.write_text("sentence\tevent_start\tevent_end\tmin_quantity\tmin_unit\tmax_quantity\t"
-                    "max_unit\nThey met.\t5\t8\t1\thour\t1\thour\n"
-                    f"They met.\t5\t8\t{quantity}\thour\t2\thours\n", encoding="utf-8")
-    argv = [a.format(data=data, te=small_pipeline / "te" / "model.ckpt") for a in argv]
+                    f"max_unit\nThey met.\t5\t8\t1\thour\t1\thour\n{row}\n", encoding="utf-8")
+    argv = [a.format(data=data, te=pipeline / "te" / "model.ckpt") for a in argv]
     assert run(*argv, "--out", tmp_path / "out") == cli.EXIT_DATA
+    assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("quantity", ["-1", "0", "nan", "inf", "1e400"])
+@_TSV_COMMANDS
+def test_timebank_quantity_not_positive_finite_is_data_error(
+        small_pipeline, tmp_path, capsys, argv, quantity):
+    _run_on_tsv_with_bad_second_row(small_pipeline, tmp_path, argv,
+                                    f"They met.\t5\t8\t{quantity}\thour\t2\thours")
     err = capsys.readouterr().err
     assert "row 2" in err and repr(quantity) in err
-    assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
+@_TSV_COMMANDS
+def test_timebank_event_span_outside_sentence_names_the_row(small_pipeline, tmp_path, capsys, argv):
+    _run_on_tsv_with_bad_second_row(small_pipeline, tmp_path, argv,
+                                    "They met.\t4\t40\t1\thour\t2\thours")
+    assert "row 2: event span (4, 40) outside sentence of length 9" in capsys.readouterr().err
+
+
+def test_eval_mctaco_without_parseable_answer_names_the_file(small_pipeline, tmp_path, capsys):
+    data = tmp_path / "qa.jsonl"
+    data.write_text(json.dumps({**_QA_ROW, "answer": "a while"}) + "\n", encoding="utf-8")
+    assert run("eval", small_pipeline / "te" / "model.ckpt", data, "--protocol", "mctaco",
+               "--out", tmp_path / "out") == cli.EXIT_DATA
+    assert f"no answer in {data} parses as a duration" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("fmt,text", [

@@ -616,7 +616,7 @@ def test_train_bit_identical_to_dense_reference(vocabulary, buckets, under_half,
 
 def test_row_restricted_adam_step_matches_dense_reference():
     # Few words first, so fewer than half the rows have had a gradient,
-    # then many, so the optimizer crosses over to the dense step.
+    # then many, so the table's optimizer crosses over to the dense step.
     rng = np.random.default_rng(8)
     model = DualHeadModel.create(dim=4, seed=6, buckets=48, radius=1)
     reference = DualHeadModel.create(dim=4, seed=6, buckets=48, radius=1)
@@ -625,26 +625,25 @@ def test_row_restricted_adam_step_matches_dense_reference():
     def params(m):
         return {"embeddings": m.encoder.embeddings, "w_e": m.w_e}
 
-    optimizer = model_mod._Adam({k: p.shape for k, p in params(model).items()})
+    optimizers = {key: model_mod._Adam(p) for key, p in params(model).items()}
     dense = _DenseAdam(params(reference))
     touched = np.zeros(48, dtype=bool)
     shares = []
     for vocabulary in [4] * 6 + [300] * 6:
         batch = _vocabulary_batch(rng, model, 5, vocabulary, "mse")
-        _, grads = loss_and_grads(model, batch, "mse")
+        compiled = model_mod._Windows.of(model_mod._compile(model, [mi for mi, _ in batch]),
+                                         [label for _, label in batch])
+        _, grads = loss_and_grads(model, compiled, "mse")
         _, ref_grads = _reference_loss_and_grads(reference, batch, "mse")
-        touched |= np.any(grads["embeddings"] != 0, axis=1)
-        if touched.mean() < model_mod._DENSE_STEP_SHARE:
-            rows = np.flatnonzero(touched)
-            optimizer.step(params(model), {**grads, "embeddings": grads["embeddings"][rows]}, 0.1,
-                           {"embeddings": rows})
-        else:
-            optimizer.step(params(model), grads, 0.1, {})
+        rows, values = grads["embeddings"]
+        touched[rows] = True
+        optimizers["embeddings"].step_rows(rows, values, 0.1)
+        optimizers["w_e"].step(grads["w_e"], 0.1)
         dense.step(params(reference), ref_grads, 0.1)
-        for key in ("embeddings", "w_e"):
+        for key, optimizer in optimizers.items():
             assert np.array_equal(params(model)[key], params(reference)[key])
-            assert np.array_equal(optimizer.m[key], dense.m[key])
-            assert np.array_equal(optimizer.v[key], dense.v[key])
+            assert np.array_equal(optimizer.m, dense.m[key])
+            assert np.array_equal(optimizer.v, dense.v[key])
         assert np.array_equal(model.encoder.embeddings[~touched], initial[~touched])
         shares.append(touched.mean())
     assert min(shares) < 0.5 < max(shares)
