@@ -24,14 +24,14 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
 from . import adapters, evaluation, extraction, model as model_lib, synth as synth_lib
 from .adapters import MalformedRowError
 from .model import ConfigError, DualHeadModel, TrainConfig
-from .units import TemporalUnit, closest_unit, coarse_of_value, inventory_of_size
+from .units import closest_unit, coarse_of_value, inventory_of_size
 
 logger = logging.getLogger(__name__)
 
@@ -99,7 +99,7 @@ def cmd_extract(settings: dict, out: Path) -> None:
 
     (out / "instances.jsonl").write_text(extraction.write_instances(instances), encoding="utf-8")
     (out / "stats.json").write_text(
-        json.dumps(stats.to_json(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(asdict(stats), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     print(f"extracted {stats.emitted} instances from {stats.documents} documents "
           f"({stats.filtered} filtered)")
@@ -163,13 +163,16 @@ def cmd_train(settings: dict, out: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _timebank_inputs(path: Path, inventory):
-    """Inputs and event words of a TSV data file; a file with no rows is a data error."""
+def _timebank_golds(path: Path, inventory, protocol: str):
+    """Inputs, gold labels under the coarse or fine protocol and event
+    words of a TSV data file; a file with no rows is a data error."""
     with open(path, encoding="utf-8") as fh:
         inputs, keys = adapters.read_timebank_inputs(fh, inventory)
     if not inputs:
         raise MalformedRowError(f"no rows in {path}")
-    return inputs, keys
+    if protocol == "fine":
+        return inputs, [mi.range_label for mi in inputs], keys
+    return inputs, [coarse_of_value(mi.exact_label) for mi in inputs], keys
 
 
 def cmd_eval(settings: dict, out: Path) -> None:
@@ -193,18 +196,13 @@ def cmd_eval(settings: dict, out: Path) -> None:
                 logger.info("question %s has no parseable answers; skipped", q.qid)
         inputs = [q.input for q in answered]
     else:
-        inputs, keys = _timebank_inputs(data_path, inventory)
+        inputs, golds, keys = _timebank_golds(data_path, inventory, protocol)
 
     preds = model_lib.predict_many(mdl, inputs, head)
-    if head == "range":
-        preds = [unit for unit, _ in preds]
     if protocol == "coarse":
-        golds = [coarse_of_value(mi.exact_label) for mi in inputs]
         report = evaluation.eval_coarse(preds, golds, keys=keys)
     elif protocol == "fine":
-        golds = [mi.range_label for mi in inputs]
-        units = [p if isinstance(p, TemporalUnit) else closest_unit(p, inventory) for p in preds]
-        report = evaluation.eval_fine(units, golds, inventory, keys=keys)
+        report = evaluation.eval_fine(preds, golds, inventory, keys=keys)
     else:
         answers = [(q.qid, value, gold) for q in answered for value, gold in q.answers]
         report = evaluation.eval_mctaco(
@@ -220,11 +218,7 @@ def cmd_eval(settings: dict, out: Path) -> None:
 def cmd_baseline(settings: dict, out: Path) -> None:
     protocol = settings["protocol"]
     inventory = inventory_of_size(settings["inventory"])
-    inputs, _ = _timebank_inputs(Path(settings["data"]), inventory)
-    if protocol == "fine":
-        golds = [mi.range_label for mi in inputs]
-    else:
-        golds = [coarse_of_value(mi.exact_label) for mi in inputs]
+    _, golds, _ = _timebank_golds(Path(settings["data"]), inventory, protocol)
     _write_report(out, evaluation.majority_baseline(golds, protocol, inventory))
 
 

@@ -119,14 +119,47 @@ def f1_from_counts(tp: int, fp: int, fn: int) -> float | None:
     return 2 * tp / denom if denom else 0.0
 
 
-def _coarse_label(pred: object) -> str:
-    if isinstance(pred, TemporalUnit):
-        return coarse_of_unit(pred)
-    if isinstance(pred, str):
-        if pred not in (LESS_THAN_DAY, MORE_THAN_DAY):
-            raise ValueError(f"not a coarse label: {pred!r}")
-        return pred
-    return coarse_of_value(float(pred))
+_COARSE = (LESS_THAN_DAY, MORE_THAN_DAY)
+
+
+def _unit_or_value(pred: object) -> TemporalUnit | float:
+    """A head's raw prediction as the protocols read it: the range head's
+    unit, bare or in predict_many's (unit, probabilities) pair, or the
+    exact head's log-second value."""
+    if isinstance(pred, tuple):
+        pred = pred[0]
+    return pred if isinstance(pred, TemporalUnit) else float(pred)
+
+
+def _tally(
+    protocol: str,
+    items: list[ItemRecord],
+    classes: tuple[str, ...] = (),
+    pair_counts: Counter[tuple[str, str]] | None = None,
+) -> EvalReport:
+    """The report of scored items: accuracy over their `correct` flags,
+    and tp/fp/fn and F1 of each of `classes` from the counts of
+    (predicted label, gold label) pairs, by default the items' own
+    prediction and gold."""
+    if not items:
+        raise ValueError(f"no {protocol} items to score")
+    if pair_counts is None:
+        pair_counts = Counter((rec.prediction, rec.gold) for rec in items)
+    confusion = {
+        label: {
+            "tp": pair_counts[label, label],
+            "fp": sum(n for (pred, gold), n in pair_counts.items() if pred == label != gold),
+            "fn": sum(n for (pred, gold), n in pair_counts.items() if gold == label != pred),
+        }
+        for label in classes
+    }
+    return EvalReport(
+        protocol=protocol,
+        accuracy=sum(rec.correct for rec in items) / len(items),
+        f1_per_class={label: f1_from_counts(**c) for label, c in confusion.items()},
+        confusion=confusion,
+        items=items,
+    )
 
 
 def eval_coarse(
@@ -134,69 +167,55 @@ def eval_coarse(
     golds: Sequence[str],
     keys: Sequence[str] | None = None,
 ) -> EvalReport:
-    """Binary less-than-a-day task. Predictions may be log-second values
-    (exact head), units (range head), or coarse labels directly."""
-    if len(preds) != len(golds) or not golds:
-        raise ValueError(f"need equal nonempty preds/golds, got {len(preds)}/{len(golds)}")
-    counts = {label: {"tp": 0, "fp": 0, "fn": 0} for label in (LESS_THAN_DAY, MORE_THAN_DAY)}
+    """Binary less-than-a-day task. A prediction is a head's raw output
+    (see `_unit_or_value`) or a coarse label."""
     items = []
-    hits = 0
-    for i, (raw_pred, gold) in enumerate(zip(preds, golds)):
-        if gold not in (LESS_THAN_DAY, MORE_THAN_DAY):
+    for i, (raw, gold) in enumerate(zip(preds, golds, strict=True)):
+        if gold not in _COARSE:
             raise ValueError(f"not a coarse gold label: {gold!r}")
-        pred = _coarse_label(raw_pred)
-        correct = pred == gold
-        hits += correct
-        if correct:
-            counts[gold]["tp"] += 1
+        if isinstance(raw, str):
+            if raw not in _COARSE:
+                raise ValueError(f"not a coarse label: {raw!r}")
+            pred = raw
         else:
-            counts[pred]["fp"] += 1
-            counts[gold]["fn"] += 1
+            pred = _unit_or_value(raw)
+            pred = coarse_of_unit(pred) if isinstance(pred, TemporalUnit) else coarse_of_value(pred)
         items.append(ItemRecord(
             item_id=str(i),
             prediction=pred,
             gold=gold,
-            correct=correct,
+            correct=pred == gold,
             key=keys[i] if keys else "",
         ))
-    return EvalReport(
-        protocol="coarse",
-        accuracy=hits / len(golds),
-        f1_per_class={
-            label: f1_from_counts(c["tp"], c["fp"], c["fn"]) for label, c in counts.items()
-        },
-        confusion=counts,
-        items=items,
-    )
+    return _tally("coarse", items, _COARSE)
 
 
 def eval_fine(
-    preds: Sequence[TemporalUnit],
+    preds: Sequence[object],
     golds: Sequence[TemporalUnit],
     inventory: UnitInventory = UNITS_7,
     keys: Sequence[str] | None = None,
 ) -> EvalReport:
-    """Fine-grained unit task under approximate agreement."""
-    if len(preds) != len(golds) or not golds:
-        raise ValueError(f"need equal nonempty preds/golds, got {len(preds)}/{len(golds)}")
+    """Fine-grained unit task under approximate agreement. A log-second
+    prediction scores as its closest inventory unit."""
     inventory = tuple(inventory)
     items = []
-    hits = 0
-    for i, (pred, gold) in enumerate(zip(preds, golds)):
+    for i, (raw, gold) in enumerate(zip(preds, golds, strict=True)):
+        pred = _unit_or_value(raw)
+        if not isinstance(pred, TemporalUnit):
+            pred = closest_unit(pred, inventory)
         if pred not in inventory:
             raise ValueError(f"prediction {pred.word} outside inventory")
         if gold not in inventory:
             raise ValueError(f"gold {gold.word} outside inventory")
-        correct = approx_match(pred, gold)
-        hits += correct
         items.append(ItemRecord(
             item_id=str(i),
             prediction=pred.word,
             gold=gold.word,
-            correct=correct,
+            correct=approx_match(pred, gold),
             key=keys[i] if keys else "",
         ))
-    return EvalReport(protocol="fine", accuracy=hits / len(golds), items=items)
+    return _tally("fine", items)
 
 
 def eval_mctaco(
@@ -210,59 +229,46 @@ def eval_mctaco(
 
     `answers` holds (question_id, log-second answer value, gold) triples;
     unparseable answers are expected to be dropped upstream. `preds` maps
-    each question id to its prediction. An exact-head prediction accepts
-    answers within the rule's band; a range-head prediction accepts
-    answers whose closest unit approximately matches.
+    each question id to its head's raw prediction. An exact-head
+    prediction accepts answers within the rule's band; a range-head
+    prediction accepts answers whose closest unit approximately matches.
     """
-    if not answers:
-        raise ValueError("no answers to evaluate")
     question_order = list(dict.fromkeys(qid for qid, _, _ in answers))
     missing = [q for q in question_order if q not in preds]
     if missing:
         raise ValueError(f"missing predictions for questions: {missing[:5]}")
     known = set(question_order)
     extra = sum(1 for q in preds if q not in known)
+    predicted = {q: _unit_or_value(preds[q]) for q in question_order}
 
     inventory = tuple(inventory)
-    tp = fp = fn = 0
-    hits = 0
     items = []
+    pair_counts: Counter[tuple[str, str]] = Counter()
     per_question_ok: dict[str, bool] = {q: True for q in question_order}
     answer_index: Counter[str] = Counter()
     for qid, value, gold in answers:
-        pred = preds[qid]
+        pred = predicted[qid]
         if isinstance(pred, TemporalUnit):
             verdict = approx_match(pred, closest_unit(value, inventory))
             shown = pred.word
         else:
-            verdict = abs(value - float(pred)) <= rule.range_width
-            shown = f"{float(pred):.6g}"
+            verdict = abs(value - pred) <= rule.range_width
+            shown = f"{pred:.6g}"
         correct = verdict == gold
-        hits += correct
         per_question_ok[qid] = per_question_ok[qid] and correct
-        if verdict and gold:
-            tp += 1
-        elif verdict and not gold:
-            fp += 1
-        elif not verdict and gold:
-            fn += 1
         idx = answer_index[qid]
         answer_index[qid] += 1
+        labels = ("correct" if verdict else "incorrect", "correct" if gold else "incorrect")
+        pair_counts[labels] += 1
         items.append(ItemRecord(
             item_id=f"{qid}#a{idx}",
-            prediction=f"{shown}:{'correct' if verdict else 'incorrect'}",
-            gold="correct" if gold else "incorrect",
+            prediction=f"{shown}:{labels[0]}",
+            gold=labels[1],
             correct=correct,
             key=qid,
         ))
-    report = EvalReport(
-        protocol="mctaco",
-        accuracy=hits / len(answers),
-        f1_per_class={"correct": f1_from_counts(tp, fp, fn)},
-        confusion={"correct": {"tp": tp, "fp": fp, "fn": fn}},
-        exact_match=sum(per_question_ok.values()) / len(question_order),
-        items=items,
-    )
+    report = _tally("mctaco", items, ("correct",), pair_counts)
+    report.exact_match = sum(per_question_ok.values()) / len(question_order)
     if extra:
         report.diagnostics["predictions_without_answers"] = extra
     return report
@@ -275,15 +281,12 @@ def majority_baseline(
 ) -> EvalReport:
     """Constant predictor: "month" for the fine task (it approximately
     matches week, month and year), the majority label for the coarse task."""
-    if not golds:
-        raise ValueError("no gold labels")
     if protocol == "fine":
-        preds = [TemporalUnit.MONTH] * len(golds)
-        return eval_fine(preds, list(golds), inventory)
+        return eval_fine([TemporalUnit.MONTH] * len(golds), golds, inventory)
     if protocol == "coarse":
         tally = Counter(golds)
         majority = MORE_THAN_DAY if tally[MORE_THAN_DAY] >= tally[LESS_THAN_DAY] else LESS_THAN_DAY
-        return eval_coarse([majority] * len(golds), list(golds))
+        return eval_coarse([majority] * len(golds), golds)
     raise ValueError(f"majority baseline not defined for protocol {protocol!r}")
 
 

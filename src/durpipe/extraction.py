@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .adapters import MalformedRowError
-from .text import find_mask_positions, mask_string, tokenize
+from .text import MASK_TOKEN, find_mask_positions, is_mask_token, mask_string, tokenize
 from .units import UNITS_8, InvalidQuantityError, TemporalUnit, closest_unit, normalize
 
 logger = logging.getLogger(__name__)
@@ -161,6 +161,11 @@ class LabeledInstance:
             raise ValueError(f"masked_text {text!r} is not a string")
         if type(positions) is not list or any(type(p) is not int for p in positions):
             raise ValueError(f"mask_positions {positions!r} is not a list of integers")
+        tokens = tokenize(text)
+        if not positions or not all(0 <= p < len(tokens) and is_mask_token(tokens[p])
+                                    for p in positions):
+            raise ValueError(f"mask_positions {positions} are not a nonempty list of "
+                             f"{MASK_TOKEN} token indices")
         if type(exact) not in (int, float) or not math.isfinite(exact):
             raise ValueError(f"exact_label {exact!r} is not a finite number")
         return cls(
@@ -185,19 +190,6 @@ class ExtractionStats:
     emitted: int = 0
     by_trigger: dict[str, int] = field(default_factory=dict)
     by_filter: dict[str, int] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "documents": self.documents,
-            "skipped_documents": self.skipped_documents,
-            "sentences": self.sentences,
-            "matched": self.matched,
-            "filtered": self.filtered,
-            "skipped_instances": self.skipped_instances,
-            "emitted": self.emitted,
-            "by_trigger": self.by_trigger,
-            "by_filter": self.by_filter,
-        }
 
 
 def match_sentence(sentence: str, cfg: ExtractionConfig | None = None) -> MatchResult | None:

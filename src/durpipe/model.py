@@ -458,6 +458,12 @@ class _Adam:
         param -= step
 
 
+# A step loss above this has diverged: as a squared error it is a mean
+# error of over 1000 log-seconds, and every finite positive duration has
+# |ln s| < 745.
+_DIVERGED_LOSS = 1e6
+
+
 def _warmup_lr(base: float, step: int, warmup_steps: int) -> float:
     # 1-based step; linear ramp to the base rate, then constant.
     if warmup_steps <= 0:
@@ -474,7 +480,8 @@ def train(
 
     Labels must be log-second floats for "mse" and TemporalUnit members
     of the model inventory for "cross_entropy". Returns the model and the
-    per-step loss curve. Empty data is a warned no-op.
+    per-step loss curve. Empty data is a warned no-op. A step loss that
+    is not finite or is above `_DIVERGED_LOSS` raises ValueError.
     """
     data = list(data)
     if not data:
@@ -493,12 +500,15 @@ def train(
     items = _compile(model, [mi for mi, _ in data])
     rng = np.random.default_rng(cfg.seed)
     curve: list[float] = []
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n).tolist()
         for start in range(0, n, cfg.batch_size):
             chosen = order[start:start + cfg.batch_size]
             batch = _Windows.of([items[i] for i in chosen], [labels[i] for i in chosen])
             loss, grads = loss_and_grads(model, batch, cfg.loss)
+            if not math.isfinite(loss) or loss > _DIVERGED_LOSS:
+                raise ValueError(f"training diverged at step {len(curve) + 1} (epoch {epoch}): "
+                                 f"loss {loss:.6g} is not at most {_DIVERGED_LOSS:g}")
             lr = _warmup_lr(cfg.learning_rate, len(curve) + 1, warmup_steps)
             table.step_rows(*grads["embeddings"], lr)
             head.step(grads[head_key], lr)

@@ -196,6 +196,22 @@ PINNED_QA = [
 ]
 
 
+# Bytes of the items.tsv of each eval pinned above, and of the report of
+# `baseline` (coarse and fine, inventory 7) on the recipe's 40 held-out rows.
+PINNED_ITEMS = {
+    ("fine", "exact"): "8e7696ebc0e402490a9d5fe21cd01c546e2e17c34530ae089c79af9daf9e581d",
+    ("coarse", "exact"): "c8a36bb20b255418610ddfe13c65545221e19fb0893a10d260f5de3af90f343a",
+    ("mctaco", "exact"): "1eff6aba58f2b725254a20b6dc32e6d5c34f417f2a61e99fc65c5abdb033cc12",
+    ("fine", "range"): "595d0f754f0784576b18e120bfeeee2c3f4930f6c78cf0d3897c5de58fc7b957",
+    ("coarse", "range"): "c71d0cc68f94a55a862c5046e5a5c06cf823ec2bd5ab5011c1c553b57da7661a",
+    ("mctaco", "range"): "9a81be9a971b51c3647b2e9ec67877f6291aaecdcd3a641ada7a201d9dd0e17f",
+}
+PINNED_BASELINE_REPORTS = {
+    "coarse": "558328ecbf79c41dd48ef6dd90889a371ad7ac269ca414d31623949fe08cc52b",
+    "fine": "7ab71b71df919dccf1d6713731db0f36a299e6810fa35699749aba39155abc84",
+}
+
+
 def test_train_checkpoint_bytes_are_pinned(tmp_path):
     assert run("synth", "--out", tmp_path / "synth", "--size", 200, "--holdout", 40, "--seed", 3) == 0
     assert run("extract", tmp_path / "synth" / "corpus.jsonl", "--out", tmp_path / "ex") == 0
@@ -217,6 +233,13 @@ def test_train_checkpoint_bytes_are_pinned(tmp_path):
                        "--head", head, "--out", report) == 0
             assert (hashlib.sha256((report / "report.json").read_bytes()).hexdigest()
                     == report_digest), (protocol, head)
+            assert (hashlib.sha256((report / "items.tsv").read_bytes()).hexdigest()
+                    == PINNED_ITEMS[protocol, head]), (protocol, head)
+    for protocol, report_digest in PINNED_BASELINE_REPORTS.items():
+        report = tmp_path / f"baseline-{protocol}"
+        assert run("baseline", data[protocol], "--protocol", protocol, "--out", report) == 0
+        assert (hashlib.sha256((report / "report.json").read_bytes()).hexdigest()
+                == report_digest), protocol
 
 
 # Checkpoint bytes of the same recipe on a 64-row table. More than half
@@ -250,6 +273,27 @@ def test_train_rejects_out_of_range_mask_position(tmp_path):
     data.write_text(json.dumps(row) + "\n", encoding="utf-8")
     assert run("train", data, "--epochs", 1, "--out", tmp_path / "t") == cli.EXIT_DATA
     assert not (tmp_path / "t" / "model.ckpt").exists()
+
+
+@pytest.fixture(scope="module")
+def recipe_instances(tmp_path_factory):
+    """The instances the README recipe extracts."""
+    root = tmp_path_factory.mktemp("recipe")
+    assert run("synth", "--out", root / "synth", "--size", 2000, "--holdout", 400, "--seed", 17) == 0
+    assert run("extract", root / "synth" / "corpus.jsonl", "--out", root / "ex") == 0
+    return root / "ex" / "instances.jsonl"
+
+
+# At rate 1e6 the exact head's step loss passes the limit at step 2, at
+# rate 10 during the first epoch; at rate 1 it peaks near 463 and recovers.
+@pytest.mark.parametrize("rate,code", [(1e6, cli.EXIT_DATA), (10, cli.EXIT_DATA), (1, cli.EXIT_OK)])
+def test_diverged_training_is_data_error(recipe_instances, tmp_path, capsys, rate, code):
+    out = tmp_path / "t"
+    assert run("train", recipe_instances, "--learning-rate", rate, "--epochs", 2, "--seed", 17,
+               "--out", out) == code
+    assert (out / "model.ckpt").exists() == (code == cli.EXIT_OK)
+    if code == cli.EXIT_DATA:
+        assert "diverged at step" in capsys.readouterr().err
 
 
 def test_eval_fine_and_coarse(small_pipeline, tmp_path, capsys):
@@ -480,6 +524,9 @@ _INSTANCE = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2
     (["train", "{data}"], json.dumps({**_INSTANCE, "mask_positions": [2.0, 3]})),
     (["train", "{data}"], json.dumps({**_INSTANCE, "mask_positions": [True, 4]})),
     (["train", "{data}"], json.dumps({**_INSTANCE, "masked_text": 7})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "mask_positions": []})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "mask_positions": [2, -1]})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "mask_positions": [0, 1]})),
     (["train", "{data}", "--head", "range"], json.dumps({**_INSTANCE, "range_label": "fortnight"})),
     (["train", "{data}"], '{"masked_text": "It took'),
     (["train", "{data}", "--format", "mctaco"], '{"context": "C.'),
@@ -490,6 +537,7 @@ _INSTANCE = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2
         "instances-label-nan", "instances-label-inf", "instances-label-huge-int",
         "instances-label-string", "instances-label-bool", "instances-positions-string",
         "instances-positions-float", "instances-positions-bool", "instances-text-int",
+        "instances-positions-empty", "instances-positions-outside", "instances-positions-not-mask",
         "instances-unknown-range-label",
         "instances-not-json", "train-qa-not-json", "eval-qa-not-json"])
 def test_malformed_jsonl_line_is_data_error(small_pipeline, tmp_path, capsys, argv, line):

@@ -21,6 +21,7 @@ from durpipe.units import (
     UNITS_7,
     UNITS_8,
     TemporalUnit,
+    closest_unit,
     normalize,
 )
 
@@ -99,6 +100,29 @@ def test_fine_identical_is_perfect():
     for inventory in (UNITS_7, UNITS_8):
         golds = list(inventory) * 3
         assert eval_fine(list(golds), list(golds), inventory).accuracy == 1.0
+
+
+def test_fine_scores_a_value_as_its_closest_unit():
+    values = [normalize(q, u) for u in UNITS_8 for q in (1, 2.5, 40)]
+    for inventory in (UNITS_7, UNITS_8):
+        golds = [closest_unit(v + 1.3, inventory) for v in values]
+        by_value = eval_fine(values, golds, inventory)
+        by_unit = eval_fine([closest_unit(v, inventory) for v in values], golds, inventory)
+        assert by_value.to_json() == by_unit.to_json()
+
+
+def test_protocols_read_the_range_heads_unit_probability_pair():
+    probs = [0.1] * 8
+    units = [U.MINUTE, U.DAY, U.YEAR]
+    golds = [U.HOUR, U.DAY, U.MONTH]
+    pairs = [(u, probs) for u in units]
+    assert (eval_fine(pairs, golds, UNITS_8).to_json()
+            == eval_fine(units, golds, UNITS_8).to_json())
+    assert (eval_coarse(pairs, [LT, LT, GT]).to_json()
+            == eval_coarse(units, [LT, LT, GT]).to_json())
+    answers = [("q0", normalize(2, U.HOUR), True), ("q0", normalize(2, U.WEEK), False)]
+    assert (eval_mctaco({"q0": (U.HOUR, probs)}, answers).to_json()
+            == eval_mctaco({"q0": U.HOUR}, answers).to_json())
 
 
 def test_fine_rejects_units_outside_inventory():

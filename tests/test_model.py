@@ -397,6 +397,16 @@ def test_train_rejects_no_or_out_of_range_mask_positions():
     assert np.array_equal(model.encoder.embeddings, before)
 
 
+@pytest.mark.parametrize("label", [1e4, 1e200])
+def test_train_stops_on_a_loss_past_the_limit_or_not_finite(label):
+    # squared errors of about 1e8 and of inf at the first step
+    model = DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2)
+    data = [(ModelInput(text="It took [MASK] [MASK] today.", mask_positions=(2, 3)), label)]
+    with pytest.raises(ValueError, match=r"step 1 \(epoch 1\)") as info:
+        train(model, data, TrainConfig(learning_rate=0.01, epochs=1, seed=0, loss="mse"))
+    assert not isinstance(info.value, ConfigError)
+
+
 @pytest.mark.parametrize("epochs", [1, 5])
 def test_train_hashes_each_window_once(monkeypatch, epochs):
     calls = []
