@@ -422,7 +422,6 @@ def main(argv: list[str] | None = None) -> int:
         _write_config(out / "config.ini", command.section, settings)
         return EXIT_OK
     except _CONFIG_ERRORS as exc:
-        logger.error("configuration error: %s", exc)
         print(f"durpipe: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

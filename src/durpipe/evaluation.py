@@ -30,12 +30,10 @@ __all__ = [
     "RangeRule",
     "ItemRecord",
     "EvalReport",
-    "ErrorProfile",
     "eval_coarse",
     "eval_fine",
     "eval_mctaco",
     "majority_baseline",
-    "error_profile",
     "f1_from_counts",
     "report_to_json",
 ]
@@ -60,7 +58,7 @@ class ItemRecord:
     prediction: str
     gold: str
     correct: bool
-    key: str = ""  # free-form grouping key (e.g. event word) for error profiles
+    key: str = ""  # free-form grouping key (e.g. event word), written to items.tsv
 
 
 @dataclass
@@ -100,15 +98,6 @@ class EvalReport:
                 f"{rec.item_id}\t{rec.prediction}\t{rec.gold}\t{int(rec.correct)}\t{rec.key}"
             )
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class ErrorProfile:
-    """Most frequent item keys among wrong and right predictions."""
-
-    incorrect: tuple[tuple[str, int], ...]
-    correct: tuple[tuple[str, int], ...]
-    totals: dict[str, int]
 
 
 def f1_from_counts(tp: int, fp: int, fn: int) -> float | None:
@@ -288,24 +277,6 @@ def majority_baseline(
         majority = MORE_THAN_DAY if tally[MORE_THAN_DAY] >= tally[LESS_THAN_DAY] else LESS_THAN_DAY
         return eval_coarse([majority] * len(golds), golds)
     raise ValueError(f"majority baseline not defined for protocol {protocol!r}")
-
-
-def error_profile(report: EvalReport, top_k: int = 15) -> ErrorProfile:
-    """Count item keys among incorrect and correct predictions, the top_k
-    most frequent first (ties broken lexicographically)."""
-    wrong: Counter[str] = Counter()
-    right: Counter[str] = Counter()
-    for rec in report.items:
-        (right if rec.correct else wrong)[rec.key] += 1
-
-    def ranked(counter: Counter[str]) -> tuple[tuple[str, int], ...]:
-        ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-        return tuple(ordered[:top_k])
-
-    totals = dict(wrong)
-    for key, n in right.items():
-        totals[key] = totals.get(key, 0) + n
-    return ErrorProfile(incorrect=ranked(wrong), correct=ranked(right), totals=totals)
 
 
 def report_to_json(report: EvalReport) -> str:

@@ -7,11 +7,10 @@ exact head is a bias-free linear regression to a log-second value, the
 range head a bias-free linear layer plus softmax over the unit
 inventory. One forward pass computes that vector for prediction, loss
 evaluation and training alike: `_compile` hashes the mask windows of its
-inputs, and `_item_sums` reduces their embeddings with one call per
-window length and per window count, which gives each window and each
-item the bits of its own reduce in a loop. The heads run one
-matrix-vector product per item (a matrix product over the batch would
-sum in another order); the softmax runs on the whole batch.
+inputs, `_item_sums` reduces their embeddings with two `np.add.reduceat`
+calls, and both heads and the softmax run on the whole batch at once.
+The heads are `np.einsum` products, which give each item's row the same
+bits whatever rows surround it (a BLAS matrix product need not).
 
 The encoder remembers the bucket of every raw token it has hashed, so
 canonicalizing and hashing run once per distinct token per encoder.
@@ -26,14 +25,12 @@ from the config seed, so runs are bit-reproducible.
 `train` tokenizes and hashes its data once, and every step gathers its
 batch from the window bucket ids that this leaves. `loss_and_grads`
 gives a compiled batch's embedding gradient compactly, as the batch's
-distinct rows and their values; the head gradients are summed with
-`np.add.accumulate`, which is sequential at every shape, so every
-gradient has the bits of a loop over items. Each trained parameter has
-its own optimizer; the table's steps only the rows that have had a
-gradient in this run: every other row still has zero moments, so its
-update is exactly zero and skipping it changes no bit (unlike "lazy"
-Adam, which also skips the moment decay of rows without a gradient).
-Once half the rows have had one, it steps the whole table in place.
+distinct rows and their values. Each trained parameter has its own
+optimizer; the table's steps only the rows that have had a gradient in
+this run: every other row still has zero moments, so its update is
+exactly zero and skipping it changes no bit (unlike "lazy" Adam, which
+also skips the moment decay of rows without a gradient). Once half the
+rows have had one, it steps the whole table in place.
 """
 
 from __future__ import annotations
@@ -152,26 +149,20 @@ class DualHeadModel:
 
 @dataclass(frozen=True)
 class _Windows:
-    """Items compiled to the bucket ids of their mask windows.
-
-    The windows of one item are adjacent and items keep their order, so
-    every sum over `rows` runs in the order a loop over items, windows
-    and tokens would take. The counts are lists: a training batch or a
-    one-item prediction is small, and arrays would cost it more than
-    they save.
-    """
+    """Items compiled to the bucket ids of their mask windows; the
+    windows of one item are adjacent and items keep their order."""
 
     rows: np.ndarray  # bucket id of every window token
-    lengths: list[int]  # tokens per window
-    counts: list[int]  # windows per item
-    labels: list  # log-seconds for mse, inventory index for cross_entropy
+    lengths: np.ndarray  # tokens per window
+    counts: np.ndarray  # windows per item
+    labels: np.ndarray  # log-seconds for mse, inventory index for cross_entropy
 
     @classmethod
     def of(cls, items: Sequence[list[np.ndarray]], labels: Sequence = ()) -> "_Windows":
         """Flatten the per-item window bucket ids that `_compile` returns."""
         windows = [w for item in items for w in item]
-        return cls(rows=np.concatenate(windows), lengths=[len(w) for w in windows],
-                   counts=[len(item) for item in items], labels=list(labels))
+        return cls(rows=np.concatenate(windows), lengths=np.array([len(w) for w in windows]),
+                   counts=np.array([len(item) for item in items]), labels=np.array(labels))
 
 
 def _compile(model: DualHeadModel, inputs: Sequence[ModelInput],
@@ -193,35 +184,12 @@ def _compile(model: DualHeadModel, inputs: Sequence[ModelInput],
     return items
 
 
-def _grouped_sums(values: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """The sum of each run of `sizes[i]` consecutive rows of `values`.
-
-    numpy sums along an axis in an order that depends on the array's
-    shape (pairwise when the summed rows are single numbers), so runs of
-    one length are stacked into a (runs, length, dim) array and reduced
-    along axis 1 by one call, which sums each run as its own reduce would.
-    """
-    sizes = np.array(sizes)
-    starts = np.cumsum(sizes) - sizes
-    out = np.empty((len(sizes), values.shape[1]))
-    for size in np.flatnonzero(np.bincount(sizes)):
-        runs = np.flatnonzero(sizes == size)
-        out[runs] = np.add.reduce(values[starts[runs, None] + np.arange(size)], axis=1)
-    return out
-
-
 def _item_sums(embeddings: np.ndarray, batch: _Windows) -> np.ndarray:
     """For each item, the sum of its windows' mean token embeddings, as
-    an (items, dim) array with the bits of a loop over items and windows."""
-    means = _grouped_sums(embeddings[batch.rows], batch.lengths)
-    means /= np.array(batch.lengths)[:, None]
-    return _grouped_sums(means, batch.counts)
-
-
-def _logits(model: DualHeadModel, sums: np.ndarray) -> np.ndarray:
-    # One matrix-vector product per item: a matrix product over the batch
-    # would sum in another order.
-    return np.array([model.w_r @ s for s in sums])
+    an (items, dim) array."""
+    means = np.add.reduceat(embeddings[batch.rows], np.cumsum(batch.lengths) - batch.lengths)
+    means /= batch.lengths[:, None]
+    return np.add.reduceat(means, np.cumsum(batch.counts) - batch.counts)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -241,8 +209,8 @@ def predict_many(model: DualHeadModel, inputs: Sequence[ModelInput], head: str) 
     The "exact" head gives the dot product of the regression weights
     with the summed mask embeddings, in log-seconds; the "range" head a
     (unit, probabilities) pair from a softmax over the inventory, where
-    ties go to the smaller unit. Each item's head runs on its own
-    vector, so a prediction does not depend on the items around it.
+    ties go to the smaller unit. A prediction does not depend on the
+    items around it.
     """
     if head not in ("exact", "range"):
         raise ConfigError(f"head must be 'exact' or 'range', got {head!r}")
@@ -252,9 +220,9 @@ def predict_many(model: DualHeadModel, inputs: Sequence[ModelInput], head: str) 
         chunk = _compile(model, inputs[first:first + _PREDICT_CHUNK], first)
         sums = _item_sums(embeddings, _Windows.of(chunk))
         if head == "exact":
-            out.extend(float(model.w_e @ s) for s in sums)
+            out.extend(np.einsum("id,d->i", sums, model.w_e).tolist())
         else:
-            probs = _softmax(_logits(model, sums))
+            probs = _softmax(np.einsum("id,ud->iu", sums, model.w_r))
             units = [model.inventory[u] for u in np.argmax(probs, axis=1).tolist()]
             out.extend(zip(units, probs))
     return out
@@ -329,13 +297,10 @@ def loss_and_grads(
 
     `batch` holds (input, label) pairs; `train` passes its items already
     compiled to window bucket ids, so that each dataset is hashed once.
-    The forward pass is the one prediction runs. The backward pass takes
-    the softmax, its target update and the head gradient sums over the
-    whole batch, the sums as `np.add.accumulate` from a zero row (always
-    sequential, unlike `np.add.reduce`), and spreads each item's gradient
-    over its window tokens with one scatter-add in item, window and token
-    order. Every sum runs in the order of a loop over items, so the
-    result is bit-identical to one.
+    The forward pass is the one prediction runs. The backward pass runs
+    on the whole batch too: the head gradient is one matrix product with
+    the item sums, and each item's gradient is spread over its window
+    tokens with one weighted `np.bincount`.
 
     Returns gradients for the active head ("w_e" for mse, "w_r" for
     cross_entropy) and for the encoder embeddings. For a compiled batch
@@ -351,39 +316,34 @@ def loss_and_grads(
     sums = _item_sums(embeddings, batch)
     n = len(sums)
     if loss == "mse":
-        errs = [float(model.w_e @ s) - label for s, label in zip(sums, batch.labels)]
-        item_losses = [err * err for err in errs]
-        dv = 2.0 * np.array(errs) / n
-        key, terms = "w_e", dv[:, None] * sums
-        d_sums = dv[:, None] * model.w_e
+        errs = np.einsum("id,d->i", sums, model.w_e) - batch.labels
+        item_losses = errs * errs
+        dv = 2.0 * errs / n
+        grads = {"w_e": dv @ sums}
+        d_sums = np.outer(dv, model.w_e)
     else:
-        dz = _softmax(_logits(model, sums))
+        dz = _softmax(np.einsum("id,ud->iu", sums, model.w_r))
         picked = np.arange(n), batch.labels
-        item_losses = [-math.log(max(p, 1e-300)) for p in dz[picked].tolist()]
+        item_losses = -np.log(np.maximum(dz[picked], 1e-300))
         dz[picked] -= 1.0
         dz /= n
-        key, terms = "w_r", dz[:, :, None] * sums[:, None, :]
-        d_sums = np.array([model.w_r.T @ d for d in dz])
-    total = 0.0
-    for item_loss in item_losses:  # not sum(): Python 3.12 compensates its float sums
-        total += item_loss
-    grads = {key: np.add.accumulate(np.concatenate([np.zeros((1, *terms.shape[1:])), terms]))[-1]}
+        grads = {"w_r": dz.T @ sums}
+        d_sums = dz @ model.w_r
 
-    lengths = np.array(batch.lengths)
-    d_windows = np.repeat(d_sums, batch.counts, axis=0) / lengths[:, None]
+    d_windows = np.repeat(d_sums, batch.counts, axis=0) / batch.lengths[:, None]
     rows = np.flatnonzero(np.bincount(batch.rows, minlength=len(embeddings)))
     # A weighted bincount adds its weights in order from zero, so over
     # (row, column) indices it is the token-order scatter-add.
     dim = embeddings.shape[1]
     cells = (np.searchsorted(rows, batch.rows)[:, None] * dim + np.arange(dim)).ravel()
-    d_rows = np.bincount(cells, weights=np.repeat(d_windows, lengths, axis=0).ravel(),
+    d_rows = np.bincount(cells, weights=np.repeat(d_windows, batch.lengths, axis=0).ravel(),
                          minlength=len(rows) * dim).reshape(len(rows), dim)
     if compiled:
         grads["embeddings"] = (rows, d_rows)
     else:
         grads["embeddings"] = np.zeros_like(embeddings)
         grads["embeddings"][rows] = d_rows
-    return total / n, grads
+    return float(item_losses.sum()) / n, grads
 
 
 def evaluate_loss(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]], loss: str) -> float:
@@ -505,7 +465,8 @@ def train(
         for start in range(0, n, cfg.batch_size):
             chosen = order[start:start + cfg.batch_size]
             batch = _Windows.of([items[i] for i in chosen], [labels[i] for i in chosen])
-            loss, grads = loss_and_grads(model, batch, cfg.loss)
+            with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+                loss, grads = loss_and_grads(model, batch, cfg.loss)
             if not math.isfinite(loss) or loss > _DIVERGED_LOSS:
                 raise ValueError(f"training diverged at step {len(curve) + 1} (epoch {epoch}): "
                                  f"loss {loss:.6g} is not at most {_DIVERGED_LOSS:g}")

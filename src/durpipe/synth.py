@@ -133,7 +133,8 @@ def generate(spec: SynthSpec) -> SynthOutput:
             "adj": _ADJECTIVES[int(rng.integers(len(_ADJECTIVES)))],
             "adv": _ADVERBS[int(rng.integers(len(_ADVERBS)))],
         }
-        seconds = cue_unit.seconds * float(np.exp(rng.normal(0.0, spec.sigma)))
+        with np.errstate(over="ignore"):  # the range check below reports it
+            seconds = cue_unit.seconds * float(np.exp(rng.normal(0.0, spec.sigma)))
         if not 0 < seconds < math.inf:
             raise ConfigError(f"sigma = {spec.sigma} drew a duration of {seconds} s")
         quantity, unit = _render_duration(seconds)

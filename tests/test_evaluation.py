@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from durpipe.evaluation import (
     RangeRule,
-    error_profile,
     eval_coarse,
     eval_fine,
     eval_mctaco,
@@ -275,48 +274,6 @@ def test_majority_rejects_empty_and_unknown():
         majority_baseline([], "fine")
     with pytest.raises(ValueError):
         majority_baseline([GT], "mctaco")
-
-
-# --- error profiles --------------------------------------------------------
-
-
-def _fine_report_with_keys(pairs):
-    preds, golds, keys = zip(*[(p, g, k) for p, g, k in pairs])
-    return eval_fine(list(preds), list(golds), UNITS_8, keys=list(keys))
-
-
-def test_error_profile_counts_and_ties():
-    report = _fine_report_with_keys([
-        (U.SECOND, U.YEAR, "said"),
-        (U.SECOND, U.YEAR, "said"),
-        (U.SECOND, U.YEAR, "said"),
-        (U.MINUTE, U.DECADE, "estimated"),
-        (U.HOUR, U.HOUR, "met"),
-        (U.DAY, U.DAY, "ran"),
-        (U.DAY, U.DAY, "met"),
-    ])
-    profile = error_profile(report)
-    assert profile.incorrect == (("said", 3), ("estimated", 1))
-    assert profile.correct[0] == ("met", 2)
-    assert profile.totals["said"] == 3
-    # lexicographic tiebreak between equal-count keys
-    assert profile.correct[1:] == (("ran", 1),)
-
-
-def test_error_profile_all_correct_is_empty():
-    report = eval_fine([U.DAY], [U.DAY], UNITS_8, keys=["ran"])
-    profile = error_profile(report)
-    assert profile.incorrect == ()
-    assert profile.correct == (("ran", 1),)
-
-
-def test_error_profile_top_k():
-    report = _fine_report_with_keys(
-        [(U.SECOND, U.YEAR, f"w{i:02d}") for i in range(30)]
-    )
-    profile = error_profile(report, top_k=15)
-    assert len(profile.incorrect) == 15
-    assert sum(profile.totals.values()) == 30
 
 
 # --- report invariants -----------------------------------------------------
