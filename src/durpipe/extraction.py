@@ -33,6 +33,7 @@ __all__ = [
     "MatchResult",
     "LabeledInstance",
     "ExtractionStats",
+    "MaskedTextError",
     "match_sentence",
     "failed_filters",
     "label_sentence",
@@ -71,8 +72,16 @@ _ORDINAL_TIME_RE = re.compile(r"(?:" + _ORDINALS + r") time", re.IGNORECASE)
 _SECONDARY_RE = re.compile(r"\d+ secondary", re.IGNORECASE)
 _UNIT_OLD_RE = re.compile(r"(?:" + _UNIT_ALTERNATION + r")s? old", re.IGNORECASE)
 
-# Sentence segmentation: terminal punctuation followed by whitespace.
-_SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
+# A sentence ends at terminal punctuation followed by whitespace.
+_SENTENCE_END_RE = re.compile(r"[.!?]\s+")
+# A sentence that the trigger pattern matches holds a character that \d
+# matches; [0-9] would miss the digits of other scripts that it takes.
+_DIGIT_RE = re.compile(r"\d")
+
+
+class MaskedTextError(ValueError):
+    """A sentence already holds a mask token, so the masks of its
+    duration could not be told apart from it."""
 
 
 @dataclass(frozen=True)
@@ -197,8 +206,13 @@ def match_sentence(sentence: str, cfg: ExtractionConfig | None = None) -> MatchR
 
     The gap is greedy, so when several values follow one trigger before a
     stop character the furthest one is taken, mirroring the source
-    pattern's behavior.
+    pattern's behavior. The quantity is a run of characters that `\\d`
+    matches: ASCII digits and the decimal digits of other scripts ("٣",
+    "３"), which float() reads at their value. A sentence holding no such
+    character cannot match and is not searched.
     """
+    if _DIGIT_RE.search(sentence) is None:
+        return None
     m = (cfg or _DEFAULT_CONFIG).pattern.search(sentence)
     if m is None:
         return None
@@ -238,8 +252,11 @@ def label_sentence(sentence: str, m: MatchResult, source_id: str = "") -> Labele
     One mask token is written per whitespace token of the expression, so
     "23 years" becomes "[MASK] [MASK]". Raises InvalidQuantityError for
     quantities that cannot be normalized (zero, or numerals too large for
-    a float); callers skip those sentences.
+    a float), and MaskedTextError for a sentence that already holds a
+    mask token; callers skip those sentences.
     """
+    if MASK_TOKEN in sentence and find_mask_positions(sentence):
+        raise MaskedTextError(f"sentence already holds a {MASK_TOKEN} token")
     start, end = m.expression.span
     expression_text = sentence[start:end]
     n_tokens = len(tokenize(expression_text))
@@ -256,8 +273,18 @@ def label_sentence(sentence: str, m: MatchResult, source_id: str = "") -> Labele
 
 def segment_sentences(document: str) -> list[str]:
     """Split on terminal punctuation followed by whitespace; no
-    abbreviation handling."""
-    return [s for s in _SENTENCE_SPLIT_RE.split(document) if s.strip()]
+    abbreviation handling. A sentence keeps its punctuation and loses the
+    whitespace after it, and a blank remainder is dropped: these are the
+    nonblank pieces of a split on `(?<=[.!?])\\s+`, found without the
+    lookbehind, which keeps re from scanning ahead for the punctuation."""
+    sentences, start = [], 0
+    for m in _SENTENCE_END_RE.finditer(document):
+        sentences.append(document[start:m.start() + 1])
+        start = m.end()
+    rest = document[start:]
+    if rest.strip():
+        sentences.append(rest)
+    return sentences
 
 
 def extract_corpus(
@@ -293,7 +320,7 @@ def extract_corpus(
                 continue
             try:
                 instance = label_sentence(sentence, m, source_id=f"{doc_id}#{idx}")
-            except InvalidQuantityError as exc:
+            except (InvalidQuantityError, MaskedTextError) as exc:
                 stats.skipped_instances += 1
                 logger.debug("skipping %s#%d: %s", doc_id, idx, exc)
                 continue
@@ -306,9 +333,11 @@ def read_documents(lines: Iterable[str], source: str) -> Iterator[tuple[str, str
     """Parse JSONL document records ({"id": ..., "text": ...}).
 
     A record without an id gets "<source>:<line index>". A malformed
-    line is warned about and yields that id with text None, which
-    extract_corpus counts as skipped.
+    line yields that id with text None, which extract_corpus counts as
+    skipped; each is logged at DEBUG, and one WARNING at the end gives
+    their number and the first one's line index.
     """
+    n_bad, first_bad = 0, None
     for i, line in enumerate(lines):
         line = line.strip()
         if not line:
@@ -317,9 +346,14 @@ def read_documents(lines: Iterable[str], source: str) -> Iterator[tuple[str, str
             obj = json.loads(line)
             doc = str(obj.get("id", f"{source}:{i}")), obj["text"]
         except (json.JSONDecodeError, AttributeError, KeyError, TypeError):
-            logger.warning("skipping malformed document %s:%d", source, i)
+            logger.debug("skipping malformed document %s:%d", source, i)
+            n_bad += 1
+            first_bad = i if first_bad is None else first_bad
             doc = f"{source}:{i}", None
         yield doc
+    if n_bad:
+        logger.warning("skipping malformed document lines in %s: %d lines, the first at index %d",
+                       source, n_bad, first_bad)
 
 
 def write_instances(instances: Sequence[LabeledInstance]) -> str:

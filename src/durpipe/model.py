@@ -210,7 +210,9 @@ def predict_many(model: DualHeadModel, inputs: Sequence[ModelInput], head: str) 
     with the summed mask embeddings, in log-seconds; the "range" head a
     (unit, probabilities) pair from a softmax over the inventory, where
     ties go to the smaller unit. A prediction does not depend on the
-    items around it.
+    items around it. A head output that is not finite, which parameters
+    too large for float64 arithmetic give, raises a ValueError naming
+    the item and the head.
     """
     if head not in ("exact", "range"):
         raise ConfigError(f"head must be 'exact' or 'range', got {head!r}")
@@ -218,13 +220,21 @@ def predict_many(model: DualHeadModel, inputs: Sequence[ModelInput], head: str) 
     out = []
     for first in range(0, len(inputs), _PREDICT_CHUNK):
         chunk = _compile(model, inputs[first:first + _PREDICT_CHUNK], first)
-        sums = _item_sums(embeddings, _Windows.of(chunk))
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            sums = _item_sums(embeddings, _Windows.of(chunk))
+            if head == "exact":
+                outputs = np.einsum("id,d->i", sums, model.w_e)
+            else:
+                outputs = _softmax(np.einsum("id,ud->iu", sums, model.w_r))
+        bad = np.nonzero(~np.isfinite(outputs))[0]
+        if len(bad):
+            raise ValueError(f"item {first + int(bad[0])}: the {head} head's output is not "
+                             "finite; the model's parameters overflow float64")
         if head == "exact":
-            out.extend(np.einsum("id,d->i", sums, model.w_e).tolist())
+            out.extend(outputs.tolist())
         else:
-            probs = _softmax(np.einsum("id,ud->iu", sums, model.w_r))
-            units = [model.inventory[u] for u in np.argmax(probs, axis=1).tolist()]
-            out.extend(zip(units, probs))
+            units = [model.inventory[u] for u in np.argmax(outputs, axis=1).tolist()]
+            out.extend(zip(units, outputs))
     return out
 
 

@@ -126,6 +126,56 @@ def test_extract_cli_counts_skipped_documents(tmp_path):
     assert stats["emitted"] == 1
 
 
+# An extract corpus for the gates in extraction: documents without a
+# digit (ASCII or not), digits of other scripts, Unicode whitespace after
+# sentence ends, several matches in one sentence, filter traps and
+# malformed lines; the .txt file holds its Unicode characters unescaped.
+# It holds no literal mask token. The digests were recorded before the
+# gates were added.
+PINNED_EXTRACT_DOCS = [
+    {"id": "plain", "text": "The siege lasted for 23 years. He smiled! Did it end? Yes."},
+    {"id": "no-digit", "text": "Nothing was timed here. They waited for days."},
+    {"id": "no-digit-unicode", "text": "Caf\u00e9 owners waited for weeks.\u2003Nobody knew why."},
+    {"id": "arabic", "text": "The strike lasted for \u0663 days.\x85Talks took \u0662\u0664 hours."},
+    {"id": "fullwidth", "text": "Repairs took \uff13 hours.\u00a0Then it rained \u2014 for \uff12 weeks."},
+    {"id": "several", "text": "It took 3 hours, then 2 days and he ran for 4 weeks over 5 years!"},
+    {"id": "traps", "text": "He looked over 23 years old. It lasted for more than 10 years. "
+                            "We met every 2 weeks. It took 0 seconds."},
+    {"id": "spaces", "text": "  It took 2 days.\t\n  Then 3 weeks passed.\u3000 She spent 6 months abroad.  "},
+]
+PINNED_EXTRACT_TXT = "The voyage took \uff17 weeks.\u2028It lasted for 2 months\x85over 3 years. End"
+PINNED_EXTRACT = {
+    "instances.jsonl": "9caadcd6cf2a5c51fed0eed9b9c957f43fad2e5cc7b76714191cfc4d56816b57",
+    "stats.json": "e16ce3325c9156fe2c30e2e9fa215b4e86654371a0b6901b2541b7dfa77f866d",
+}
+
+
+def test_extract_bytes_are_pinned(tmp_path):
+    corpus = tmp_path / "docs.jsonl"
+    corpus.write_text("".join(json.dumps(d) + "\n" for d in PINNED_EXTRACT_DOCS)
+                      + 'not json\n{"id": "x", "body": "It took 2 days."}\n[1]\n', encoding="utf-8")
+    (tmp_path / "raw.txt").write_text(PINNED_EXTRACT_TXT, encoding="utf-8")
+    out = tmp_path / "ex"
+    assert run("extract", corpus, tmp_path / "raw.txt", "--out", out) == 0
+    ids = [json.loads(line)["source_id"] for line in (out / "instances.jsonl").read_text().splitlines()]
+    assert {"arabic#0", "arabic#1", "fullwidth#0", "raw.txt#0"} <= set(ids)
+    for name, digest in PINNED_EXTRACT.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_malformed_lines_give_one_warning_per_file(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "a", "text": "It took 2 days."}\nnot json\n\n[1]\n{"id": "b"}\n',
+                   encoding="utf-8")
+    default = _run_child("extract", bad, "--out", tmp_path / "out")
+    assert default.returncode == 0
+    assert default.stderr.splitlines() == [
+        "WARNING durpipe.extraction: skipping malformed document lines in bad.jsonl: "
+        "3 lines, the first at index 1"]
+    debug = _run_child("extract", bad, "--out", tmp_path / "out-debug", log_level="DEBUG")
+    assert debug.stderr.count("DEBUG durpipe.extraction: skipping malformed document bad.jsonl:") == 3
+
+
 def test_extract_cli_missing_path_is_io_error(tmp_path):
     assert run("extract", tmp_path / "nope.jsonl", "--out", tmp_path / "o") == cli.EXIT_IO
 
@@ -720,6 +770,20 @@ def test_log_verbosity_env_var(tmp_path):
     assert "skipping malformed document" not in quiet.stderr
 
 
+@pytest.fixture(scope="module")
+def overflowing(tmp_path_factory):
+    """Checkpoints of both heads after one step at rate 1e300. The step
+    loss is finite, so training succeeds, but the parameters are so large
+    that every prediction overflows."""
+    root = tmp_path_factory.mktemp("overflowing")
+    assert run("synth", "--out", root / "synth", "--size", 16, "--holdout", 8, "--seed", 3) == 0
+    assert run("extract", root / "synth" / "corpus.jsonl", "--out", root / "ex") == 0
+    for head in ("exact", "range"):
+        assert run("train", root / "ex" / "instances.jsonl", "--head", head, "--epochs", 1,
+                   "--batch-size", 16, "--learning-rate", 1e300, "--out", root / head) == 0
+    return root
+
+
 # A configuration or data error is one line on stderr: no log record
 # repeats it, and no numpy warning about an overflowing draw or a
 # diverging step comes ahead of it.
@@ -730,10 +794,15 @@ def test_log_verbosity_env_var(tmp_path):
      "data error: training diverged"),
     (["train", "{instances}", "--head", "range", "--learning-rate", 1e308], cli.EXIT_DATA,
      "data error: training diverged"),
-], ids=["sigma-1e300", "sigma-800", "train-exact-diverges", "train-range-diverges"])
-def test_error_is_one_line_on_stderr(small_pipeline, tmp_path, argv, code, message):
+    (["eval", "{overflowing}/exact/model.ckpt", "{overflowing}/synth/holdout.tsv", "--head", "exact"],
+     cli.EXIT_DATA, "data error: item 0: the exact head's output is not finite"),
+    (["eval", "{overflowing}/range/model.ckpt", "{overflowing}/synth/holdout.tsv", "--head", "range"],
+     cli.EXIT_DATA, "data error: item 0: the range head's output is not finite"),
+], ids=["sigma-1e300", "sigma-800", "train-exact-diverges", "train-range-diverges",
+        "eval-exact-overflows", "eval-range-overflows"])
+def test_error_is_one_line_on_stderr(small_pipeline, overflowing, tmp_path, argv, code, message):
     instances = small_pipeline / "ex" / "instances.jsonl"
-    result = _run_child(*[str(a).format(instances=instances) for a in argv],
+    result = _run_child(*[str(a).format(instances=instances, overflowing=overflowing) for a in argv],
                         "--out", tmp_path / "out")
     assert result.returncode == code
     assert result.stderr.splitlines() == [result.stderr.strip()]

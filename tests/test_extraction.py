@@ -1,12 +1,15 @@
 import io
 import math
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from durpipe.extraction import (
     TRIGGER_FAMILIES,
     ExtractionConfig,
     DurationExpression,
+    MaskedTextError,
     MatchResult,
     extract_corpus,
     failed_filters,
@@ -156,10 +159,51 @@ def test_label_sentence_rejects_zero_quantity():
         label_sentence(sentence, m)
 
 
+def test_label_sentence_rejects_a_sentence_holding_a_mask_token():
+    sentence = "The [MASK] lasted for 3 days."
+    with pytest.raises(MaskedTextError):
+        label_sentence(sentence, match_sentence(sentence))
+    instances, stats = extract_corpus([("d", f"{sentence} It took 2 days. Then [MASK], over 4 weeks.")])
+    assert [i.source_id for i in instances] == ["d#1"]
+    assert (stats.matched, stats.skipped_instances, stats.emitted) == (3, 2, 1)
+
+
 def test_segment_sentences():
     text = "He ran. She walked! Did they rest? Yes."
     assert segment_sentences(text) == ["He ran.", "She walked!", "Did they rest?", "Yes."]
     assert segment_sentences("No terminal punctuation here") == ["No terminal punctuation here"]
+    assert segment_sentences(" It ended.\x85\u3000 Then? \t") == [" It ended.", "Then?"]
+    assert segment_sentences(". \u2003") == ["."]
+
+
+def test_digits_of_other_scripts_match():
+    for sentence, quantity in [("The strike lasted for \u0663 days.", 3),
+                               ("Repairs took \uff12\uff14 hours.", 24)]:
+        assert match_sentence(sentence).expression.quantity == quantity
+        instances, _ = extract_corpus([("d", sentence)])
+        assert [i.source_id for i in instances] == ["d#0"]
+
+
+# Text built from the pieces that segmentation and the digit gate look
+# at: ASCII and other digits, ASCII and Unicode whitespace, terminal and clause
+# punctuation, triggers and units, plus arbitrary characters.
+_PIECES = ["took", "for", "lasting", "spent", "over", "period", "old", "more than", "every",
+           "days", "Hours", "years", "week", "x", " ", " ", "  ", "\t", "\n", "\x85", "\xa0",
+           "\u2003", "\u3000", ".", "!", "?", ",", ";", "[MASK]", "0", "3", "23", "\u0663",
+           "\u0662\u0664", "\uff13", "\u09ea", " took 3 days", " for \u0663 weeks", " over 12 months"]
+_texts = st.lists(st.one_of(st.sampled_from(_PIECES), st.characters()), max_size=40).map("".join)
+
+
+@given(_texts)
+def test_segment_sentences_equals_the_lookbehind_split(text):
+    assert segment_sentences(text) == [s for s in re.split(r"(?<=[.!?])\s+", text) if s.strip()]
+
+
+@given(_texts)
+def test_gated_match_equals_the_ungated_search(text):
+    m, want = match_sentence(text), ExtractionConfig().pattern.search(text)
+    got = m and (m.trigger, m.expression.span, m.matched_text)
+    assert got == (want and (want["trigger"], want.span("expr"), want[0]))
 
 
 # Three documents, five clean planted matches, two filter traps.

@@ -602,6 +602,21 @@ def test_predict_many_bit_identical_to_one_item_predict(dim):
         predict_many(model, inputs, "both")
 
 
+@pytest.mark.parametrize("head", ["exact", "range"])
+def test_predict_many_names_the_item_whose_output_is_not_finite(head):
+    model = DualHeadModel.create(dim=4, seed=0, buckets=4096, radius=1)
+    normal = ModelInput(text="It took [MASK] today.", mask_positions=(2,))
+    huge = ModelInput(text="It took [MASK] zzz.", mask_positions=(2,))
+    assert model.encoder.bucket("zzz.") not in {model.encoder.bucket(t) for t in normal.text.split()}
+    model.encoder.embeddings[model.encoder.bucket("zzz.")] = 1e308
+    model.w_e[:] = model.w_r[:] = 10.0
+    first_bad = model_mod._PREDICT_CHUNK + 3
+    inputs = [normal] * first_bad + [huge, normal, huge]
+    with pytest.raises(ValueError, match=rf"^item {first_bad}: the {head} head's output is not finite"):
+        predict_many(model, inputs, head)
+    assert len(predict_many(model, inputs[:first_bad], head)) == first_bad
+
+
 @pytest.mark.parametrize("vocabulary,buckets,under_half,dim,radius,max_words", [
     pytest.param(6, 256, True, 5, 2, 8, id="6-256-True"),
     pytest.param(400, 64, False, 5, 2, 8, id="400-64-False"),
