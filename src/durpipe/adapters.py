@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .text import find_mask_positions
+from .text import MASK_TOKEN, splice_masks, starts_word
 from .units import (
     UNITS_7,
     TemporalUnit,
@@ -105,22 +105,30 @@ def _mean_log_seconds(row: TimeBankRow) -> float:
     return normalize((lo + hi) / 2.0, TemporalUnit.SECOND)
 
 
-def _check_span(row: TimeBankRow) -> None:
-    if not 0 <= row.event_span[0] < row.event_span[1] <= len(row.sentence):
+def _check_row(row: TimeBankRow) -> None:
+    """The event span lies in the sentence and ends where a word ends, and
+    the sentence holds no mask token, so the masks inserted after the span
+    come out as exactly the inserted tokens."""
+    start, end = row.event_span
+    if not 0 <= start < end <= len(row.sentence):
         raise MalformedRowError(
             f"event span {row.event_span} outside sentence of length {len(row.sentence)}"
         )
+    if MASK_TOKEN in row.sentence:
+        raise MalformedRowError(f"sentence holds {MASK_TOKEN}")
+    if row.sentence[end - 1].isspace() or starts_word(row.sentence[end:]):
+        raise MalformedRowError(f"event span {row.event_span} does not end where a word ends")
 
 
 def timebank_to_input(row: TimeBankRow, inventory: UnitInventory = UNITS_7) -> ModelInput:
     """Insert the duration pattern after the event word and label the row."""
-    _check_span(row)
+    _check_row(row)
     end = row.event_span[1]
-    text = row.sentence[:end] + MASK_PATTERN_MID + row.sentence[end:]
+    text, positions = splice_masks(row.sentence[:end], MASK_PATTERN_MID, row.sentence[end:])
     exact = _mean_log_seconds(row)
     return ModelInput(
         text=text,
-        mask_positions=tuple(find_mask_positions(text)),
+        mask_positions=positions,
         exact_label=exact,
         range_label=closest_unit(exact, inventory),
     )
@@ -175,10 +183,18 @@ def parse_answer_value(answer: str) -> float | None:
     return normalize(quantity, TemporalUnit.from_string(m.group("unit")))
 
 
+def _check_qa_row(row: McTacoRow) -> None:
+    for key in ("context", "question"):
+        if MASK_TOKEN in getattr(row, key):
+            raise MalformedRowError(f"QA field {key} holds {MASK_TOKEN}")
+
+
 def mctaco_to_input(row: McTacoRow) -> ModelInput:
     """Build the masked input for a QA row; its answer is not read."""
-    text = row.context.strip() + " " + question_to_statement(row.question) + MASK_PATTERN_END
-    return ModelInput(text=text, mask_positions=tuple(find_mask_positions(text)))
+    _check_qa_row(row)
+    head = row.context.strip() + " " + question_to_statement(row.question)
+    text, positions = splice_masks(head, MASK_PATTERN_END, "")
+    return ModelInput(text=text, mask_positions=positions)
 
 
 def group_mctaco_rows(rows: Iterable[McTacoRow]) -> list[tuple[str, list[McTacoRow]]]:
@@ -221,7 +237,7 @@ def read_timebank_tsv(lines: Iterable[str]) -> list[TimeBankRow]:
                 min_duration=(_quantity(min_q), TemporalUnit.from_string(min_u)),
                 max_duration=(_quantity(max_q), TemporalUnit.from_string(max_u)),
             )
-            _check_span(row)
+            _check_row(row)
         except ValueError as exc:
             raise MalformedRowError(f"row {i}: {exc}") from exc
         if row.min_duration[0] * row.min_duration[1].seconds > (
@@ -283,7 +299,12 @@ def read_mctaco_jsonl(lines: Iterable[str]) -> list[McTacoRow]:
             key = wrong[0]
             raise MalformedRowError(f"line {n}: QA field {key} is {obj[key]!r}, "
                                     f"not a {_QA_FIELDS[key].__name__}")
-        out.append(McTacoRow(**{key: obj[key] for key in _QA_FIELDS}))
+        row = McTacoRow(**{key: obj[key] for key in _QA_FIELDS})
+        try:
+            _check_qa_row(row)
+        except MalformedRowError as exc:
+            raise MalformedRowError(f"line {n}: {exc}") from exc
+        out.append(row)
     return out
 
 

@@ -81,7 +81,9 @@ def _iter_documents(files: list[Path]):
             yield path.name, None
             continue
         if path.suffix == ".jsonl":
-            yield from extraction.read_documents(text.splitlines(), path.name)
+            # Only "\n" ends a JSONL line: splitlines() would also break at
+            # U+2028, U+0085 and others, which JSON allows raw in a string.
+            yield from extraction.read_documents(text.split("\n"), path.name)
         else:
             yield path.name, text
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 from .model import ConfigError
@@ -279,5 +280,27 @@ def majority_baseline(
     raise ValueError(f"majority baseline not defined for protocol {protocol!r}")
 
 
+# One item of the report's "items" list as json.dumps(..., sort_keys=True,
+# indent=2) lays it out at that depth.
+_ITEM_JSON = ('    {\n      "correct": %s,\n      "gold": %s,\n      "id": %s,\n'
+              '      "key": %s,\n      "prediction": %s\n    }')
+
+
 def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    """json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n".
+
+    With `indent`, json encodes in pure Python, so only the header goes
+    through json.dumps; the items are laid out from a fixed template,
+    each string encoded by json's C string encoder."""
+    text = json.dumps(replace(report, items=[]).to_json(), sort_keys=True, indent=2)
+    if report.items:
+        quote = encode_basestring_ascii
+        items = ",\n".join([
+            _ITEM_JSON % ("true" if rec.correct else "false", quote(rec.gold),
+                          quote(rec.item_id), quote(rec.key), quote(rec.prediction))
+            for rec in report.items
+        ])
+        # Only a top-level key sits at an indent of two spaces, and no
+        # encoded string holds a raw newline, so this finds the items key.
+        text = text.replace('\n  "items": []', '\n  "items": [\n' + items + '\n  ]', 1)
+    return text + "\n"

@@ -20,7 +20,15 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .adapters import MalformedRowError
-from .text import MASK_TOKEN, find_mask_positions, is_mask_token, mask_string, tokenize
+from .text import (
+    MASK_TOKEN,
+    MaskedTextError,
+    find_mask_positions,
+    is_mask_token,
+    mask_string,
+    splice_masks,
+    tokenize,
+)
 from .units import UNITS_8, InvalidQuantityError, TemporalUnit, closest_unit, normalize
 
 logger = logging.getLogger(__name__)
@@ -77,11 +85,6 @@ _SENTENCE_END_RE = re.compile(r"[.!?]\s+")
 # A sentence that the trigger pattern matches holds a character that \d
 # matches; [0-9] would miss the digits of other scripts that it takes.
 _DIGIT_RE = re.compile(r"\d")
-
-
-class MaskedTextError(ValueError):
-    """A sentence already holds a mask token, so the masks of its
-    duration could not be told apart from it."""
 
 
 @dataclass(frozen=True)
@@ -216,11 +219,16 @@ def match_sentence(sentence: str, cfg: ExtractionConfig | None = None) -> MatchR
     m = (cfg or _DEFAULT_CONFIG).pattern.search(sentence)
     if m is None:
         return None
+    try:
+        unit = TemporalUnit.from_string(m.group("unit"))
+    except ValueError:
+        # The unit matches case-insensitively, which takes "İ" for "i";
+        # "mİnute" then lowercases to a word that names no unit.
+        return None
     # float() saturates huge numerals to inf; label_sentence rejects those.
-    quantity = float(m.group("qty"))
     expression = DurationExpression(
-        quantity=quantity,
-        unit=TemporalUnit.from_string(m.group("unit")),
+        quantity=float(m.group("qty")),
+        unit=unit,
         span=(m.start("expr"), m.end("expr")),
     )
     trigger = m.group("trigger")
@@ -253,18 +261,18 @@ def label_sentence(sentence: str, m: MatchResult, source_id: str = "") -> Labele
     "23 years" becomes "[MASK] [MASK]". Raises InvalidQuantityError for
     quantities that cannot be normalized (zero, or numerals too large for
     a float), and MaskedTextError for a sentence that already holds a
-    mask token; callers skip those sentences.
+    mask token or whose expression is glued to a word ("x3 days"), which
+    would merge a mask into that word; callers skip those sentences.
     """
     if MASK_TOKEN in sentence and find_mask_positions(sentence):
         raise MaskedTextError(f"sentence already holds a {MASK_TOKEN} token")
     start, end = m.expression.span
-    expression_text = sentence[start:end]
-    n_tokens = len(tokenize(expression_text))
-    masked = sentence[:start] + mask_string(n_tokens) + sentence[end:]
+    n_tokens = len(tokenize(sentence[start:end]))
+    masked, positions = splice_masks(sentence[:start], mask_string(n_tokens), sentence[end:])
     exact = normalize(m.expression.quantity, m.expression.unit)
     return LabeledInstance(
         masked_text=masked,
-        mask_positions=tuple(find_mask_positions(masked)),
+        mask_positions=positions,
         exact_label=exact,
         range_label=closest_unit(exact, UNITS_8),
         source_id=source_id,

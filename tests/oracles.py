@@ -178,7 +178,9 @@ CLING = ",.;:!?'\"()"
 
 
 def label_instance(sentence: str, match: OracleMatch, source_id: str) -> dict | None:
-    """Mask and label one match; None when the quantity is unusable."""
+    """Mask and label one match; None when the quantity is unusable or
+    when the masked text does not hold one mask token per token of the
+    expression (a numeral glued to a word, "x718 decades")."""
     quantity = float(match.quantity_text)
     if not (0.0 < quantity < math.inf):
         return None
@@ -189,6 +191,8 @@ def label_instance(sentence: str, match: OracleMatch, source_id: str) -> dict | 
     positions = tuple(
         i for i, tok in enumerate(masked.split()) if tok.strip(CLING) == "[MASK]"
     )
+    if len(positions) != n_tokens:
+        return None
     value = math.log(quantity) + math.log(ORACLE_SECONDS[match.unit_word])
     return {
         "masked_text": masked,

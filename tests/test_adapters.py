@@ -1,11 +1,14 @@
 import io
 import json
 import math
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from durpipe.adapters import (
+    MASK_PATTERN_END,
+    MASK_PATTERN_MID,
     MalformedRowError,
     McTacoRow,
     TimeBankRow,
@@ -19,7 +22,15 @@ from durpipe.adapters import (
     timebank_to_input,
     write_timebank_tsv,
 )
-from durpipe.text import MASK_TOKEN, tokenize, is_mask_token
+from durpipe.text import (
+    MASK_TOKEN,
+    MaskedTextError,
+    find_mask_positions,
+    is_mask_token,
+    mask_string,
+    splice_masks,
+    tokenize,
+)
 from durpipe.units import UNITS_7, UNITS_8, TemporalUnit, format_duration, normalize
 
 HOUR = TemporalUnit.HOUR
@@ -242,3 +253,69 @@ def test_adapter_inputs_have_exactly_two_masks():
     assert list(out.mask_positions) == mask_tokens
     assert len(mask_tokens) == 2
     assert MASK_TOKEN in tokens[mask_tokens[0]]
+
+
+# --- masks placed by construction ------------------------------------------
+
+_INSERTS = st.sampled_from([MASK_PATTERN_MID, MASK_PATTERN_END, mask_string(1), mask_string(2)])
+# Pieces that meet an insert: clinging punctuation, words, near-masks and
+# Unicode whitespace, plus arbitrary characters.
+_PIECES = ["(", ")", ",", ".", "'s", "\"", "x", "t.", "word", "3", "[MASK", "MASK]", "x[MASK]y",
+           "[]", " ", "  ", "\t", "\n", "\x85", "\u2028", "\u3000"]
+_source = st.lists(st.one_of(st.sampled_from(_PIECES), st.characters()), max_size=12).map("".join)
+
+
+@given(_source, _INSERTS, _source)
+def test_spliced_positions_equal_a_rescan_when_the_insertion_is_whitespace_delimited(
+        head, insert, tail):
+    head, tail = head + " ", " " + tail
+    assume(not find_mask_positions(head) and not find_mask_positions(tail))
+    text = head + insert + tail
+    assert splice_masks(head, insert, tail) == (text, tuple(find_mask_positions(text)))
+
+
+@given(_source, _INSERTS, _source)
+def test_spliced_positions_equal_a_rescan_or_the_splice_is_refused(head, insert, tail):
+    # A mask may touch clinging punctuation ("(3 days)"); one that would
+    # join anything else is refused, because it would be lost.
+    assume(not find_mask_positions(head) and not find_mask_positions(tail))
+    text = head + insert + tail
+    try:
+        got = splice_masks(head, insert, tail)
+    except MaskedTextError:
+        assert len(find_mask_positions(text)) < len(find_mask_positions(insert))
+    else:
+        assert got == (text, tuple(find_mask_positions(text)))
+
+
+def test_timebank_span_before_clinging_punctuation_keeps_both_masks():
+    out = timebank_to_input(TimeBankRow("They met.", (5, 8), (1.0, HOUR), (1.0, HOUR)))
+    assert out.text == "They met, lasting [MASK] [MASK],."
+    assert out.mask_positions == (3, 4)
+
+
+@pytest.mark.parametrize("sentence,span,message", [
+    ("The [MASK] met again.", (11, 14), "sentence holds [MASK]"),
+    ("They[MASK] met.", (11, 14), "sentence holds [MASK]"),
+    ("They met again.", (5, 9), "event span (5, 9) does not end where a word ends"),
+    ("They met again.", (5, 7), "event span (5, 7) does not end where a word ends"),
+    ("The met's end.", (4, 7), "event span (4, 7) does not end where a word ends"),
+], ids=["mask-token", "mask-in-word", "span-ends-on-space", "span-ends-inside-word",
+        "span-before-apostrophe"])
+def test_timebank_row_whose_masks_would_not_come_out_is_refused(sentence, span, message):
+    row = TimeBankRow(sentence, span, (1.0, HOUR), (1.0, HOUR))
+    with pytest.raises(MalformedRowError, match=re.escape(message)):
+        timebank_to_input(row)
+    with pytest.raises(MalformedRowError, match=rf"^row 1: {re.escape(message)}$"):
+        read_timebank_tsv(io.StringIO(write_timebank_tsv([row])))
+
+
+@pytest.mark.parametrize("field", ["context", "question"])
+def test_mctaco_row_holding_a_mask_is_refused(field):
+    good = {"context": "They ran.", "question": "How long did they run?", "answer": "2 hours",
+            "gold": True}
+    bad = {**good, field: good[field].replace("ran", "[MASK]").replace("run", "[MASK]")}
+    with pytest.raises(MalformedRowError, match=rf"QA field {field} holds \[MASK\]"):
+        mctaco_to_input(McTacoRow(**bad))
+    with pytest.raises(MalformedRowError, match=rf"^line 2: QA field {field} holds \[MASK\]$"):
+        read_mctaco_jsonl([json.dumps(good), json.dumps(bad)])

@@ -126,6 +126,28 @@ def test_extract_cli_counts_skipped_documents(tmp_path):
     assert stats["emitted"] == 1
 
 
+def test_extract_cli_splits_jsonl_at_newlines_only(tmp_path):
+    # JSON allows U+2028 raw inside a string; it does not end the line.
+    corpus = tmp_path / "docs.jsonl"
+    corpus.write_text(json.dumps({"id": "a", "text": "It took 2 days.\u2028Then 3 weeks."},
+                                 ensure_ascii=False) + "\n", encoding="utf-8")
+    assert "\u2028" in corpus.read_text(encoding="utf-8")
+    assert run("extract", corpus, "--out", tmp_path / "ex") == 0
+    stats = json.loads((tmp_path / "ex" / "stats.json").read_text())
+    assert (stats["documents"], stats["skipped_documents"], stats["emitted"]) == (1, 0, 1)
+
+
+def test_extract_cli_skips_a_unit_that_does_not_read_back(tmp_path):
+    # "\u0130" matches "i" case-insensitively, and the word it is in then
+    # names no unit: the sentence yields nothing, and extract goes on.
+    corpus = tmp_path / "docs.jsonl"
+    corpus.write_text(json.dumps({"id": "a", "text": "It took 3 m\u0130nutes. It took 2 days."})
+                      + "\n", encoding="utf-8")
+    assert run("extract", corpus, "--out", tmp_path / "ex") == 0
+    ids = [json.loads(line)["source_id"] for line in (tmp_path / "ex" / "instances.jsonl").open()]
+    assert ids == ["a#1"]
+
+
 # An extract corpus for the gates in extraction: documents without a
 # digit (ASCII or not), digits of other scripts, Unicode whitespace after
 # sentence ends, several matches in one sentence, filter traps and
@@ -593,6 +615,9 @@ _INSTANCE = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2
     (["eval", "{te}", "{data}", "--protocol", "mctaco"], json.dumps({**_QA_ROW, "gold": "false"})),
     (["train", "{data}", "--format", "mctaco"], json.dumps({**_QA_ROW, "question": ["q"]})),
     (["train", "{data}", "--format", "mctaco"], json.dumps({**_QA_ROW, "gold": 1})),
+    (["eval", "{te}", "{data}", "--protocol", "mctaco"], json.dumps({**_QA_ROW, "context": "[MASK] ran."})),
+    (["train", "{data}", "--format", "mctaco"],
+     json.dumps({**_QA_ROW, "question": "How long did [MASK] last?"})),
     (["train", "{data}"], json.dumps({**_INSTANCE, "exact_label": float("nan")})),
     (["train", "{data}"], json.dumps({**_INSTANCE, "exact_label": float("inf")})),
     (["train", "{data}"], json.dumps({**_INSTANCE, "exact_label": 10 ** 400})),
@@ -612,6 +637,7 @@ _INSTANCE = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2
 ], ids=["instances-array", "instances-missing-field", "train-qa-array", "eval-qa-array",
         "eval-qa-missing-field", "eval-qa-context-int", "eval-qa-answer-null",
         "eval-qa-gold-string", "train-qa-question-list", "train-qa-gold-int",
+        "eval-qa-context-mask", "train-qa-question-mask",
         "instances-label-nan", "instances-label-inf", "instances-label-huge-int",
         "instances-label-string", "instances-label-bool", "instances-positions-string",
         "instances-positions-float", "instances-positions-bool", "instances-text-int",
@@ -661,6 +687,20 @@ def test_timebank_event_span_outside_sentence_names_the_row(small_pipeline, tmp_
     _run_on_tsv_with_bad_second_row(small_pipeline, tmp_path, argv,
                                     "They met.\t4\t40\t1\thour\t2\thours")
     assert "row 2: event span (4, 40) outside sentence of length 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row,message", [
+    ("The [MASK] met.\t11\t14\t1\thour\t2\thours", "row 2: sentence holds [MASK]"),
+    ("They met again.\t5\t9\t1\thour\t2\thours",
+     "row 2: event span (5, 9) does not end where a word ends"),
+    ("They met again.\t5\t7\t1\thour\t2\thours",
+     "row 2: event span (5, 7) does not end where a word ends"),
+], ids=["sentence-holds-mask", "span-ends-on-space", "span-ends-inside-word"])
+@_TSV_COMMANDS
+def test_timebank_row_whose_masks_would_not_come_out_names_the_row(
+        small_pipeline, tmp_path, capsys, argv, row, message):
+    _run_on_tsv_with_bad_second_row(small_pipeline, tmp_path, argv, row)
+    assert message in capsys.readouterr().err
 
 
 def test_eval_mctaco_without_parseable_answer_names_the_file(small_pipeline, tmp_path, capsys):
@@ -798,12 +838,16 @@ def overflowing(tmp_path_factory):
      cli.EXIT_DATA, "data error: item 0: the exact head's output is not finite"),
     (["eval", "{overflowing}/range/model.ckpt", "{overflowing}/synth/holdout.tsv", "--head", "range"],
      cli.EXIT_DATA, "data error: item 0: the range head's output is not finite"),
+    (["eval", "{overflowing}/exact/model.ckpt", "{masked}", "--head", "exact"],
+     cli.EXIT_DATA, "data error: row 0: sentence holds [MASK]"),
 ], ids=["sigma-1e300", "sigma-800", "train-exact-diverges", "train-range-diverges",
-        "eval-exact-overflows", "eval-range-overflows"])
+        "eval-exact-overflows", "eval-range-overflows", "eval-sentence-holds-mask"])
 def test_error_is_one_line_on_stderr(small_pipeline, overflowing, tmp_path, argv, code, message):
     instances = small_pipeline / "ex" / "instances.jsonl"
-    result = _run_child(*[str(a).format(instances=instances, overflowing=overflowing) for a in argv],
-                        "--out", tmp_path / "out")
+    masked = tmp_path / "masked.tsv"
+    masked.write_text("The [MASK] met.\t11\t14\t1\thour\t2\thours\n", encoding="utf-8")
+    result = _run_child(*[str(a).format(instances=instances, overflowing=overflowing, masked=masked)
+                          for a in argv], "--out", tmp_path / "out")
     assert result.returncode == code
     assert result.stderr.splitlines() == [result.stderr.strip()]
     assert result.stderr.startswith(f"durpipe: {message}")

@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from durpipe.evaluation import (
+    EvalReport,
+    ItemRecord,
     RangeRule,
     eval_coarse,
     eval_fine,
@@ -335,3 +337,30 @@ def test_report_json_roundtrip():
         "id": "0", "prediction": "day", "gold": "day", "correct": True, "key": "x"
     }
     assert report.to_item_tsv().splitlines()[1] == "0\tday\tday\t1\tx"
+
+
+# Text with the characters json escapes: controls, quotes, backslashes,
+# non-ASCII and astral ones.
+_json_text = st.text(st.one_of(st.sampled_from('\x00\x1f\t\n"\\/\u00e9\u2028\U0001f600'),
+                               st.characters()), max_size=8)
+_ratio = st.floats(0.0, 1.0)
+_reports = st.builds(
+    EvalReport,
+    protocol=st.sampled_from(["coarse", "fine", "mctaco"]),
+    accuracy=_ratio,
+    f1_per_class=st.dictionaries(_json_text, st.none() | _ratio, max_size=3),
+    confusion=st.dictionaries(_json_text, st.fixed_dictionaries(
+        {k: st.integers(0, 10**6) for k in ("tp", "fp", "fn")}), max_size=3),
+    exact_match=st.none() | _ratio,
+    items=st.lists(st.builds(ItemRecord, _json_text, _json_text, _json_text, st.booleans(),
+                             _json_text), max_size=6),
+    diagnostics=st.dictionaries(_json_text, st.integers(0, 10**6), max_size=2),
+)
+
+
+@given(_reports)
+@example(EvalReport("mctaco", 0.5, {"\u00e9": None}, {}, None, [], {}))
+@example(EvalReport("fine", 1.0, {}, {}, 0.25, [ItemRecord("q0#a0", "\x01:x", "\u2028", True, "\"")],
+                    {"unparseable_answers": 2}))
+def test_report_to_json_equals_the_indented_dump(report):
+    assert report_to_json(report) == json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"

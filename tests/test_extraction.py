@@ -168,6 +168,26 @@ def test_label_sentence_rejects_a_sentence_holding_a_mask_token():
     assert (stats.matched, stats.skipped_instances, stats.emitted) == (3, 2, 1)
 
 
+def test_label_sentence_skips_an_expression_glued_to_a_word():
+    # The first mask would join "x", and the instance would train on one window.
+    sentence = "It took x3 days."
+    with pytest.raises(MaskedTextError, match="would join 'x'"):
+        label_sentence(sentence, match_sentence(sentence))
+    instances, stats = extract_corpus([("d", f"{sentence} It took (3 days).")])
+    assert [(i.source_id, i.masked_text, i.mask_positions) for i in instances] == [
+        ("d#1", "It took ([MASK] [MASK]).", (2, 3))]
+    assert (stats.matched, stats.skipped_instances, stats.emitted) == (2, 1, 1)
+
+
+def test_unit_that_does_not_read_back_is_no_match():
+    # "\u0130" matches "i" case-insensitively, but lowercases to "i" and a
+    # combining dot, so the matched word names no unit; dotless "\u0131"
+    # reads back as "minute".
+    assert match_sentence("It took 3 m\u0130nutes.") is None
+    instances, stats = extract_corpus([("d", "It took 3 m\u0130nutes. It took 3 m\u0131nutes.")])
+    assert [(i.source_id, i.range_label) for i in instances] == [("d#1", TemporalUnit.MINUTE)]
+
+
 def test_segment_sentences():
     text = "He ran. She walked! Did they rest? Yes."
     assert segment_sentences(text) == ["He ran.", "She walked!", "Did they rest?", "Yes."]
