@@ -15,7 +15,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .text import MASK_TOKEN, splice_masks, starts_word
 from .units import (
@@ -40,9 +40,12 @@ __all__ = [
     "read_timebank_tsv",
     "read_timebank_inputs",
     "write_timebank_tsv",
+    "read_jsonl",
     "read_mctaco_jsonl",
     "read_mctaco_questions",
 ]
+
+T = TypeVar("T")
 
 MASK_PATTERN_MID = ", lasting [MASK] [MASK],"
 MASK_PATTERN_END = ", lasting [MASK] [MASK]."
@@ -64,18 +67,50 @@ class MalformedRowError(ValueError):
 
 @dataclass(frozen=True)
 class TimeBankRow:
+    """An annotated event row. It is refused when made (MalformedRowError)
+    unless the event span lies in the sentence and ends where a word ends
+    and the sentence holds no mask token, so that the masks inserted after
+    the span come out as exactly the inserted tokens."""
+
     sentence: str
     event_span: tuple[int, int]
     min_duration: tuple[float, TemporalUnit]
     max_duration: tuple[float, TemporalUnit]
 
+    def __post_init__(self) -> None:
+        start, end = self.event_span
+        if not 0 <= start < end <= len(self.sentence):
+            raise MalformedRowError(
+                f"event span {self.event_span} outside sentence of length {len(self.sentence)}"
+            )
+        if MASK_TOKEN in self.sentence:
+            raise MalformedRowError(f"sentence holds {MASK_TOKEN}")
+        if self.sentence[end - 1].isspace() or starts_word(self.sentence[end:]):
+            raise MalformedRowError(f"event span {self.event_span} does not end where a word ends")
+
+
+_QA_FIELDS = {"context": str, "question": str, "answer": str, "gold": bool}
+
 
 @dataclass(frozen=True)
 class McTacoRow:
+    """A QA row. It is refused when made (MalformedRowError) unless its
+    fields have the types of `_QA_FIELDS` and neither `context` nor
+    `question` holds a mask token."""
+
     context: str
     question: str
     answer: str
     gold: bool
+
+    def __post_init__(self) -> None:
+        for key, kind in _QA_FIELDS.items():
+            value = getattr(self, key)
+            if not isinstance(value, kind):
+                raise MalformedRowError(f"QA field {key} is {value!r}, not a {kind.__name__}")
+        for key in ("context", "question"):
+            if MASK_TOKEN in getattr(self, key):
+                raise MalformedRowError(f"QA field {key} holds {MASK_TOKEN}")
 
 
 @dataclass(frozen=True)
@@ -105,24 +140,8 @@ def _mean_log_seconds(row: TimeBankRow) -> float:
     return normalize((lo + hi) / 2.0, TemporalUnit.SECOND)
 
 
-def _check_row(row: TimeBankRow) -> None:
-    """The event span lies in the sentence and ends where a word ends, and
-    the sentence holds no mask token, so the masks inserted after the span
-    come out as exactly the inserted tokens."""
-    start, end = row.event_span
-    if not 0 <= start < end <= len(row.sentence):
-        raise MalformedRowError(
-            f"event span {row.event_span} outside sentence of length {len(row.sentence)}"
-        )
-    if MASK_TOKEN in row.sentence:
-        raise MalformedRowError(f"sentence holds {MASK_TOKEN}")
-    if row.sentence[end - 1].isspace() or starts_word(row.sentence[end:]):
-        raise MalformedRowError(f"event span {row.event_span} does not end where a word ends")
-
-
 def timebank_to_input(row: TimeBankRow, inventory: UnitInventory = UNITS_7) -> ModelInput:
     """Insert the duration pattern after the event word and label the row."""
-    _check_row(row)
     end = row.event_span[1]
     text, positions = splice_masks(row.sentence[:end], MASK_PATTERN_MID, row.sentence[end:])
     exact = _mean_log_seconds(row)
@@ -172,26 +191,23 @@ _ANSWER_RE = re.compile(
 
 def parse_answer_value(answer: str) -> float | None:
     """Log-second value of an answer like "2 hours" or "an hour"; None when
-    no quantity-unit pair is present ("a few moments")."""
+    it holds no quantity-unit pair ("a few moments") or its first pair is
+    no positive finite duration: a case-insensitive match takes "İ" for
+    "i" and "ſ" for "s" ("2 mİnutes", "ſix hours"), and numerals overflow."""
     m = _ANSWER_RE.search(answer)
     if m is None:
         return None
     qty_text = m.group("qty").lower()
-    quantity = float(_NUMBER_WORDS.get(qty_text, 0) or qty_text)
-    if quantity <= 0:
+    try:
+        value = normalize(float(_NUMBER_WORDS.get(qty_text, 0) or qty_text),
+                          TemporalUnit.from_string(m.group("unit")))
+    except ValueError:  # also InvalidQuantityError, for zero and inf
         return None
-    return normalize(quantity, TemporalUnit.from_string(m.group("unit")))
-
-
-def _check_qa_row(row: McTacoRow) -> None:
-    for key in ("context", "question"):
-        if MASK_TOKEN in getattr(row, key):
-            raise MalformedRowError(f"QA field {key} holds {MASK_TOKEN}")
+    return value if math.isfinite(value) else None
 
 
 def mctaco_to_input(row: McTacoRow) -> ModelInput:
     """Build the masked input for a QA row; its answer is not read."""
-    _check_qa_row(row)
     head = row.context.strip() + " " + question_to_statement(row.question)
     text, positions = splice_masks(head, MASK_PATTERN_END, "")
     return ModelInput(text=text, mask_positions=positions)
@@ -231,21 +247,14 @@ def read_timebank_tsv(lines: Iterable[str]) -> list[TimeBankRow]:
             )
         sentence, start, end, min_q, min_u, max_q, max_u = record
         try:
-            row = TimeBankRow(
-                sentence=sentence,
-                event_span=(int(start), int(end)),
-                min_duration=(_quantity(min_q), TemporalUnit.from_string(min_u)),
-                max_duration=(_quantity(max_q), TemporalUnit.from_string(max_u)),
-            )
-            _check_row(row)
+            span = int(start), int(end)
+            lo = _quantity(min_q), TemporalUnit.from_string(min_u)
+            hi = _quantity(max_q), TemporalUnit.from_string(max_u)
+            if lo[0] * lo[1].seconds > hi[0] * hi[1].seconds:
+                lo, hi = hi, lo  # annotations occasionally swap the bounds
+            out.append(TimeBankRow(sentence, span, lo, hi))
         except ValueError as exc:
             raise MalformedRowError(f"row {i}: {exc}") from exc
-        if row.min_duration[0] * row.min_duration[1].seconds > (
-            row.max_duration[0] * row.max_duration[1].seconds
-        ):
-            # Annotations occasionally swap the bounds; reorder.
-            row = TimeBankRow(row.sentence, row.event_span, row.max_duration, row.min_duration)
-        out.append(row)
     return out
 
 
@@ -279,33 +288,30 @@ def _format_quantity(q: float) -> str:
     return str(int(q)) if float(q).is_integer() else repr(q)
 
 
-_QA_FIELDS = {"context": str, "question": str, "answer": str, "gold": bool}
-
-
-def read_mctaco_jsonl(lines: Iterable[str]) -> list[McTacoRow]:
-    """Parse JSONL rows with string fields context, question and answer
-    and a JSON boolean gold."""
+def read_jsonl(lines: Iterable[str], parse: Callable[[Any], T], what: str) -> list[T]:
+    """`parse` of the JSON value of each nonblank line. A MalformedRowError
+    from `parse` gets the 1-based line number in front; any other failure
+    on a line (not JSON, a missing key, a value of the wrong kind) says the
+    line is not `what` and quotes its start."""
     out = []
     for n, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
-            wrong = [key for key, kind in _QA_FIELDS.items() if not isinstance(obj[key], kind)]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedRowError(f"line {n}: not a QA row ({exc!r}): {line[:80]}") from exc
-        if wrong:
-            key = wrong[0]
-            raise MalformedRowError(f"line {n}: QA field {key} is {obj[key]!r}, "
-                                    f"not a {_QA_FIELDS[key].__name__}")
-        row = McTacoRow(**{key: obj[key] for key in _QA_FIELDS})
-        try:
-            _check_qa_row(row)
+            out.append(parse(json.loads(line)))
         except MalformedRowError as exc:
             raise MalformedRowError(f"line {n}: {exc}") from exc
-        out.append(row)
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+            raise MalformedRowError(f"line {n}: not {what} ({exc!r}): {line[:80]}") from exc
     return out
+
+
+def read_mctaco_jsonl(lines: Iterable[str]) -> list[McTacoRow]:
+    """Parse JSONL rows with string fields context, question and answer
+    and a JSON boolean gold."""
+    return read_jsonl(lines, lambda obj: McTacoRow(**{key: obj[key] for key in _QA_FIELDS}),
+                      "a QA row")
 
 
 def read_mctaco_questions(lines: Iterable[str], inventory: UnitInventory) -> list[McTacoQuestion]:

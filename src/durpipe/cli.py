@@ -75,7 +75,7 @@ def _iter_input_files(paths: list[str]) -> list[Path]:
 def _iter_documents(files: list[Path]):
     for path in files:
         try:
-            text = path.read_bytes().decode("utf-8")
+            text = path.read_bytes().decode("utf-8-sig")
         except UnicodeDecodeError:
             logger.warning("skipping undecodable file %s", path)
             yield path.name, None
@@ -117,7 +117,7 @@ _OPTIMIZER_KEYS = ("learning_rate", "batch_size", "warmup_proportion", "epochs")
 
 
 def _read_training_inputs(path: Path, fmt: str, inventory) -> list[adapters.ModelInput]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         if fmt == "instances":
             return [adapters.ModelInput(i.masked_text, i.mask_positions, i.exact_label)
                     for i in extraction.read_instances(fh)]
@@ -168,7 +168,7 @@ def cmd_train(settings: dict, out: Path) -> None:
 def _timebank_golds(path: Path, inventory, protocol: str):
     """Inputs, gold labels under the coarse or fine protocol and event
     words of a TSV data file; a file with no rows is a data error."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         inputs, keys = adapters.read_timebank_inputs(fh, inventory)
     if not inputs:
         raise MalformedRowError(f"no rows in {path}")
@@ -188,7 +188,7 @@ def cmd_eval(settings: dict, out: Path) -> None:
 
     data_path = Path(settings["data"])
     if protocol == "mctaco":
-        with open(data_path, encoding="utf-8") as fh:
+        with open(data_path, encoding="utf-8-sig") as fh:
             questions = adapters.read_mctaco_questions(fh, inventory)
         answered = [q for q in questions if q.answers]
         if not answered:
@@ -365,7 +365,7 @@ def resolve(args: argparse.Namespace) -> dict:
     else its default. A flag for a row not read is a ConfigError."""
     command = COMMANDS[args.command]
     config = configparser.ConfigParser(interpolation=None)
-    if args.config and not config.read(args.config, encoding="utf-8"):
+    if args.config and not config.read(args.config, encoding="utf-8-sig"):
         raise FileNotFoundError(f"config file not found: {args.config}")
     settings: dict = {}
     for row in command.settings:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .adapters import MalformedRowError
+from .adapters import read_jsonl
 from .text import (
     MASK_TOKEN,
     MaskedTextError,
@@ -370,12 +370,4 @@ def write_instances(instances: Sequence[LabeledInstance]) -> str:
 
 
 def read_instances(lines: Iterable[str]) -> list[LabeledInstance]:
-    out = []
-    for n, line in enumerate(lines, 1):
-        line = line.strip()
-        if line:
-            try:
-                out.append(LabeledInstance.from_json(json.loads(line)))
-            except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
-                raise MalformedRowError(f"line {n}: not an instance ({exc!r}): {line[:80]}") from exc
-    return out
+    return read_jsonl(lines, LabeledInstance.from_json, "an instance")

@@ -341,11 +341,11 @@ def loss_and_grads(
         d_sums = dz @ model.w_r
 
     d_windows = np.repeat(d_sums, batch.counts, axis=0) / batch.lengths[:, None]
-    rows = np.flatnonzero(np.bincount(batch.rows, minlength=len(embeddings)))
+    rows, slots = np.unique(batch.rows, return_inverse=True)
     # A weighted bincount adds its weights in order from zero, so over
     # (row, column) indices it is the token-order scatter-add.
     dim = embeddings.shape[1]
-    cells = (np.searchsorted(rows, batch.rows)[:, None] * dim + np.arange(dim)).ravel()
+    cells = (slots[:, None] * dim + np.arange(dim)).ravel()
     d_rows = np.bincount(cells, weights=np.repeat(d_windows, batch.lengths, axis=0).ravel(),
                          minlength=len(rows) * dim).reshape(len(rows), dim)
     if compiled:

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -9,6 +10,7 @@ from hypothesis import assume, given, strategies as st
 from durpipe.adapters import (
     MASK_PATTERN_END,
     MASK_PATTERN_MID,
+    TIMEBANK_COLUMNS,
     MalformedRowError,
     McTacoRow,
     TimeBankRow,
@@ -88,9 +90,8 @@ def test_timebank_output_wraps_original_sentence():
 
 
 def test_timebank_bad_span_raises():
-    row = TimeBankRow("Short.", (10, 14), (1.0, HOUR), (1.0, HOUR))
-    with pytest.raises(MalformedRowError):
-        timebank_to_input(row)
+    with pytest.raises(MalformedRowError, match=re.escape("event span (10, 14) outside sentence")):
+        TimeBankRow("Short.", (10, 14), (1.0, HOUR), (1.0, HOUR))
 
 
 @pytest.mark.parametrize(
@@ -142,8 +143,18 @@ def test_parse_answer_values(answer, expected):
     assert parse_answer_value(answer) == pytest.approx(expected)
 
 
-# "all day" has no quantity in front, so it is not a duration expression
-@pytest.mark.parametrize("answer", ["a few moments", "never", "all day long", "0 hours"])
+# "all day" has no quantity in front, so it is not a duration expression.
+# The pattern matches case-insensitively, so "\u0130" (dotted capital I)
+# matches "i" and "\u017f" (long s) matches "s", but the words they are
+# in then read back as no unit or number; a long numeral overflows.
+@pytest.mark.parametrize("answer", [
+    "a few moments", "never", "all day long", "0 hours",
+    pytest.param("2 m\u0130nutes", id="dotted-capital-i-in-unit"),
+    pytest.param("\u017fix hours", id="long-s-in-number-word"),
+    pytest.param("f\u0130ve hours", id="dotted-capital-i-in-number-word"),
+    pytest.param("1" * 400 + " hours", id="numeral-overflows-a-float"),
+    pytest.param("1" * 305 + " years", id="duration-overflows-a-float"),
+])
 def test_parse_answer_unparseable(answer):
     assert parse_answer_value(answer) is None
 
@@ -303,11 +314,11 @@ def test_timebank_span_before_clinging_punctuation_keeps_both_masks():
 ], ids=["mask-token", "mask-in-word", "span-ends-on-space", "span-ends-inside-word",
         "span-before-apostrophe"])
 def test_timebank_row_whose_masks_would_not_come_out_is_refused(sentence, span, message):
-    row = TimeBankRow(sentence, span, (1.0, HOUR), (1.0, HOUR))
     with pytest.raises(MalformedRowError, match=re.escape(message)):
-        timebank_to_input(row)
+        TimeBankRow(sentence, span, (1.0, HOUR), (1.0, HOUR))
+    tsv = "\t".join(TIMEBANK_COLUMNS) + f"\n{sentence}\t{span[0]}\t{span[1]}\t1\thour\t1\thour\n"
     with pytest.raises(MalformedRowError, match=rf"^row 1: {re.escape(message)}$"):
-        read_timebank_tsv(io.StringIO(write_timebank_tsv([row])))
+        read_timebank_tsv(io.StringIO(tsv))
 
 
 @pytest.mark.parametrize("field", ["context", "question"])
@@ -319,3 +330,53 @@ def test_mctaco_row_holding_a_mask_is_refused(field):
         mctaco_to_input(McTacoRow(**bad))
     with pytest.raises(MalformedRowError, match=rf"^line 2: QA field {field} holds \[MASK\]$"):
         read_mctaco_jsonl([json.dumps(good), json.dumps(bad)])
+
+
+# --- every row a reader accepts converts -----------------------------------
+# The converters run no check of their own: they rely on the readers
+# refusing every row whose inserted masks would not come out as exactly
+# the inserted tokens.
+
+
+_row_text = st.lists(st.one_of(st.sampled_from(_PIECES + [MASK_TOKEN]), st.characters()),
+                     max_size=12).map("".join)
+
+
+@st.composite
+def _tsv_rows(draw):
+    sentence = draw(_row_text)
+    ends = [i for i in range(len(sentence) + 1) if i == len(sentence) or sentence[i].isspace()]
+    end = draw(st.one_of(st.sampled_from(ends), st.integers(-1, len(sentence) + 1)))
+    start = draw(st.integers(-1, max(end, 0)))
+    return sentence, start, end
+
+
+def _assert_masks_on_mask_tokens(model_input):
+    tokens = tokenize(model_input.text)
+    assert len(model_input.mask_positions) == 2
+    assert all(0 <= p < len(tokens) and is_mask_token(tokens[p])
+               for p in model_input.mask_positions)
+    assert model_input.mask_positions == tuple(find_mask_positions(model_input.text))
+
+
+@given(_tsv_rows())
+def test_every_tsv_row_the_reader_accepts_converts_with_its_masks_on_mask_tokens(cells):
+    buf = io.StringIO()
+    csv.writer(buf, delimiter="\t", lineterminator="\n").writerow([*cells, 2, "hours", 1, "day"])
+    try:
+        # newline=None reads the lines as the CLI's text-mode open does
+        rows = read_timebank_tsv(io.StringIO(buf.getvalue(), newline=None))
+    except MalformedRowError:
+        return
+    for row in rows:
+        _assert_masks_on_mask_tokens(timebank_to_input(row))
+
+
+@given(_row_text, _row_text)
+def test_every_qa_row_the_reader_accepts_converts_with_its_masks_on_mask_tokens(context, question):
+    line = json.dumps({"context": context, "question": question, "answer": "2 hours", "gold": True})
+    try:
+        rows = read_mctaco_jsonl([line])
+    except MalformedRowError:
+        return
+    _assert_masks_on_mask_tokens(mctaco_to_input(rows[0]))

@@ -726,6 +726,72 @@ def test_train_without_usable_items_is_data_error(tmp_path, capsys, fmt, text):
     assert not (tmp_path / "out" / "model.ckpt").exists()
 
 
+# The answer pattern matches case-insensitively, so "\u0130" (dotted
+# capital I) matches "i" and "\u017f" (long s) matches "s", but the words
+# they are in read back as no unit or number; a long numeral overflows.
+@pytest.mark.parametrize("answer", ["2 m\u0130nutes", "\u017fix hours", "f\u0130ve hours",
+                                    "1" * 400 + " hours"],
+                         ids=["dotted-i-unit", "long-s-number", "dotted-i-number", "huge-numeral"])
+def test_answer_that_does_not_read_back_is_dropped(small_pipeline, tmp_path, answer):
+    data = tmp_path / "qa.jsonl"
+    data.write_text("".join(json.dumps({**_QA_ROW, **change}) + "\n" for change in (
+        {"answer": answer}, {}, {"answer": answer, "gold": False})), encoding="utf-8")
+    checkpoint = small_pipeline / "te" / "model.ckpt"
+    assert run("train", data, "--format", "mctaco", "--init", checkpoint, "--epochs", 1,
+               "--out", tmp_path / "ft") == 0
+    assert run("eval", checkpoint, data, "--protocol", "mctaco", "--out", tmp_path / "ev") == 0
+    report = json.loads((tmp_path / "ev" / "report.json").read_text())
+    assert report["diagnostics"]["unparseable_answers"] == 2
+    assert len(report["items"]) == 1
+
+
+_BOM = b"\xef\xbb\xbf"
+_QA_TEXT = "".join(json.dumps({**_QA_ROW, **change}) + "\n" for change in (
+    {}, {"answer": "3 years", "gold": False}, {"context": "D.", "answer": "5 minutes"}))
+
+
+# A leading UTF-8 byte order mark is not part of any input: a run on a
+# file that starts with one writes what it writes on the file without it,
+# and writes no mark of its own. A source holding "/" names a file of the
+# shared pipeline; any other source is the file's text.
+@pytest.mark.parametrize("argv,name,source,output", [
+    (["extract", "{data}"], "corpus.jsonl", "synth/corpus.jsonl", "instances.jsonl"),
+    (["extract", "{data}"], "doc.txt", "It took 4 hours. They waited for 2 days.", "instances.jsonl"),
+    (["train", "{data}", "--epochs", "1"], "instances.jsonl", "ex/instances.jsonl", "model.ckpt"),
+    (["train", "{data}", "--format", "timebank", "--epochs", "1"], "rows.tsv", "synth/holdout.tsv",
+     "model.ckpt"),
+    (["train", "{data}", "--format", "mctaco", "--epochs", "1"], "qa.jsonl", _QA_TEXT, "model.ckpt"),
+    (["eval", "{te}", "{data}", "--protocol", "fine"], "rows.tsv", "synth/holdout.tsv",
+     "report.json"),
+    (["eval", "{te}", "{data}", "--protocol", "mctaco"], "qa.jsonl", _QA_TEXT, "report.json"),
+    (["baseline", "{data}"], "rows.tsv", "synth/holdout.tsv", "report.json"),
+], ids=["extract-jsonl", "extract-txt", "train-instances", "train-timebank", "train-mctaco",
+        "eval-timebank", "eval-mctaco", "baseline"])
+def test_input_with_a_byte_order_mark_reads_as_without_one(
+        small_pipeline, tmp_path, argv, name, source, output):
+    text = (small_pipeline / source).read_text(encoding="utf-8") if "/" in source else source
+    outputs = []
+    for tag, encoding in [("plain", "utf-8"), ("bom", "utf-8-sig")]:
+        data = tmp_path / tag / name
+        data.parent.mkdir()
+        data.write_text(text, encoding=encoding)
+        argv_run = [a.format(data=data, te=small_pipeline / "te" / "model.ckpt") for a in argv]
+        assert run(*argv_run, "--out", tmp_path / tag / "out") == 0
+        outputs.append((tmp_path / tag / "out" / output).read_bytes())
+    assert (tmp_path / "bom" / name).read_bytes().startswith(_BOM)
+    assert outputs[0] == outputs[1] and outputs[0]
+    assert not outputs[1].startswith(_BOM)
+
+
+def test_config_file_with_a_byte_order_mark_is_read(tmp_path, corpus_file):
+    config = tmp_path / "run.ini"
+    config.write_text("[extract]\npatterns = for-only\n", encoding="utf-8-sig")
+    out = tmp_path / "ex"
+    assert run("extract", corpus_file, "--config", config, "--out", out) == 0
+    assert set(json.loads((out / "stats.json").read_text())["by_trigger"]) == {"for"}
+    assert (out / "config.ini").read_bytes().startswith(b"[extract]")
+
+
 @pytest.mark.parametrize("command,section,key,value", [
     ("train", "train", "head", "exatc"),
     ("train", "train", "format", "csv"),
