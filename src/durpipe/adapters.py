@@ -65,12 +65,17 @@ class MalformedRowError(ValueError):
     """Raised when an annotation row cannot be interpreted."""
 
 
+def _seconds(duration: tuple[float, TemporalUnit]) -> float:
+    return duration[0] * duration[1].seconds
+
+
 @dataclass(frozen=True)
 class TimeBankRow:
     """An annotated event row. It is refused when made (MalformedRowError)
     unless the event span lies in the sentence and ends where a word ends
     and the sentence holds no mask token, so that the masks inserted after
-    the span come out as exactly the inserted tokens."""
+    the span come out as exactly the inserted tokens, and unless both
+    durations and their mean are finite in seconds, so that it has a label."""
 
     sentence: str
     event_span: tuple[int, int]
@@ -87,6 +92,10 @@ class TimeBankRow:
             raise MalformedRowError(f"sentence holds {MASK_TOKEN}")
         if self.sentence[end - 1].isspace() or starts_word(self.sentence[end:]):
             raise MalformedRowError(f"event span {self.event_span} does not end where a word ends")
+        if not math.isfinite((_seconds(self.min_duration) + _seconds(self.max_duration)) / 2.0):
+            raise MalformedRowError("durations " + " and ".join(
+                f"{q:g} {unit.word}" for q, unit in (self.min_duration, self.max_duration))
+                + " or their mean overflow a float in seconds")
 
 
 _QA_FIELDS = {"context": str, "question": str, "answer": str, "gold": bool}
@@ -135,9 +144,8 @@ class McTacoQuestion:
 def _mean_log_seconds(row: TimeBankRow) -> float:
     # Arithmetic mean of the two annotated durations, taken in linear
     # seconds before the log.
-    lo = row.min_duration[0] * row.min_duration[1].seconds
-    hi = row.max_duration[0] * row.max_duration[1].seconds
-    return normalize((lo + hi) / 2.0, TemporalUnit.SECOND)
+    return normalize((_seconds(row.min_duration) + _seconds(row.max_duration)) / 2.0,
+                     TemporalUnit.SECOND)
 
 
 def timebank_to_input(row: TimeBankRow, inventory: UnitInventory = UNITS_7) -> ModelInput:
@@ -233,28 +241,32 @@ def _quantity(text: str) -> float:
 def read_timebank_tsv(lines: Iterable[str]) -> list[TimeBankRow]:
     """Parse TSV rows with columns sentence, event_start, event_end,
     min_quantity, min_unit, max_quantity, max_unit. A header row is
-    recognized and skipped."""
+    recognized and skipped. A row that csv cannot read, such as one with
+    a cell over csv's field size limit, is a MalformedRowError."""
     out = []
-    reader = csv.reader(lines, delimiter="\t")
-    for i, record in enumerate(reader):
-        if not record or all(not cell.strip() for cell in record):
-            continue
-        if i == 0 and record[0].strip().lower() == "sentence":
-            continue
-        if len(record) != len(TIMEBANK_COLUMNS):
-            raise MalformedRowError(
-                f"row {i}: expected {len(TIMEBANK_COLUMNS)} columns, got {len(record)}"
-            )
-        sentence, start, end, min_q, min_u, max_q, max_u = record
-        try:
-            span = int(start), int(end)
-            lo = _quantity(min_q), TemporalUnit.from_string(min_u)
-            hi = _quantity(max_q), TemporalUnit.from_string(max_u)
-            if lo[0] * lo[1].seconds > hi[0] * hi[1].seconds:
-                lo, hi = hi, lo  # annotations occasionally swap the bounds
-            out.append(TimeBankRow(sentence, span, lo, hi))
-        except ValueError as exc:
-            raise MalformedRowError(f"row {i}: {exc}") from exc
+    i = -1
+    try:
+        for i, record in enumerate(csv.reader(lines, delimiter="\t")):
+            if not record or all(not cell.strip() for cell in record):
+                continue
+            if i == 0 and record[0].strip().lower() == "sentence":
+                continue
+            if len(record) != len(TIMEBANK_COLUMNS):
+                raise MalformedRowError(
+                    f"row {i}: expected {len(TIMEBANK_COLUMNS)} columns, got {len(record)}"
+                )
+            sentence, start, end, min_q, min_u, max_q, max_u = record
+            try:
+                span = int(start), int(end)
+                lo = _quantity(min_q), TemporalUnit.from_string(min_u)
+                hi = _quantity(max_q), TemporalUnit.from_string(max_u)
+                if _seconds(lo) > _seconds(hi):
+                    lo, hi = hi, lo  # annotations occasionally swap the bounds
+                out.append(TimeBankRow(sentence, span, lo, hi))
+            except ValueError as exc:
+                raise MalformedRowError(f"row {i}: {exc}") from exc
+    except csv.Error as exc:  # raised while reading the row after row i
+        raise MalformedRowError(f"row {i + 1}: {exc}") from exc
     return out
 
 

@@ -26,11 +26,12 @@ from the config seed, so runs are bit-reproducible.
 batch from the window bucket ids that this leaves. `loss_and_grads`
 gives a compiled batch's embedding gradient compactly, as the batch's
 distinct rows and their values. Each trained parameter has its own
-optimizer; the table's steps only the rows that have had a gradient in
-this run: every other row still has zero moments, so its update is
-exactly zero and skipping it changes no bit (unlike "lazy" Adam, which
-also skips the moment decay of rows without a gradient). Once half the
-rows have had one, it steps the whole table in place.
+optimizer, which keeps moments for and steps only the rows that have
+had a gradient in this run: every other row still has zero moments, so
+its update is exactly zero and skipping it changes no bit (unlike
+"lazy" Adam, which also skips the moment decay of rows without a
+gradient). `DURPIPE_LOG=INFO` logs each epoch's steps, mean loss and
+last learning rate.
 """
 
 from __future__ import annotations
@@ -363,19 +364,16 @@ def evaluate_loss(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]
     return loss_and_grads(model, data, loss)[0]
 
 
-# Share of a parameter's rows that must have had a gradient before
-# stepping all of it in place beats gathering and scattering those rows.
-_DENSE_STEP_SHARE = 0.5
-
-
 class _Adam:
     """Adaptive-moment updates of one parameter, in place, at a learning
     rate supplied per step.
 
-    `step_rows` takes a gradient that is zero outside some rows and
-    updates only the rows that have had one since the optimizer was made,
-    until they are `_DENSE_STEP_SHARE` of the parameter: every other row
-    has m = v = 0, so the full update would leave it exactly as it is.
+    `step_rows` takes a gradient that is zero outside some rows. The
+    moments are kept only for the rows that have had a gradient since the
+    optimizer was made, packed in the order of their first one: `slot`
+    maps a row to its place in `m` and `v`, and `rows[:k]` maps the k
+    places back. Every other row has m = v = 0, so the full update would
+    leave it exactly as it is.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -385,47 +383,35 @@ class _Adam:
         self.m = np.zeros_like(param)
         self.v = np.zeros_like(param)
         self.scratch = (np.empty_like(param), np.empty_like(param))
-        self.touched = np.zeros(len(param), dtype=bool)
+        self.slot = np.full(len(param), -1)
+        self.rows = np.empty(len(param), dtype=np.intp)
+        self.k = 0
         self.t = 0
 
-    def step(self, grad: np.ndarray, lr: float) -> None:
-        self._update(self.param, self.m, self.v, grad, lr)
-
     def step_rows(self, rows: np.ndarray, values: np.ndarray, lr: float) -> None:
-        """Step with a gradient that is `values` on the distinct,
-        ascending `rows` and zero elsewhere."""
-        self.touched[rows] = True
-        active = np.flatnonzero(self.touched)
-        if len(active) < _DENSE_STEP_SHARE * len(self.touched):
-            grad = np.zeros((len(active), *self.param.shape[1:]))
-            grad[np.searchsorted(active, rows)] = values
-            p, m, v = self.param[active], self.m[active], self.v[active]
-            self._update(p, m, v, grad, lr)
-            self.param[active], self.m[active], self.v[active] = p, m, v
-        else:
-            grad = np.zeros_like(self.param)
-            grad[rows] = values
-            self.step(grad, lr)
-
-    def _update(self, param, m, v, grad, lr) -> None:
-        """param -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
-        after the moment updates, in place, with the scratch's leading rows."""
+        """Step with a gradient that is `values` on the distinct `rows` and
+        zero elsewhere: param -= lr * (m / (1 - beta1^t)) /
+        (sqrt(v / (1 - beta2^t)) + eps) after the moment updates."""
+        new = rows[self.slot[rows] < 0]
+        k = self.k + len(new)
+        self.slot[new] = np.arange(self.k, k)
+        self.rows[self.k:k] = new
+        self.k = k
+        slots = self.slot[rows]
         self.t += 1
-        step, denom = (s[:len(grad)] for s in self.scratch)
+        m, v = self.m[:k], self.v[:k]
+        step, denom = (s[:k] for s in self.scratch)
         m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=step)
-        m += step
+        m[slots] += values * (1.0 - self.beta1)
         v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=step)
-        step *= grad
-        v += step
+        v[slots] += values * (1.0 - self.beta2) * values
         np.divide(m, 1.0 - self.beta1 ** self.t, out=step)
         step *= lr
         np.divide(v, 1.0 - self.beta2 ** self.t, out=denom)
         np.sqrt(denom, out=denom)
         denom += self.eps
         step /= denom
-        param -= step
+        self.param[self.rows[:k]] -= step
 
 
 # A step loss above this has diverged: as a squared error it is a mean
@@ -462,9 +448,11 @@ def train(
     head_key = "w_e" if cfg.loss == "mse" else "w_r"
     table = _Adam(model.encoder.embeddings)
     head = _Adam(getattr(model, head_key))
+    head_rows = np.arange(len(head.param))
 
     n = len(data)
-    total_steps = math.ceil(n / cfg.batch_size) * cfg.epochs
+    steps = math.ceil(n / cfg.batch_size)
+    total_steps = steps * cfg.epochs
     warmup_steps = math.ceil(cfg.warmup_proportion * total_steps)
 
     items = _compile(model, [mi for mi, _ in data])
@@ -482,8 +470,10 @@ def train(
                                  f"loss {loss:.6g} is not at most {_DIVERGED_LOSS:g}")
             lr = _warmup_lr(cfg.learning_rate, len(curve) + 1, warmup_steps)
             table.step_rows(*grads["embeddings"], lr)
-            head.step(grads[head_key], lr)
+            head.step_rows(head_rows, grads[head_key], lr)
             curve.append(loss)
+        logger.info("epoch %d: %d steps, mean loss %.6g, learning rate %.6g",
+                    epoch, steps, sum(curve[-steps:]) / steps, lr)
     return model, curve
 
 

@@ -703,6 +703,20 @@ def test_timebank_row_whose_masks_would_not_come_out_names_the_row(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row,message", [
+    ("They met.\t5\t8\t1e301\tyear\t1e301\tyears",
+     "row 2: durations 1e+301 year and 1e+301 year or their mean overflow a float in seconds"),
+    ("They met.\t5\t8\t3e300\tyear\t5e300\tyears",
+     "row 2: durations 3e+300 year and 5e+300 year or their mean overflow a float in seconds"),
+    ("x" * 200_000 + "\t5\t8\t1\thour\t2\thours", "row 2: field larger than field limit"),
+], ids=["bounds-overflow", "mean-overflows", "cell-over-csv-limit"])
+@_TSV_COMMANDS
+def test_timebank_row_that_cannot_be_read_names_the_row(
+        small_pipeline, tmp_path, capsys, argv, row, message):
+    _run_on_tsv_with_bad_second_row(small_pipeline, tmp_path, argv, row)
+    assert message in capsys.readouterr().err
+
+
 def test_eval_mctaco_without_parseable_answer_names_the_file(small_pipeline, tmp_path, capsys):
     data = tmp_path / "qa.jsonl"
     data.write_text(json.dumps({**_QA_ROW, "answer": "a while"}) + "\n", encoding="utf-8")
@@ -874,6 +888,25 @@ def test_log_verbosity_env_var(tmp_path):
     quiet = _run_child("extract", bad, "--out", tmp_path / "out-ERROR", log_level="ERROR")
     assert quiet.returncode == 0
     assert "skipping malformed document" not in quiet.stderr
+
+
+def test_train_logs_one_info_line_per_epoch(small_pipeline, tmp_path):
+    # Both runs write to one directory, whose path config.ini records.
+    out = tmp_path / "out"
+    argv = ("train", small_pipeline / "ex" / "instances.jsonl", "--epochs", 3,
+            "--learning-rate", 0.05, "--seed", 11, "--out", out)
+    quiet = _run_child(*argv)
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    loud = _run_child(*argv, log_level="INFO")
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stderr == ""
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+    curve = json.loads(written["loss_curve.json"])["loss"]
+    steps = len(curve) // 3
+    assert [line for line in loud.stderr.splitlines() if "durpipe.model" in line] == [
+        f"INFO durpipe.model: epoch {e}: {steps} steps, "
+        f"mean loss {sum(curve[(e - 1) * steps:e * steps]) / steps:.6g}, learning rate 0.05"
+        for e in (1, 2, 3)]
 
 
 @pytest.fixture(scope="module")

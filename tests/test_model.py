@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from checkpoint_fuzz import damaged
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from durpipe import model as model_mod
 from durpipe.adapters import ModelInput
@@ -624,9 +626,8 @@ def test_predict_many_names_the_item_whose_output_is_not_finite(head):
 @pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
 def test_train_bit_identical_to_dense_reference(vocabulary, buckets, under_half, dim, radius,
                                                 max_words, loss):
-    # A few words leave most of the 256 rows untouched (row-restricted
-    # steps); many words touch more than half of 64 (dense steps). The
-    # last case has windows of 8 or more tokens.
+    # A few words leave most of the 256 rows untouched; many words touch
+    # more than half of 64. The last case has windows of 8 or more tokens.
     rng = np.random.default_rng(buckets)
     model = DualHeadModel.create(dim=dim, seed=3, buckets=buckets, radius=radius)
     reference = DualHeadModel.create(dim=dim, seed=3, buckets=buckets, radius=radius)
@@ -642,9 +643,18 @@ def test_train_bit_identical_to_dense_reference(vocabulary, buckets, under_half,
     assert (changed < 0.5) == under_half
 
 
+def _moments_by_row(optimizer):
+    """The optimizer's (m, v) in row order, read through its slot map;
+    a row that has had no gradient reads zero."""
+    seen = optimizer.slot >= 0
+    m, v = np.zeros_like(optimizer.param), np.zeros_like(optimizer.param)
+    m[seen], v[seen] = optimizer.m[optimizer.slot[seen]], optimizer.v[optimizer.slot[seen]]
+    return m, v
+
+
 def test_row_restricted_adam_step_matches_dense_reference():
     # Few words first, so fewer than half the rows have had a gradient,
-    # then many, so the table's optimizer crosses over to the dense step.
+    # then many, so most of the table has.
     rng = np.random.default_rng(8)
     model = DualHeadModel.create(dim=4, seed=6, buckets=48, radius=1)
     reference = DualHeadModel.create(dim=4, seed=6, buckets=48, radius=1)
@@ -666,12 +676,57 @@ def test_row_restricted_adam_step_matches_dense_reference():
         rows, values = grads["embeddings"]
         touched[rows] = True
         optimizers["embeddings"].step_rows(rows, values, 0.1)
-        optimizers["w_e"].step(grads["w_e"], 0.1)
+        optimizers["w_e"].step_rows(np.arange(4), grads["w_e"], 0.1)
         dense.step(params(reference), ref_grads, 0.1)
         for key, optimizer in optimizers.items():
             assert np.array_equal(params(model)[key], params(reference)[key])
-            assert np.array_equal(optimizer.m, dense.m[key])
-            assert np.array_equal(optimizer.v, dense.v[key])
+            m, v = _moments_by_row(optimizer)
+            assert np.array_equal(m, dense.m[key])
+            assert np.array_equal(v, dense.v[key])
         assert np.array_equal(model.encoder.embeddings[~touched], initial[~touched])
         shares.append(touched.mean())
     assert min(shares) < 0.5 < max(shares)
+
+
+_ADAM_ROWS = 10
+
+
+@st.composite
+def _adam_runs(draw):
+    """A parameter shape and a sequence of (rows, values, lr) steps; each
+    step's rows are distinct and in any order, and may be none or all."""
+    shape = draw(st.sampled_from([(_ADAM_ROWS,), (_ADAM_ROWS, 3)]))
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        chosen = draw(st.one_of(st.lists(st.integers(0, _ADAM_ROWS - 1), unique=True),
+                                st.permutations(range(_ADAM_ROWS))))
+        values = draw(arrays(np.float64, (len(chosen), *shape[1:]),
+                             elements=st.floats(-1e3, 1e3, allow_subnormal=True)))
+        steps.append((np.array(chosen, dtype=np.intp), values, draw(st.floats(1e-6, 1.0))))
+    return shape, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=_adam_runs(), seed=st.integers(0, 3))
+@example(run=((_ADAM_ROWS, 2), [  # a new row, no new row, then every row in reverse
+    (np.array([7, 2]), np.ones((2, 2)), 0.1),
+    (np.array([2]), -np.ones((1, 2)), 0.1),
+    (np.arange(_ADAM_ROWS)[::-1].copy(), np.full((_ADAM_ROWS, 2), 0.5), 0.1)]), seed=0)
+def test_packed_moment_adam_matches_dense_adam(run, seed):
+    shape, steps = run
+    initial = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+    param, reference = initial.copy(), {"p": initial.copy()}
+    optimizer, dense = model_mod._Adam(param), _DenseAdam(reference)
+    first_seen = []
+    for rows, values, lr in steps:
+        optimizer.step_rows(rows, values, lr)
+        grad = np.zeros(shape)
+        grad[rows] = values
+        dense.step(reference, {"p": grad}, lr)
+        first_seen += [r for r in rows.tolist() if r not in first_seen]
+        assert param.tobytes() == reference["p"].tobytes()
+        m, v = _moments_by_row(optimizer)
+        assert m.tobytes() == dense.m["p"].tobytes()
+        assert v.tobytes() == dense.v["p"].tobytes()
+        assert optimizer.rows[:optimizer.k].tolist() == first_seen
+        assert optimizer.slot[first_seen].tolist() == list(range(len(first_seen)))
