@@ -75,7 +75,8 @@ class TimeBankRow:
     unless the event span lies in the sentence and ends where a word ends
     and the sentence holds no mask token, so that the masks inserted after
     the span come out as exactly the inserted tokens, and unless both
-    durations and their mean are finite in seconds, so that it has a label."""
+    quantities are positive and finite and both durations and their mean
+    are finite in seconds, so that it has a label."""
 
     sentence: str
     event_span: tuple[int, int]
@@ -92,6 +93,9 @@ class TimeBankRow:
             raise MalformedRowError(f"sentence holds {MASK_TOKEN}")
         if self.sentence[end - 1].isspace() or starts_word(self.sentence[end:]):
             raise MalformedRowError(f"event span {self.event_span} does not end where a word ends")
+        for quantity, _ in (self.min_duration, self.max_duration):
+            if not 0 < quantity < math.inf:
+                raise MalformedRowError(f"quantity {quantity!r} is not a positive finite number")
         if not math.isfinite((_seconds(self.min_duration) + _seconds(self.max_duration)) / 2.0):
             raise MalformedRowError("durations " + " and ".join(
                 f"{q:g} {unit.word}" for q, unit in (self.min_duration, self.max_duration))

@@ -22,16 +22,17 @@ Training is minibatch gradient descent with adaptive per-parameter
 moments and a linear-warmup-then-constant schedule. All randomness flows
 from the config seed, so runs are bit-reproducible.
 
-`train` tokenizes and hashes its data once, and every step gathers its
-batch from the window bucket ids that this leaves. `loss_and_grads`
-gives a compiled batch's embedding gradient compactly, as the batch's
-distinct rows and their values. Each trained parameter has its own
-optimizer, which keeps moments for and steps only the rows that have
-had a gradient in this run: every other row still has zero moments, so
-its update is exactly zero and skipping it changes no bit (unlike
-"lazy" Adam, which also skips the moment decay of rows without a
-gradient). `DURPIPE_LOG=INFO` logs each epoch's steps, mean loss and
-last learning rate.
+`train` hashes its data once, into one flat `_Windows`. Each epoch
+gathers its shuffled items from it once, and a batch is a set of slices
+of that gather, distinct rows included. The first epoch's shuffle fixes
+the step at which each table row first has a gradient; in that order,
+the rows follow the head in one buffer, so the rows that have had a
+gradient are always a prefix of it, and one optimizer steps that prefix
+in place. Every later row has zero moments, so skipping it changes no
+bit (unlike "lazy" Adam, which also skips the moment decay of rows
+without a gradient). At the end the buffer goes back into the model's
+own arrays, in bucket order. `DURPIPE_LOG=INFO` logs each epoch's steps,
+mean loss and learning rate.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -150,39 +151,64 @@ class DualHeadModel:
 
 @dataclass(frozen=True)
 class _Windows:
-    """Items compiled to the bucket ids of their mask windows; the
-    windows of one item are adjacent and items keep their order."""
+    """Items compiled to the table rows of their mask windows' tokens; the
+    windows of one item are adjacent and items keep their order.
+    `distinct` is `np.unique(rows, return_inverse=True)`, when known."""
 
-    rows: np.ndarray  # bucket id of every window token
+    rows: np.ndarray  # table row of every window token
     lengths: np.ndarray  # tokens per window
     counts: np.ndarray  # windows per item
     labels: np.ndarray  # log-seconds for mse, inventory index for cross_entropy
-
-    @classmethod
-    def of(cls, items: Sequence[list[np.ndarray]], labels: Sequence = ()) -> "_Windows":
-        """Flatten the per-item window bucket ids that `_compile` returns."""
-        windows = [w for item in items for w in item]
-        return cls(rows=np.concatenate(windows), lengths=np.array([len(w) for w in windows]),
-                   counts=np.array([len(item) for item in items]), labels=np.array(labels))
+    distinct: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _compile(model: DualHeadModel, inputs: Sequence[ModelInput],
-             first: int = 0) -> list[list[np.ndarray]]:
+def _compile(model: DualHeadModel, inputs: Sequence[ModelInput], labels: Sequence = (),
+             first: int = 0) -> _Windows:
     """Tokenize every input and hash each of its mask windows once; an
     error names the item by its index plus `first`."""
     encoder = model.encoder
-    items = []
+    windows, counts = [], []
     for i, model_input in enumerate(inputs, first):
         if not model_input.mask_positions:
             raise InvalidInputError(f"item {i}: input has no mask positions")
         tokens = tokenize(model_input.text)
         for p in model_input.mask_positions:
             if not 0 <= p < len(tokens):
-                raise InvalidInputError(
-                    f"item {i}: mask position {p} outside token range 0..{len(tokens) - 1}"
-                )
-        items.append([encoder.window_buckets(tokens, p) for p in model_input.mask_positions])
-    return items
+                raise InvalidInputError(f"item {i}: mask position {p} outside token range "
+                                        f"0..{len(tokens) - 1}")
+        windows += [encoder.window_buckets(tokens, p) for p in model_input.mask_positions]
+        counts.append(len(model_input.mask_positions))
+    return _Windows(rows=np.concatenate(windows), lengths=np.array(list(map(len, windows))),
+                    counts=np.array(counts), labels=np.array(labels))
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + lengths[i]), concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _epoch(data: _Windows, order: np.ndarray, size: int, span: int) -> Iterator[_Windows]:
+    """The items of `data` in `order`, gathered once, as batches of `size`
+    items. Every batch's `distinct` comes from one `np.unique` over the
+    epoch's (batch, row) keys; every row is below `span`."""
+    counts, labels = data.counts[order], data.labels[order]
+    windows = _ranges((np.cumsum(data.counts) - data.counts)[order], counts)
+    lengths = data.lengths[windows]
+    rows = data.rows[_ranges((np.cumsum(data.lengths) - data.lengths)[windows], lengths)]
+    # The first item, window, token and distinct row of every batch.
+    i = np.arange(0, len(order) + size, size).clip(max=len(order))
+    w = np.append(0, np.cumsum(counts))[i]
+    t = np.append(0, np.cumsum(lengths))[w]
+    keys, inverse = np.unique(np.repeat(np.arange(len(i) - 1) * span, np.diff(t)) + rows,
+                              return_inverse=True)
+    u = np.searchsorted(keys, np.arange(len(i)) * span)
+    inverse -= np.repeat(u[:-1], np.diff(t))
+    keys %= span
+    i, w, t, u = i.tolist(), w.tolist(), t.tolist(), u.tolist()
+    for b in range(len(i) - 1):
+        yield _Windows(rows[t[b]:t[b + 1]], lengths[w[b]:w[b + 1]], counts[i[b]:i[b + 1]],
+                       labels[i[b]:i[b + 1]], (keys[u[b]:u[b + 1]], inverse[t[b]:t[b + 1]]))
 
 
 def _item_sums(embeddings: np.ndarray, batch: _Windows) -> np.ndarray:
@@ -220,9 +246,9 @@ def predict_many(model: DualHeadModel, inputs: Sequence[ModelInput], head: str) 
     embeddings = model.encoder.embeddings
     out = []
     for first in range(0, len(inputs), _PREDICT_CHUNK):
-        chunk = _compile(model, inputs[first:first + _PREDICT_CHUNK], first)
+        chunk = _compile(model, inputs[first:first + _PREDICT_CHUNK], first=first)
         with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-            sums = _item_sums(embeddings, _Windows.of(chunk))
+            sums = _item_sums(embeddings, chunk)
             if head == "exact":
                 outputs = np.einsum("id,d->i", sums, model.w_e)
             else:
@@ -299,15 +325,12 @@ def _labels(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]], los
     return labels
 
 
-def loss_and_grads(
-    model: DualHeadModel,
-    batch: Sequence[tuple[ModelInput, object]] | _Windows,
-    loss: str,
-) -> tuple[float, dict]:
+def loss_and_grads(model: DualHeadModel, batch: Sequence[tuple[ModelInput, object]] | _Windows,
+                   loss: str) -> tuple[float, dict]:
     """Mean batch loss and its analytic gradients.
 
     `batch` holds (input, label) pairs; `train` passes its items already
-    compiled to window bucket ids, so that each dataset is hashed once.
+    compiled, so that each dataset is hashed once.
     The forward pass is the one prediction runs. The backward pass runs
     on the whole batch too: the head gradient is one matrix product with
     the item sums, and each item's gradient is spread over its window
@@ -322,7 +345,7 @@ def loss_and_grads(
     """
     compiled = isinstance(batch, _Windows)
     if not compiled:
-        batch = _Windows.of(_compile(model, [mi for mi, _ in batch]), _labels(model, batch, loss))
+        batch = _compile(model, [mi for mi, _ in batch], _labels(model, batch, loss))
     embeddings = model.encoder.embeddings
     sums = _item_sums(embeddings, batch)
     n = len(sums)
@@ -342,7 +365,7 @@ def loss_and_grads(
         d_sums = dz @ model.w_r
 
     d_windows = np.repeat(d_sums, batch.counts, axis=0) / batch.lengths[:, None]
-    rows, slots = np.unique(batch.rows, return_inverse=True)
+    rows, slots = batch.distinct or np.unique(batch.rows, return_inverse=True)
     # A weighted bincount adds its weights in order from zero, so over
     # (row, column) indices it is the token-order scatter-add.
     dim = embeddings.shape[1]
@@ -368,50 +391,43 @@ class _Adam:
     """Adaptive-moment updates of one parameter, in place, at a learning
     rate supplied per step.
 
-    `step_rows` takes a gradient that is zero outside some rows. The
-    moments are kept only for the rows that have had a gradient since the
-    optimizer was made, packed in the order of their first one: `slot`
-    maps a row to its place in `m` and `v`, and `rows[:k]` maps the k
-    places back. Every other row has m = v = 0, so the full update would
-    leave it exactly as it is.
+    With the rows of `param` numbered in the order of their first
+    gradient, the rows that have had one are a prefix [:k], and each step
+    runs on that prefix alone. Every later row has m = v = 0, so the full
+    update would leave it exactly as it is.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, param: np.ndarray):
         self.param = param
-        self.m = np.zeros_like(param)
-        self.v = np.zeros_like(param)
+        self.m, self.v = np.zeros_like(param), np.zeros_like(param)
         self.scratch = (np.empty_like(param), np.empty_like(param))
-        self.slot = np.full(len(param), -1)
-        self.rows = np.empty(len(param), dtype=np.intp)
-        self.k = 0
-        self.t = 0
+        self.k = self.t = 0
 
-    def step_rows(self, rows: np.ndarray, values: np.ndarray, lr: float) -> None:
-        """Step with a gradient that is `values` on the distinct `rows` and
-        zero elsewhere: param -= lr * (m / (1 - beta1^t)) /
+    def step(self, lr: float, head: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+        """Step with a gradient that is `head` on the first len(head) rows,
+        `values` on the distinct ascending `rows` (the prefix grows to take
+        them in) and zero elsewhere: param -= lr * (m / (1 - beta1^t)) /
         (sqrt(v / (1 - beta2^t)) + eps) after the moment updates."""
-        new = rows[self.slot[rows] < 0]
-        k = self.k + len(new)
-        self.slot[new] = np.arange(self.k, k)
-        self.rows[self.k:k] = new
-        self.k = k
-        slots = self.slot[rows]
+        h = len(head)
+        k = self.k = max(self.k, h, int(rows[-1]) + 1 if len(rows) else 0)
         self.t += 1
         m, v = self.m[:k], self.v[:k]
         step, denom = (s[:k] for s in self.scratch)
         m *= self.beta1
-        m[slots] += values * (1.0 - self.beta1)
+        m[:h] += head * (1.0 - self.beta1)
+        m[rows] += values * (1.0 - self.beta1)
         v *= self.beta2
-        v[slots] += values * (1.0 - self.beta2) * values
+        v[:h] += head * (1.0 - self.beta2) * head
+        v[rows] += values * (1.0 - self.beta2) * values
         np.divide(m, 1.0 - self.beta1 ** self.t, out=step)
         step *= lr
         np.divide(v, 1.0 - self.beta2 ** self.t, out=denom)
         np.sqrt(denom, out=denom)
         denom += self.eps
         step /= denom
-        self.param[self.rows[:k]] -= step
+        self.param[:k] -= step
 
 
 # A step loss above this has diverged: as a squared error it is a mean
@@ -427,53 +443,62 @@ def _warmup_lr(base: float, step: int, warmup_steps: int) -> float:
     return base * min(1.0, step / warmup_steps)
 
 
-def train(
-    model: DualHeadModel,
-    data: Iterable[tuple[ModelInput, object]],
-    cfg: TrainConfig,
-) -> tuple[DualHeadModel, list[float]]:
+def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
+          cfg: TrainConfig) -> tuple[DualHeadModel, list[float]]:
     """Train the head selected by cfg.loss (plus the encoder) in place.
 
     Labels must be log-second floats for "mse" and TemporalUnit members
     of the model inventory for "cross_entropy". Returns the model and the
     per-step loss curve. Empty data is a warned no-op. A step loss that
-    is not finite or is above `_DIVERGED_LOSS` raises ValueError.
+    is not finite or is above `_DIVERGED_LOSS` raises ValueError, and
+    leaves the model as the steps before it made it.
     """
     data = list(data)
     if not data:
         logger.warning("train called with no data; model left unchanged")
         return model, []
-    labels = _labels(model, data, cfg.loss)
-
-    head_key = "w_e" if cfg.loss == "mse" else "w_r"
-    table = _Adam(model.encoder.embeddings)
-    head = _Adam(getattr(model, head_key))
-    head_rows = np.arange(len(head.param))
-
-    n = len(data)
-    steps = math.ceil(n / cfg.batch_size)
-    total_steps = steps * cfg.epochs
-    warmup_steps = math.ceil(cfg.warmup_proportion * total_steps)
-
-    items = _compile(model, [mi for mi, _ in data])
+    compiled = _compile(model, [mi for mi, _ in data], _labels(model, data, cfg.loss))
+    steps = math.ceil(len(data) / cfg.batch_size)
+    warmup_steps = math.ceil(cfg.warmup_proportion * (steps * cfg.epochs))
     rng = np.random.default_rng(cfg.seed)
+    order = rng.permutation(len(data))
+
+    # Every item is in the first epoch, so its shuffle fixes each row's
+    # first step. The rows, in (first step, bucket id) order, follow the
+    # head in `buffer`; a row that never has a gradient stays out of it.
+    head_key = "w_e" if cfg.loss == "mse" else "w_r"
+    table, head = model.encoder.embeddings, getattr(model, head_key)
+    h = head.size // model.dim
+    first = np.full(len(table), steps)
+    np.minimum.at(first, compiled.rows, np.repeat(
+        np.repeat(np.argsort(order) // cfg.batch_size, compiled.counts), compiled.lengths))
+    seen = np.argsort(first, kind="stable")[:np.count_nonzero(first < steps)]
+    label = np.empty(len(table), dtype=np.intp)
+    label[seen] = np.arange(h, h + len(seen))
+    compiled = replace(compiled, rows=label[compiled.rows])
+    buffer = np.concatenate((head.reshape(h, -1), table[seen]))
+    work = replace(model, encoder=BaselineEncoder(buffer, model.encoder.radius),
+                   **{head_key: buffer[:h].reshape(head.shape)})
+    optimizer = _Adam(buffer)
     curve: list[float] = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n).tolist()
-        for start in range(0, n, cfg.batch_size):
-            chosen = order[start:start + cfg.batch_size]
-            batch = _Windows.of([items[i] for i in chosen], [labels[i] for i in chosen])
-            with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-                loss, grads = loss_and_grads(model, batch, cfg.loss)
-            if not math.isfinite(loss) or loss > _DIVERGED_LOSS:
-                raise ValueError(f"training diverged at step {len(curve) + 1} (epoch {epoch}): "
-                                 f"loss {loss:.6g} is not at most {_DIVERGED_LOSS:g}")
-            lr = _warmup_lr(cfg.learning_rate, len(curve) + 1, warmup_steps)
-            table.step_rows(*grads["embeddings"], lr)
-            head.step_rows(head_rows, grads[head_key], lr)
-            curve.append(loss)
-        logger.info("epoch %d: %d steps, mean loss %.6g, learning rate %.6g",
-                    epoch, steps, sum(curve[-steps:]) / steps, lr)
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            if epoch > 1:
+                order = rng.permutation(len(data))
+            for batch in _epoch(compiled, order, cfg.batch_size, len(buffer)):
+                with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+                    loss, grads = loss_and_grads(work, batch, cfg.loss)
+                if not math.isfinite(loss) or loss > _DIVERGED_LOSS:
+                    raise ValueError(f"training diverged at step {len(curve) + 1} (epoch {epoch}): "
+                                     f"loss {loss:.6g} is not at most {_DIVERGED_LOSS:g}")
+                lr = _warmup_lr(cfg.learning_rate, len(curve) + 1, warmup_steps)
+                optimizer.step(lr, grads[head_key].reshape(h, -1), *grads["embeddings"])
+                curve.append(loss)
+            logger.info("epoch %d: %d steps, mean loss %.6g, learning rate %.6g",
+                        epoch, steps, sum(curve[-steps:]) / steps, lr)
+    finally:
+        table[seen] = buffer[h:]
+        head[...] = getattr(work, head_key)
     return model, curve
 
 

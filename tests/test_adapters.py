@@ -321,6 +321,16 @@ def test_timebank_row_whose_masks_would_not_come_out_is_refused(sentence, span, 
         read_timebank_tsv(io.StringIO(tsv))
 
 
+@pytest.mark.parametrize("quantity", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["min", "max"])
+def test_timebank_row_with_a_quantity_that_is_not_positive_finite_is_refused(quantity, side):
+    durations = {"min_duration": (1.0, HOUR), "max_duration": (2.0, HOUR)}
+    durations[f"{side}_duration"] = (quantity, HOUR)
+    with pytest.raises(MalformedRowError, match=rf"^quantity {re.escape(repr(quantity))} is not a "
+                                                 "positive finite number$"):
+        TimeBankRow("They met.", (5, 8), **durations)
+
+
 @pytest.mark.parametrize("field", ["context", "question"])
 def test_mctaco_row_holding_a_mask_is_refused(field):
     good = {"context": "They ran.", "question": "How long did they run?", "answer": "2 hours",

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from checkpoint_fuzz import damaged
+from intake_fuzz import damaged_cells, damaged_record
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from durpipe import cli, model
-from durpipe.adapters import read_timebank_inputs, read_timebank_tsv
+from durpipe.adapters import TIMEBANK_COLUMNS, read_timebank_inputs, read_timebank_tsv
 from durpipe.synth import SynthSpec, generate
 from durpipe.text import tokenize
 
@@ -563,6 +564,48 @@ def test_eval_with_damaged_checkpoint_exits_by_whether_it_loads(small_pipeline, 
     bad.write_bytes(blob)
     assert run("eval", bad, small_pipeline / "synth" / "holdout.tsv",
                "--protocol", "fine", "--head", "exact", "--out", tmp_path / "x") == expected
+
+
+# Per input kind: a valid record, the strategy that damages it, the file
+# it goes in after the valid records, and the commands that read that file.
+_INTAKES = {
+    "tsv-row": (["They met.", "5", "8", "1", "hour", "2", "hours"], damaged_cells, "data.tsv", [
+        ["eval", "{te}", "{path}", "--protocol", "fine", "--head", "exact"],
+        ["eval", "{tr}", "{path}", "--protocol", "coarse", "--head", "range"],
+        ["baseline", "{path}", "--protocol", "fine"],
+        ["train", "{path}", "--format", "timebank", "--init", "{te}", "--epochs", "1"]]),
+    "qa-row": ({"context": "They met.", "question": "How long did they meet?", "answer": "2 hours",
+                "gold": True}, damaged_record, "qa.jsonl", [
+        ["eval", "{te}", "{path}", "--protocol", "mctaco", "--head", "exact"],
+        ["train", "{path}", "--format", "mctaco", "--init", "{tr}", "--head", "range", "--epochs", "1"]]),
+    "instance": (None, damaged_record, "instances.jsonl", [
+        ["train", "{path}", "--head", "exact", "--epochs", "1"],
+        ["train", "{path}", "--head", "range", "--epochs", "1"]]),
+    "corpus-record": ({"id": "d1", "text": "Ravi spent 3 hours on the handshake."}, damaged_record,
+                      "corpus.jsonl", [["extract", "{path}"]]),
+}
+
+
+@pytest.mark.parametrize("intake", sorted(_INTAKES))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_input_record_exits_with_a_documented_code(small_pipeline, tmp_path, intake, data):
+    # A standing guard over every intake: whatever one damaged record
+    # holds, the CLI ends with one of its documented exit codes.
+    record, damage, name, commands = _INTAKES[intake]
+    if intake == "tsv-row":
+        valid = ["\t".join(TIMEBANK_COLUMNS), "\t".join(record)]
+    elif intake == "instance":
+        valid = (small_pipeline / "ex" / "instances.jsonl").read_text(encoding="utf-8").splitlines()[:16]
+        record = json.loads(valid[0])
+    else:
+        valid = [json.dumps(record)]
+    path = tmp_path / name
+    path.write_text("\n".join([*valid, data.draw(damage(record))]) + "\n", encoding="utf-8")
+    argv = [a.format(path=path, te=small_pipeline / "te" / "model.ckpt",
+                     tr=small_pipeline / "tr" / "model.ckpt") for a in data.draw(st.sampled_from(commands))]
+    assert run(*argv, "--out", tmp_path / "out") in {
+        cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_DATA}
 
 
 def test_train_negative_dim_is_config_error(small_pipeline, tmp_path, capsys):

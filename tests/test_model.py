@@ -483,17 +483,21 @@ class _DenseAdam:
             params[key] -= lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
-def _reference_train(model, data, cfg):
+def _reference_train(model, data, cfg, stop=None):
+    """Dense-Adam training over (input, label) pairs, stopped after
+    `stop` steps when given."""
     head = "w_e" if cfg.loss == "mse" else "w_r"
     params = {"embeddings": model.encoder.embeddings, head: getattr(model, head)}
     optimizer = _DenseAdam(params)
     steps = math.ceil(len(data) / cfg.batch_size)
-    warmup = math.ceil(cfg.warmup_proportion * steps * cfg.epochs)
+    warmup = math.ceil(cfg.warmup_proportion * (steps * cfg.epochs))
     rng = np.random.default_rng(cfg.seed)
     curve, step = [], 0
     for _ in range(cfg.epochs):
         order = rng.permutation(len(data))
         for start in range(0, len(data), cfg.batch_size):
+            if step == stop:
+                return curve
             loss, grads = loss_and_grads(
                 model, [data[i] for i in order[start:start + cfg.batch_size]], cfg.loss)
             step += 1
@@ -561,8 +565,8 @@ def test_compact_embedding_gradient_scatters_to_the_dense_one(dim, loss):
     head = "w_e" if loss == "mse" else "w_r"
     for _ in range(20):
         batch = _vocabulary_batch(rng, model, int(rng.integers(1, 41)), 100, loss, max_words=12)
-        compiled = model_mod._Windows.of(model_mod._compile(model, [mi for mi, _ in batch]),
-                                         model_mod._labels(model, batch, loss))
+        compiled = model_mod._compile(model, [mi for mi, _ in batch],
+                                      model_mod._labels(model, batch, loss))
         value, grads = loss_and_grads(model, compiled, loss)
         rows, d_rows = grads["embeddings"]
         assert rows.tolist() == sorted(set(compiled.rows.tolist()))
@@ -633,7 +637,7 @@ def test_train_bit_identical_to_dense_reference(vocabulary, buckets, under_half,
     reference = DualHeadModel.create(dim=dim, seed=3, buckets=buckets, radius=radius)
     initial = model.encoder.embeddings.copy()
     data = _vocabulary_batch(rng, model, 40, vocabulary, loss, max_words)
-    longest = max(len(w) for mi, _ in data for w in model_mod._compile(model, [mi])[0])
+    longest = int(model_mod._compile(model, [mi for mi, _ in data]).lengths.max())
     assert longest >= 8 if max_words > 8 else longest <= 5
     cfg = TrainConfig(learning_rate=0.05, batch_size=6, epochs=3, seed=1, loss=loss)
     _, curve = train(model, data, cfg)
@@ -643,47 +647,49 @@ def test_train_bit_identical_to_dense_reference(vocabulary, buckets, under_half,
     assert (changed < 0.5) == under_half
 
 
-def _moments_by_row(optimizer):
-    """The optimizer's (m, v) in row order, read through its slot map;
-    a row that has had no gradient reads zero."""
-    seen = optimizer.slot >= 0
-    m, v = np.zeros_like(optimizer.param), np.zeros_like(optimizer.param)
-    m[seen], v[seen] = optimizer.m[optimizer.slot[seen]], optimizer.v[optimizer.slot[seen]]
-    return m, v
+def _first_seen(row_sets, size):
+    """Every row in `range(size)`, those in `row_sets` first, in the order
+    of their first appearance there; this is how `train` numbers rows."""
+    seen = list(dict.fromkeys(r for rows in row_sets for r in rows))
+    return np.array(seen + sorted(set(range(size)) - set(seen)), dtype=np.intp)
 
 
 def test_row_restricted_adam_step_matches_dense_reference():
     # Few words first, so fewer than half the rows have had a gradient,
-    # then many, so most of the table has.
+    # then many, so most of the table has. As in `train`, the head is the
+    # first row of one buffer, and the table rows follow it in the order
+    # of their first gradient.
     rng = np.random.default_rng(8)
     model = DualHeadModel.create(dim=4, seed=6, buckets=48, radius=1)
     reference = DualHeadModel.create(dim=4, seed=6, buckets=48, radius=1)
     initial = model.encoder.embeddings.copy()
-
-    def params(m):
-        return {"embeddings": m.encoder.embeddings, "w_e": m.w_e}
-
-    optimizers = {key: model_mod._Adam(p) for key, p in params(model).items()}
-    dense = _DenseAdam(params(reference))
+    batches = [_vocabulary_batch(rng, model, 5, vocabulary, "mse")
+               for vocabulary in [4] * 6 + [300] * 6]
+    compiled = [model_mod._compile(model, [mi for mi, _ in b], [label for _, label in b])
+                for b in batches]
+    order = _first_seen([np.unique(c.rows).tolist() for c in compiled], 48)
+    label = np.empty(48, dtype=np.intp)
+    label[order] = np.arange(1, 49)
+    buffer = np.concatenate([model.w_e[None], initial[order]])
+    work = replace(model, encoder=BaselineEncoder(buffer, 1), w_e=buffer[0])
+    optimizer = model_mod._Adam(buffer)
+    dense = _DenseAdam({"embeddings": reference.encoder.embeddings, "w_e": reference.w_e})
     touched = np.zeros(48, dtype=bool)
     shares = []
-    for vocabulary in [4] * 6 + [300] * 6:
-        batch = _vocabulary_batch(rng, model, 5, vocabulary, "mse")
-        compiled = model_mod._Windows.of(model_mod._compile(model, [mi for mi, _ in batch]),
-                                         [label for _, label in batch])
-        _, grads = loss_and_grads(model, compiled, "mse")
+    for batch, c in zip(batches, compiled):
+        _, grads = loss_and_grads(work, replace(c, rows=label[c.rows]), "mse")
         _, ref_grads = loss_and_grads(reference, batch, "mse")
         rows, values = grads["embeddings"]
-        touched[rows] = True
-        optimizers["embeddings"].step_rows(rows, values, 0.1)
-        optimizers["w_e"].step_rows(np.arange(4), grads["w_e"], 0.1)
-        dense.step(params(reference), ref_grads, 0.1)
-        for key, optimizer in optimizers.items():
-            assert np.array_equal(params(model)[key], params(reference)[key])
-            m, v = _moments_by_row(optimizer)
-            assert np.array_equal(m, dense.m[key])
-            assert np.array_equal(v, dense.v[key])
-        assert np.array_equal(model.encoder.embeddings[~touched], initial[~touched])
+        touched[order[rows - 1]] = True
+        optimizer.step(0.1, grads["w_e"][None], rows, values)
+        dense.step({"embeddings": reference.encoder.embeddings, "w_e": reference.w_e}, ref_grads, 0.1)
+        assert optimizer.k == 1 + touched.sum()
+        assert np.array_equal(buffer[0], reference.w_e)
+        assert np.array_equal(buffer[1:], reference.encoder.embeddings[order])
+        for moment, ref in ((optimizer.m, dense.m), (optimizer.v, dense.v)):
+            assert np.array_equal(moment[0], ref["w_e"])
+            assert np.array_equal(moment[1:], ref["embeddings"][order])
+        assert np.array_equal(reference.encoder.embeddings[~touched], initial[~touched])
         shares.append(touched.mean())
     assert min(shares) < 0.5 < max(shares)
 
@@ -713,20 +719,87 @@ def _adam_runs(draw):
     (np.array([2]), -np.ones((1, 2)), 0.1),
     (np.arange(_ADAM_ROWS)[::-1].copy(), np.full((_ADAM_ROWS, 2), 0.5), 0.1)]), seed=0)
 def test_packed_moment_adam_matches_dense_adam(run, seed):
+    # The optimizer sees the rows renumbered in first-seen order, as
+    # `train` renumbers the table; in that frame its parameter and moments
+    # equal the dense reference's, and the rows seen so far are a prefix.
     shape, steps = run
     initial = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
-    param, reference = initial.copy(), {"p": initial.copy()}
+    order = _first_seen([rows.tolist() for rows, _, _ in steps], _ADAM_ROWS)
+    label = np.empty(_ADAM_ROWS, dtype=np.intp)
+    label[order] = np.arange(_ADAM_ROWS)
+    param, reference = initial[order], {"p": initial.copy()}
     optimizer, dense = model_mod._Adam(param), _DenseAdam(reference)
-    first_seen = []
+    seen = set()
     for rows, values, lr in steps:
-        optimizer.step_rows(rows, values, lr)
+        relabelled = np.argsort(label[rows])
+        optimizer.step(lr, np.empty((0, *shape[1:])), label[rows][relabelled], values[relabelled])
         grad = np.zeros(shape)
         grad[rows] = values
         dense.step(reference, {"p": grad}, lr)
-        first_seen += [r for r in rows.tolist() if r not in first_seen]
-        assert param.tobytes() == reference["p"].tobytes()
-        m, v = _moments_by_row(optimizer)
-        assert m.tobytes() == dense.m["p"].tobytes()
-        assert v.tobytes() == dense.v["p"].tobytes()
-        assert optimizer.rows[:optimizer.k].tolist() == first_seen
-        assert optimizer.slot[first_seen].tolist() == list(range(len(first_seen)))
+        seen.update(rows.tolist())
+        assert optimizer.k == len(seen)
+        assert param.tobytes() == reference["p"][order].tobytes()
+        assert optimizer.m.tobytes() == dense.m["p"][order].tobytes()
+        assert optimizer.v.tobytes() == dense.v["p"][order].tobytes()
+
+
+@st.composite
+def _training_runs(draw):
+    """A small model, data whose windows repeat words (the vocabulary may
+    be one word) and share buckets (the table may have 8 rows), and a
+    config whose batch size does not divide the number of items."""
+    loss = draw(st.sampled_from(["mse", "cross_entropy"]))
+    buckets, radius = draw(st.sampled_from([8, 32, 256])), draw(st.integers(0, 3))
+    model = DualHeadModel.create(dim=draw(st.integers(1, 4)), seed=draw(st.integers(0, 3)),
+                                 buckets=buckets, radius=radius)
+    n = draw(st.integers(2, 30))
+    batch_size = draw(st.integers(2, n).filter(lambda b: n % b))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    data = _vocabulary_batch(rng, model, n, draw(st.integers(1, 40)), loss)
+    cfg = TrainConfig(learning_rate=draw(st.sampled_from([0.01, 0.3])), batch_size=batch_size,
+                      epochs=draw(st.integers(1, 3)), seed=draw(st.integers(0, 9)), loss=loss)
+    return model, data, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_training_runs())
+def test_train_steps_a_prefix_of_first_gradient_rows_and_equals_the_reference(run):
+    model, data, cfg = run
+    arrays_before = model.encoder.embeddings, model.w_e, model.w_r
+    reference = replace(model, w_e=model.w_e.copy(), w_r=model.w_r.copy(), encoder=BaselineEncoder(
+        model.encoder.embeddings.copy(), model.encoder.radius))
+    seen, prefixes = set(), []
+    original = model_mod._Adam.step
+
+    def step(optimizer, lr, head, rows, values):
+        original(optimizer, lr, head, rows, values)
+        seen.update(range(len(head)), rows.tolist())
+        prefixes.append(seen == set(range(optimizer.k)))
+
+    model_mod._Adam.step = step
+    try:
+        _, curve = train(model, data, cfg)
+    finally:
+        model_mod._Adam.step = original
+    assert len(prefixes) == len(curve) and all(prefixes)
+    assert all(a is b for a, b in zip((model.encoder.embeddings, model.w_e, model.w_r), arrays_before))
+    assert curve == _reference_train(reference, data, cfg)
+    assert save(model) == save(reference)
+
+
+@pytest.mark.parametrize("rate,step", [(60.0, 10), (1e150, 2)])
+def test_diverged_training_writes_back_the_steps_before_it(rate, step):
+    # The loss passes the limit at step 10, in the second epoch, or is
+    # infinite at step 2. The model keeps its arrays, in bucket order,
+    # holding what the steps before that one made.
+    rng = np.random.default_rng(11)
+    model = DualHeadModel.create(dim=4, seed=1, buckets=64, radius=2)
+    reference = DualHeadModel.create(dim=4, seed=1, buckets=64, radius=2)
+    arrays_before = model.encoder.embeddings, model.w_e, model.w_r
+    data = _vocabulary_batch(rng, model, 40, 30, "mse")
+    cfg = TrainConfig(learning_rate=rate, batch_size=6, warmup_proportion=1.0, epochs=3, seed=2)
+    with pytest.raises(ValueError, match=rf"training diverged at step {step} "):
+        train(model, data, cfg)
+    assert all(a is b for a, b in zip((model.encoder.embeddings, model.w_e, model.w_r), arrays_before))
+    assert len(_reference_train(reference, data, cfg, stop=step - 1)) == step - 1
+    assert save(model) == save(reference)
