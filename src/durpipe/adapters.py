@@ -285,10 +285,14 @@ def read_timebank_inputs(
 
 def write_timebank_tsv(rows: Sequence[TimeBankRow]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter="\t", lineterminator="\n")
-    writer.writerow(TIMEBANK_COLUMNS)
+    # csv quotes a cell that holds "\n" but not one that holds a lone "\r",
+    # which a reader takes for a line end; a row whose sentence has one is
+    # quoted whole.
+    plain, quoted = (csv.writer(buf, delimiter="\t", lineterminator="\n", quoting=quoting)
+                     for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL))
+    plain.writerow(TIMEBANK_COLUMNS)
     for row in rows:
-        writer.writerow([
+        (quoted if "\r" in row.sentence else plain).writerow([
             row.sentence,
             row.event_span[0],
             row.event_span[1],

@@ -117,7 +117,9 @@ _OPTIMIZER_KEYS = ("learning_rate", "batch_size", "warmup_proportion", "epochs")
 
 
 def _read_training_inputs(path: Path, fmt: str, inventory) -> list[adapters.ModelInput]:
-    with open(path, encoding="utf-8-sig") as fh:
+    # csv needs the file's own line ends, so that a quoted "\r" in a TSV
+    # cell reads back; the JSONL readers strip each line.
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         if fmt == "instances":
             return [adapters.ModelInput(i.masked_text, i.mask_positions, i.exact_label)
                     for i in extraction.read_instances(fh)]
@@ -168,7 +170,7 @@ def cmd_train(settings: dict, out: Path) -> None:
 def _timebank_golds(path: Path, inventory, protocol: str):
     """Inputs, gold labels under the coarse or fine protocol and event
     words of a TSV data file; a file with no rows is a data error."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         inputs, keys = adapters.read_timebank_inputs(fh, inventory)
     if not inputs:
         raise MalformedRowError(f"no rows in {path}")

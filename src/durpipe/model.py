@@ -12,8 +12,6 @@ calls, and both heads and the softmax run on the whole batch at once.
 The heads are `np.einsum` products, which give each item's row the same
 bits whatever rows surround it (a BLAS matrix product need not).
 
-The encoder remembers the bucket of every raw token it has hashed, so
-canonicalizing and hashing run once per distinct token per encoder.
 `predict_many` predicts a whole input list in chunks of `_PREDICT_CHUNK`
 items, which bounds the embedding rows gathered at a time.
 `predict_exact` and `predict_range` are one-item calls into it.
@@ -37,6 +35,7 @@ mean loss and learning rate.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -94,7 +93,7 @@ class BaselineEncoder:
     and hashed into the rows of the embedding table, so there is no
     vocabulary to build. The vector for a mask position is the mean
     embedding of the tokens within `radius` positions of it, the mask
-    token included. The bucket of each raw token is kept once computed.
+    token included. `bucket` caches the row of each raw token it is given.
     """
 
     def __init__(self, embeddings: np.ndarray, radius: int = 5):
@@ -103,22 +102,14 @@ class BaselineEncoder:
             raise ConfigError(f"bad encoder shape: table {self.embeddings.shape} radius={radius}")
         self.buckets, self.dim = self.embeddings.shape
         self.radius = radius
-        self._bucket_of: dict[str, int] = {}
+        self.bucket = functools.cache(self._hash)
 
-    def bucket(self, token: str) -> int:
-        b = self._bucket_of.get(token)
-        if b is None:
-            canonical = strip_clinging(token).lower()
-            digest = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).digest()
-            b = self._bucket_of[token] = int.from_bytes(digest, "big") % self.buckets
-        return b
+    def _hash(self, token: str) -> int:
+        digest = hashlib.blake2b(strip_clinging(token).lower().encode("utf-8"), digest_size=8).digest()
+        return int.from_bytes(digest, "big") % self.buckets
 
-    def window_buckets(self, tokens: Sequence[str], position: int) -> np.ndarray:
-        window = tokens[max(0, position - self.radius):position + self.radius + 1]
-        ids = list(map(self._bucket_of.get, window))
-        if None in ids:
-            ids = [self.bucket(t) for t in window]
-        return np.array(ids, dtype=np.intp)
+    def window_buckets(self, tokens: Sequence[str], position: int) -> list[int]:
+        return list(map(self.bucket, tokens[max(0, position - self.radius):position + self.radius + 1]))
 
 
 @dataclass
@@ -167,7 +158,7 @@ def _compile(model: DualHeadModel, inputs: Sequence[ModelInput], labels: Sequenc
     """Tokenize every input and hash each of its mask windows once; an
     error names the item by its index plus `first`."""
     encoder = model.encoder
-    windows, counts = [], []
+    rows, lengths, counts = [], [], []
     for i, model_input in enumerate(inputs, first):
         if not model_input.mask_positions:
             raise InvalidInputError(f"item {i}: input has no mask positions")
@@ -176,9 +167,11 @@ def _compile(model: DualHeadModel, inputs: Sequence[ModelInput], labels: Sequenc
             if not 0 <= p < len(tokens):
                 raise InvalidInputError(f"item {i}: mask position {p} outside token range "
                                         f"0..{len(tokens) - 1}")
-        windows += [encoder.window_buckets(tokens, p) for p in model_input.mask_positions]
+            window = encoder.window_buckets(tokens, p)
+            rows += window
+            lengths.append(len(window))
         counts.append(len(model_input.mask_positions))
-    return _Windows(rows=np.concatenate(windows), lengths=np.array(list(map(len, windows))),
+    return _Windows(rows=np.array(rows, dtype=np.intp), lengths=np.array(lengths),
                     counts=np.array(counts), labels=np.array(labels))
 
 
@@ -561,7 +554,7 @@ def load(blob: bytes) -> DualHeadModel:
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
     try:
-        inventory = tuple(TemporalUnit.from_string(w) for w in header["inventory"])
+        inventory = UNITS_8[:len(header["inventory"])]
         specs = [(a["name"], tuple(a["shape"])) for a in header["arrays"]]
         dim, buckets, radius, seed = (header[k] for k in ("dim", "buckets", "radius", "seed"))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -569,6 +562,8 @@ def load(blob: bytes) -> DualHeadModel:
     for key, value in zip(("dim", "buckets", "radius", "seed"), (dim, buckets, radius, seed)):
         if type(value) is not int:
             raise CheckpointError(f"checkpoint header {key} is {value!r}, not an integer")
+    if header["inventory"] != [u.word for u in inventory]:
+        raise CheckpointError(f"checkpoint inventory {header['inventory']} is not the unit order")
 
     expected = {"embeddings": (buckets, dim), "w_e": (dim,), "w_r": (len(inventory), dim)}
     if [name for name, _ in specs] != list(expected):

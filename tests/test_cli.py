@@ -12,9 +12,11 @@ from intake_fuzz import damaged_cells, damaged_record
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from durpipe import cli, model
-from durpipe.adapters import TIMEBANK_COLUMNS, read_timebank_inputs, read_timebank_tsv
+from durpipe.adapters import (TIMEBANK_COLUMNS, TimeBankRow, read_timebank_inputs,
+                              read_timebank_tsv, write_timebank_tsv)
 from durpipe.synth import SynthSpec, generate
 from durpipe.text import tokenize
+from durpipe.units import TemporalUnit
 
 
 def run(*argv):
@@ -352,19 +354,66 @@ QUALITY_FINE_ACCURACY = {
     ("range", 17): 0.8650, ("range", 18): 0.8525, ("range", 19): 0.8825,
 }
 
+# The same, after training on 40 task rows (the held-out rows of a
+# seed-18 synth) from a fresh model or from the pre-trained checkpoint
+# of the same head and seed, for 20 epochs at a learning rate, or with
+# the TrainConfig.finetuning() defaults (rate None). These are the rows
+# of the README's table of the paper's three claims.
+QUALITY_TASK_FINE_ACCURACY = {
+    ("fresh", 0.05): {
+        ("exact", 17): 0.8100, ("exact", 18): 0.8050, ("exact", 19): 0.8225,
+        ("range", 17): 0.8350, ("range", 18): 0.8250, ("range", 19): 0.8250},
+    ("pretrained", 0.05): {
+        ("exact", 17): 0.8875, ("exact", 18): 0.8850, ("exact", 19): 0.8775,
+        ("range", 17): 0.8275, ("range", 18): 0.8375, ("range", 19): 0.8250},
+    ("pretrained", 0.005): {
+        ("exact", 17): 0.9250, ("exact", 18): 0.9100, ("exact", 19): 0.9125,
+        ("range", 17): 0.8475, ("range", 18): 0.8300, ("range", 19): 0.8575},
+    ("pretrained", None): {
+        ("exact", 17): 0.8125, ("exact", 18): 0.8800, ("exact", 19): 0.9200,
+        ("range", 17): 0.8650, ("range", 18): 0.8525, ("range", 19): 0.8825},
+}
 
-def test_fine_accuracy_per_seed_holds_on_the_noisy_recipe(tmp_path):
-    assert run("synth", "--out", tmp_path / "synth", "--size", 2000, "--holdout", 400,
+
+@pytest.fixture(scope="module")
+def noisy_recipe(tmp_path_factory):
+    """The sigma-2.0 recipe with each head pre-trained at each seed of
+    QUALITY_FINE_ACCURACY into pre-<head>-<seed>, and the task rows."""
+    root = tmp_path_factory.mktemp("noisy-recipe")
+    assert run("synth", "--out", root / "synth", "--size", 2000, "--holdout", 400,
                "--seed", 17, "--sigma", 2.0) == 0
-    assert run("extract", tmp_path / "synth" / "corpus.jsonl", "--out", tmp_path / "ex") == 0
+    assert run("extract", root / "synth" / "corpus.jsonl", "--out", root / "ex") == 0
+    assert run("synth", "--out", root / "task", "--size", 10, "--holdout", 40,
+               "--seed", 18, "--sigma", 2.0) == 0
+    for head, seed in QUALITY_FINE_ACCURACY:
+        assert run("train", root / "ex" / "instances.jsonl", "--head", head,
+                   "--learning-rate", 0.05, "--epochs", 20, "--seed", seed,
+                   "--out", root / f"pre-{head}-{seed}") == 0
+    return root
+
+
+def _fine_accuracy(recipe, trained, head):
+    """Fine accuracy of the checkpoint in `trained` on the recipe's holdout."""
+    assert run("eval", trained / "model.ckpt", recipe / "synth" / "holdout.tsv",
+               "--protocol", "fine", "--head", head, "--out", trained / "eval") == 0
+    return json.loads((trained / "eval" / "report.json").read_text(encoding="utf-8"))["accuracy"]
+
+
+def test_fine_accuracy_per_seed_holds_on_the_noisy_recipe(noisy_recipe):
     for (head, seed), floor in QUALITY_FINE_ACCURACY.items():
-        out = tmp_path / f"train-{head}-{seed}"
-        assert run("train", tmp_path / "ex" / "instances.jsonl", "--head", head,
-                   "--learning-rate", 0.05, "--epochs", 20, "--seed", seed, "--out", out) == 0
-        assert run("eval", out / "model.ckpt", tmp_path / "synth" / "holdout.tsv",
-                   "--protocol", "fine", "--head", head, "--out", out / "eval") == 0
-        report = json.loads((out / "eval" / "report.json").read_text(encoding="utf-8"))
-        assert report["accuracy"] >= floor - 0.02, (head, seed)
+        accuracy = _fine_accuracy(noisy_recipe, noisy_recipe / f"pre-{head}-{seed}", head)
+        assert accuracy >= floor - 0.02, (head, seed)
+
+
+@pytest.mark.parametrize("init,rate", list(QUALITY_TASK_FINE_ACCURACY))
+def test_fine_accuracy_per_seed_holds_after_task_rows(noisy_recipe, tmp_path, init, rate):
+    for (head, seed), floor in QUALITY_TASK_FINE_ACCURACY[init, rate].items():
+        start = noisy_recipe / f"pre-{head}-{seed}" / "model.ckpt" if init == "pretrained" else init
+        rates = [] if rate is None else ["--learning-rate", rate, "--epochs", 20]
+        out = tmp_path / f"{head}-{seed}"
+        assert run("train", noisy_recipe / "task" / "holdout.tsv", "--format", "timebank",
+                   "--head", head, "--init", start, *rates, "--seed", seed, "--out", out) == 0
+        assert _fine_accuracy(noisy_recipe, out, head) >= floor - 0.02, (head, seed)
 
 
 def test_train_rejects_out_of_range_mask_position(tmp_path):
@@ -760,6 +809,21 @@ def test_timebank_row_that_cannot_be_read_names_the_row(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line_end", ["\r", "\r\n"], ids=["cr", "crlf"])
+@_TSV_COMMANDS
+def test_timebank_sentence_with_a_line_end_reads_back(small_pipeline, tmp_path, argv, line_end):
+    # the line end is quoted inside the cell; it reads back only when the
+    # file is opened without newline translation
+    sentence = f"They met.{line_end}It rained"
+    start = sentence.index("rained")
+    row = TimeBankRow(sentence, (start, start + 6), (1.0, TemporalUnit.HOUR),
+                      (2.0, TemporalUnit.HOUR))
+    data = tmp_path / "data.tsv"
+    data.write_text(write_timebank_tsv([row]), encoding="utf-8")
+    argv = [a.format(data=data, te=small_pipeline / "te" / "model.ckpt") for a in argv]
+    assert run(*argv, "--out", tmp_path / "out") == 0
+
+
 def test_eval_mctaco_without_parseable_answer_names_the_file(small_pipeline, tmp_path, capsys):
     data = tmp_path / "qa.jsonl"
     data.write_text(json.dumps({**_QA_ROW, "answer": "a while"}) + "\n", encoding="utf-8")
@@ -920,6 +984,36 @@ def _run_child(*argv, log_level=""):
         env["DURPIPE_LOG"] = log_level
     return subprocess.run([sys.executable, "-m", "durpipe.cli", *map(str, argv)],
                           env=env, capture_output=True, text=True)
+
+
+def test_traced_stage_counts_every_window_token(small_pipeline, tmp_path):
+    # durbench/stage.py runs a stage under the tracer, which patches
+    # durpipe's functions by name and counts what window_buckets returns;
+    # a change to a patched name or return type fails here.
+    stage = Path(__file__).parents[1] / "durbench" / "stage.py"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    lines = (small_pipeline / "ex" / "instances.jsonl").read_text(encoding="utf-8").splitlines()
+    instances = tmp_path / "instances.jsonl"
+    instances.write_text("".join(line + "\n" for line in lines[:100]), encoding="utf-8")
+    holdout, ckpt = small_pipeline / "synth" / "holdout.tsv", tmp_path / "train" / "model.ckpt"
+    for name, argv in [("train", ["train", instances, "--epochs", 2, "--seed", 3]),
+                       ("eval", ["eval", ckpt, holdout, "--protocol", "fine"])]:
+        spans = tmp_path / f"{name}.npz"
+        proc = subprocess.run([sys.executable, *map(str, [stage, tmp_path / f"{name}.json", spans,
+                                                          *argv, "--out", tmp_path / name])],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        trained = model.load(ckpt.read_bytes())
+        inputs = (cli._read_training_inputs(instances, "instances", trained.inventory)
+                  if name == "train" else cli._timebank_golds(holdout, trained.inventory, "fine")[0])
+        lengths = model._compile(trained, inputs).lengths
+        with np.load(spans) as traced:
+            counts = json.loads(str(traced["counts"]))
+            window_spans = traced["name"] == list(traced["names"]).index(
+                "model.encoder.window_buckets")
+        assert np.count_nonzero(window_spans) == len(lengths), name
+        assert counts["model.encoder.bucket_calls"] == lengths.sum(), name
 
 
 def test_log_verbosity_env_var(tmp_path):

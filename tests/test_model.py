@@ -100,7 +100,7 @@ def test_encoder_is_deterministic_and_position_hashed():
     tokens = "The seminar lasted for [MASK] [MASK].".split()
     for p in (4, 5):
         assert np.array_equal(enc.window_buckets(tokens, p), enc.window_buckets(tokens, p))
-        assert enc.window_buckets(tokens, p).tolist() == [enc.bucket(t) for t in tokens[p - 2:p + 3]]
+        assert enc.window_buckets(tokens, p) == [enc.bucket(t) for t in tokens[p - 2:p + 3]]
     # clinging punctuation does not change the bucket
     assert enc.bucket("[MASK].") == enc.bucket("[MASK]")
     assert enc.bucket("Years,") == enc.bucket("years")
@@ -120,7 +120,7 @@ def test_bucket_memo_returns_the_fresh_hash():
                 assert enc.bucket(token) == _fresh_bucket(token, enc.buckets), (token, enc.buckets)
     assert small.bucket("Years,") == small.bucket("years")
     assert large.bucket("Years,") == large.bucket("years")
-    assert large.window_buckets(tokens, 3).tolist() == [_fresh_bucket(t, 4096) for t in tokens]
+    assert large.window_buckets(tokens, 3) == [_fresh_bucket(t, 4096) for t in tokens]
 
 
 def test_permuting_tokens_outside_window_is_invisible():
@@ -334,7 +334,9 @@ def test_load_rejects_header_values_of_the_wrong_type():
     blob = save(DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2))
     edits = [lambda header: header["arrays"][1].update(shape=[4.0]),
              lambda header: header["arrays"][0].update(shape=[16, True]),
-             lambda header: header.update(inventory=["second", 5])]
+             lambda header: header.update(inventory=["second", 5]),
+             lambda header: header.update(inventory=["hour"] * 8),
+             lambda header: header.update(inventory=[u.word for u in reversed(UNITS_8)])]
     for edit in edits:
         with pytest.raises(CheckpointError):
             load(_with_header(blob, edit))
