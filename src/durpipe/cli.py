@@ -12,7 +12,7 @@ is ignored. Every run echoes the settings it read to <out>/config.ini,
 so a run can be reproduced from its output directory alone.
 
 Exit codes: 0 success, 2 configuration errors, 3 I/O errors, 4 data
-errors. DURPIPE_LOG controls log verbosity (DEBUG/INFO/WARNING/ERROR).
+errors. DURPIPE_LOG names the log level (DEBUG/INFO/WARNING/ERROR).
 """
 
 from __future__ import annotations
@@ -47,10 +47,12 @@ _DATA_ERRORS = ValueError
 
 
 def _setup_logging() -> None:
-    level_name = os.environ.get("DURPIPE_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, None)
+    """Log at the level DURPIPE_LOG names, in any case (WARNING when it is
+    unset or empty); a name logging does not know is a ConfigError."""
+    value = os.environ.get("DURPIPE_LOG") or "WARNING"
+    level = logging.getLevelName(value.upper())
     if not isinstance(level, int):
-        level = logging.WARNING
+        raise ConfigError(f"DURPIPE_LOG={value!r} is not a log level")
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -141,9 +143,7 @@ def cmd_train(settings: dict, out: Path) -> None:
         mdl = DualHeadModel.create(dim=settings["dim"], inventory=inventory, seed=seed,
                                    buckets=settings["buckets"], radius=settings["radius"])
     else:
-        mdl = model_lib.load(Path(init).read_bytes())
-        if len(inventory) != len(mdl.inventory):
-            mdl = model_lib.with_inventory(mdl, inventory)
+        mdl = model_lib.with_inventory(model_lib.load(Path(init).read_bytes()), inventory)
 
     path = Path(settings["instances"])
     inputs = _read_training_inputs(path, settings["format"], inventory)
@@ -184,7 +184,7 @@ def cmd_eval(settings: dict, out: Path) -> None:
     if protocol == "mctaco":
         rule = evaluation.RangeRule(settings["range"])
     mdl = model_lib.load(Path(settings["checkpoint"]).read_bytes())
-    if settings["inventory"] is not None and settings["inventory"] != len(mdl.inventory):
+    if settings["inventory"] is not None:
         mdl = model_lib.with_inventory(mdl, inventory_of_size(settings["inventory"]))
     inventory = mdl.inventory
 
@@ -410,7 +410,6 @@ def _write_config(path: Path, section: str, settings: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -419,6 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     command = COMMANDS[args.command]
     try:
+        _setup_logging()
         settings = resolve(args)
         out = Path(settings["out"])
         out.mkdir(parents=True, exist_ok=True)

@@ -98,8 +98,9 @@ class BaselineEncoder:
 
     def __init__(self, embeddings: np.ndarray, radius: int = 5):
         self.embeddings = np.asarray(embeddings, dtype=np.float64)
-        if self.embeddings.ndim != 2 or min(self.embeddings.shape) < 1 or radius < 0:
-            raise ConfigError(f"bad encoder shape: table {self.embeddings.shape} radius={radius}")
+        if (self.embeddings.ndim != 2 or min(self.embeddings.shape) < 1
+                or type(radius) is not int or radius < 0):
+            raise ConfigError(f"bad encoder: table {self.embeddings.shape}, radius {radius!r}")
         self.buckets, self.dim = self.embeddings.shape
         self.radius = radius
         self.bucket = functools.cache(self._hash)
@@ -114,19 +115,31 @@ class BaselineEncoder:
 
 @dataclass
 class DualHeadModel:
+    """The encoder and both heads. The inventory is the first n >= 1 units
+    of the unit order, `w_e` has shape (dim,), `w_r` (n, dim), and the seed
+    is an int >= 0; a ConfigError names the field that breaks this."""
     encoder: BaselineEncoder
-    w_e: np.ndarray  # (dim,)
-    w_r: np.ndarray  # (|inventory|, dim)
+    w_e: np.ndarray
+    w_r: np.ndarray
     inventory: tuple[TemporalUnit, ...]
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        n = len(self.inventory)
+        if n < 1 or self.inventory != UNITS_8[:n]:
+            raise ConfigError(f"inventory {list(map(str, self.inventory))} is not the first "
+                              "n >= 1 units of the unit order")
+        for name, shape in (("w_e", (self.dim,)), ("w_r", (n, self.dim))):
+            if np.shape(getattr(self, name)) != shape:
+                raise ConfigError(f"{name} has shape {np.shape(getattr(self, name))}, not {shape}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
 
     @classmethod
     def create(cls, dim: int = 32, inventory: UnitInventory = UNITS_8, seed: int = 0,
                buckets: int = 4096, radius: int = 5) -> "DualHeadModel":
         """Fresh model with all parameters uniform in [-0.05, 0.05]."""
         inventory = tuple(inventory)
-        if not inventory:
-            raise ConfigError("inventory must be nonempty")
         if dim < 1 or buckets < 1:
             raise ConfigError(f"dim and buckets must be >= 1, got dim={dim} buckets={buckets}")
         rng = np.random.default_rng(seed)
@@ -499,97 +512,75 @@ def with_inventory(model: DualHeadModel, inventory: UnitInventory) -> DualHeadMo
     """Adapt a model to a prefix inventory by slicing the range head.
 
     Shrinking (8 units to 7) keeps the leading rows; growing is an error
-    because the extra rows would be untrained.
+    because the extra rows would be untrained. The model itself refuses
+    an inventory that is not the first units of the unit order.
     """
     inventory = tuple(inventory)
     if inventory == model.inventory:
         return model
     if len(inventory) > len(model.inventory):
-        raise ConfigError(
-            f"cannot grow inventory from {len(model.inventory)} to {len(inventory)} units"
-        )
-    if inventory != model.inventory[: len(inventory)]:
-        raise ConfigError("target inventory is not a prefix of the model inventory")
+        raise ConfigError(f"cannot grow inventory from {len(model.inventory)} to {len(inventory)} units")
     return replace(model, w_r=model.w_r[: len(inventory)].copy(), inventory=inventory)
+
+
+def _header(model: DualHeadModel) -> bytes:
+    """The JSON header of `model`'s checkpoint: the one `save` writes and
+    the only one `load` accepts."""
+    arrays = {"embeddings": model.encoder.embeddings, "w_e": model.w_e, "w_r": model.w_r}
+    return json.dumps({
+        "version": CHECKPOINT_VERSION, "dim": model.dim, "buckets": model.encoder.buckets,
+        "radius": model.encoder.radius, "seed": model.seed, "dtype": "<f8",
+        "inventory": [u.word for u in model.inventory],
+        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays.items()],
+    }, sort_keys=True).encode("utf-8")
 
 
 def save(model: DualHeadModel) -> bytes:
     """Serialize to a deterministic, self-describing byte container."""
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "dim": model.dim,
-        "buckets": model.encoder.buckets,
-        "radius": model.encoder.radius,
-        "seed": model.seed,
-        "inventory": [u.word for u in model.inventory],
-        "dtype": "<f8",
-        "arrays": [
-            {"name": "embeddings", "shape": list(model.encoder.embeddings.shape)},
-            {"name": "w_e", "shape": list(model.w_e.shape)},
-            {"name": "w_r", "shape": list(model.w_r.shape)},
-        ],
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for arr in (model.encoder.embeddings, model.w_e, model.w_r)
-    )
-    return CHECKPOINT_MAGIC + struct.pack(">II", CHECKPOINT_VERSION, len(header_bytes)) + header_bytes + payload
+    header, arrays = _header(model), (model.encoder.embeddings, model.w_e, model.w_r)
+    payload = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in arrays)
+    return CHECKPOINT_MAGIC + struct.pack(">II", CHECKPOINT_VERSION, len(header)) + header + payload
 
 
 def load(blob: bytes) -> DualHeadModel:
-    """Inverse of save(); raises CheckpointError on damage or version skew."""
+    """Inverse of save(): a checkpoint loads only if save writes it back
+    byte for byte. Otherwise it raises CheckpointError, which names the
+    array that holds a NaN or infinity, the model field that breaks
+    DualHeadModel's rules, or each header key that differs."""
     fixed = len(CHECKPOINT_MAGIC) + 8
     if len(blob) < fixed or not blob.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError("not a model checkpoint (bad magic)")
     version, header_len = struct.unpack(">II", blob[len(CHECKPOINT_MAGIC):fixed])
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version} (supported: {CHECKPOINT_VERSION})"
-        )
-    if len(blob) < fixed + header_len:
-        raise CheckpointError("truncated checkpoint (incomplete header)")
+        raise CheckpointError(f"unsupported checkpoint version {version} (supported: {CHECKPOINT_VERSION})")
+    raw, offset = blob[fixed:fixed + header_len], fixed + header_len
     try:
-        header = json.loads(blob[fixed:fixed + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        header = json.loads(raw.decode("utf-8"))
+        dim, buckets, n = header["dim"], header["buckets"], len(header["inventory"])
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
-    try:
-        inventory = UNITS_8[:len(header["inventory"])]
-        specs = [(a["name"], tuple(a["shape"])) for a in header["arrays"]]
-        dim, buckets, radius, seed = (header[k] for k in ("dim", "buckets", "radius", "seed"))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
-    for key, value in zip(("dim", "buckets", "radius", "seed"), (dim, buckets, radius, seed)):
-        if type(value) is not int:
-            raise CheckpointError(f"checkpoint header {key} is {value!r}, not an integer")
-    if header["inventory"] != [u.word for u in inventory]:
-        raise CheckpointError(f"checkpoint inventory {header['inventory']} is not the unit order")
-
-    expected = {"embeddings": (buckets, dim), "w_e": (dim,), "w_r": (len(inventory), dim)}
-    if [name for name, _ in specs] != list(expected):
-        raise CheckpointError(f"checkpoint arrays {[name for name, _ in specs]} are not {list(expected)}")
-    arrays = {}
-    offset = fixed + header_len
-    for name, listed in specs:
-        shape = expected[name]
-        if listed != shape or any(type(n) is not int for n in listed):
-            raise CheckpointError(f"array {name} has shape {list(listed)}, not the header's "
-                                  f"{list(shape)}")
-        if min(shape) < 1:
-            raise CheckpointError(f"array {name} has an empty or negative shape {list(shape)}")
-        count = math.prod(shape)
-        nbytes = count * 8
-        if len(blob) < offset + nbytes:
-            raise CheckpointError(f"truncated checkpoint (array {name})")
-        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        if not np.isfinite(arrays[name]).all():
+    for key, value in (("dim", dim), ("buckets", buckets)):
+        if type(value) is not int or value < 1:
+            raise CheckpointError(f"checkpoint header {key} is {value!r}, not a positive integer")
+    size = offset + 8 * dim * (buckets + 1 + n)
+    if len(blob) != size:
+        raise CheckpointError(f"checkpoint is {len(blob)} bytes; its dim, buckets and inventory give {size}")
+    arrays = []
+    for name, shape in (("embeddings", (buckets, dim)), ("w_e", (dim,)), ("w_r", (n, dim))):
+        array = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=offset)
+        if not np.isfinite(array).all():
             raise CheckpointError(f"array {name} holds NaN or infinite values")
-        offset += nbytes
-    if offset != len(blob):
-        raise CheckpointError("trailing bytes after checkpoint payload")
+        arrays.append(array.reshape(shape).copy())
+        offset += array.nbytes
     try:
-        encoder = BaselineEncoder(arrays["embeddings"], radius)
-    except (ConfigError, TypeError) as exc:
-        raise CheckpointError(f"inconsistent checkpoint contents: {exc}") from exc
-    return DualHeadModel(encoder=encoder, w_e=arrays["w_e"], w_r=arrays["w_r"],
-                         inventory=inventory, seed=seed)
+        model = DualHeadModel(BaselineEncoder(arrays[0], header.get("radius")), *arrays[1:],
+                              UNITS_8[:n], header.get("seed"))
+    except ConfigError as exc:
+        raise CheckpointError(f"inconsistent checkpoint: {exc}") from exc
+    if raw != _header(model):
+        want = json.loads(_header(model))
+        keys = [k for k in sorted(header.keys() | want.keys())
+                if (k in header and json.dumps(header[k])) != (k in want and json.dumps(want[k]))]
+        raise CheckpointError(f"checkpoint header differs from what save writes in "
+                              f"{', '.join(keys) or 'its spelling'}")
+    return model

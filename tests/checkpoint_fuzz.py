@@ -2,8 +2,8 @@
 
 Each example is one kind of damage: a few bytes overwritten anywhere, a
 cut with junk appended, one header field (or one field of an array
-entry) replaced by any JSON value, or one payload float replaced by any
-double, NaN and infinities included.
+entry) replaced by any JSON value, deleted, or added under any name, or
+one payload float replaced by any double, NaN and infinities included.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def _join(prefix: bytes, header: dict, payload: bytes) -> bytes:
 
 @st.composite
 def damaged(draw, blob: bytes) -> bytes:
-    kind = draw(st.sampled_from(["bytes", "cut", "header", "value"]))
+    kind = draw(st.sampled_from(["bytes", "cut", "replace", "delete", "add", "value"]))
     if kind == "bytes":
         out = bytearray(blob)
         for _ in range(draw(st.integers(1, 4))):
@@ -41,9 +41,13 @@ def damaged(draw, blob: bytes) -> bytes:
     if kind == "cut":
         return blob[:draw(st.integers(0, len(blob)))] + draw(st.binary(max_size=16))
     prefix, header, payload = _split(blob)
-    if kind == "header":
+    if kind != "value":
         target = draw(st.sampled_from([header, *header["arrays"]]))
-        target[draw(st.sampled_from(sorted(target)))] = draw(_JSON)
+        key = draw(st.text(max_size=6) if kind == "add" else st.sampled_from(sorted(target)))
+        if kind == "delete":
+            del target[key]
+        else:
+            target[key] = draw(_JSON)
         return _join(prefix, header, payload)
     at = 8 * draw(st.integers(0, len(payload) // 8 - 1))
     return _join(prefix, header, payload[:at] + struct.pack("<d", draw(st.floats())) + payload[at + 8:])

@@ -584,6 +584,31 @@ def test_eval_with_non_integer_header_radius_is_data_error(small_pipeline, tmp_p
     assert "radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, edit", [
+    ("dtype", lambda header: header.update(dtype=">f8")),
+    ("dtype", lambda header: header.update(dtype="int32")),
+    ("dtype", lambda header: header.pop("dtype")),
+    ("version", lambda header: header.update(version=7)),
+    ("version", lambda header: header.pop("version")),
+    ("trained_heads", lambda header: header.update(trained_heads=["exact"])),
+    ("arrays", lambda header: header["arrays"][0].update(dtype="<f8")),
+], ids=["big-endian", "int32", "no-dtype", "version-7", "no-version", "unknown-key",
+        "array-entry-field"])
+def test_eval_with_a_header_save_would_not_write_is_data_error(small_pipeline, tmp_path, capsys,
+                                                                key, edit):
+    blob = (small_pipeline / "te" / "model.ckpt").read_bytes()
+    header_len = int.from_bytes(blob[12:16], "big")
+    header = json.loads(blob[16:16 + header_len])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:12] + len(raw).to_bytes(4, "big") + raw + blob[16 + header_len:])
+    code = run("eval", bad, small_pipeline / "synth" / "holdout.tsv",
+               "--protocol", "fine", "--head", "exact", "--out", tmp_path / "x")
+    assert code == cli.EXIT_DATA
+    assert f"differs from what save writes in {key}" in capsys.readouterr().err
+
+
 def test_eval_with_non_finite_checkpoint_is_data_error(small_pipeline, tmp_path, capsys):
     # inf in the range head and NaN in an embedding row that no holdout token uses
     holdout = small_pipeline / "synth" / "holdout.tsv"
@@ -1025,6 +1050,21 @@ def test_log_verbosity_env_var(tmp_path):
     quiet = _run_child("extract", bad, "--out", tmp_path / "out-ERROR", log_level="ERROR")
     assert quiet.returncode == 0
     assert "skipping malformed document" not in quiet.stderr
+
+
+def test_unknown_log_level_is_config_error(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("this is not json\n", encoding="utf-8")
+    for value in ("INFOO", "verbose"):
+        child = _run_child("extract", bad, "--out", tmp_path / value, log_level=value)
+        assert child.returncode == cli.EXIT_CONFIG, value
+        assert child.stderr.splitlines() == [
+            f"durpipe: configuration error: DURPIPE_LOG={value!r} is not a log level"]
+        assert not (tmp_path / value).exists()
+    for value, shown in [("warn", True), ("Fatal", False), ("critical", False)]:
+        child = _run_child("extract", bad, "--out", tmp_path / value, log_level=value)
+        assert child.returncode == 0, value
+        assert ("skipping malformed document" in child.stderr) == shown, value
 
 
 def test_train_logs_one_info_line_per_epoch(small_pipeline, tmp_path):

@@ -293,10 +293,12 @@ def _with_header(blob, edit):
 
 def test_load_rejects_arrays_that_disagree_with_the_header():
     model = DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2)
-    with pytest.raises(CheckpointError, match="w_r"):
-        load(save(replace(model, w_r=model.w_r[:3])))
-    with pytest.raises(CheckpointError, match="w_e"):
-        load(save(replace(model, w_e=np.zeros(7))))
+
+    def short_range_head(header):
+        header["arrays"][2]["shape"] = [3, 4]
+
+    def long_exact_head(header):
+        header["arrays"][1]["shape"] = [7]
 
     def rename(header):
         header["arrays"][1]["name"] = "bias"
@@ -304,7 +306,7 @@ def test_load_rejects_arrays_that_disagree_with_the_header():
     def swap(header):
         header["arrays"][1:] = header["arrays"][:0:-1]
 
-    for edit in (rename, swap):
+    for edit in (short_range_head, long_exact_head, rename, swap):
         with pytest.raises(CheckpointError, match="arrays"):
             load(_with_header(save(model), edit))
 
@@ -332,13 +334,20 @@ def test_load_rejects_non_finite_values():
 
 def test_load_rejects_header_values_of_the_wrong_type():
     blob = save(DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2))
-    edits = [lambda header: header["arrays"][1].update(shape=[4.0]),
-             lambda header: header["arrays"][0].update(shape=[16, True]),
-             lambda header: header.update(inventory=["second", 5]),
-             lambda header: header.update(inventory=["hour"] * 8),
-             lambda header: header.update(inventory=[u.word for u in reversed(UNITS_8)])]
-    for edit in edits:
-        with pytest.raises(CheckpointError):
+    edits = [("arrays", lambda header: header["arrays"][1].update(shape=[4.0])),
+             ("arrays", lambda header: header["arrays"][0].update(shape=[16, True])),
+             ("arrays", lambda header: header["arrays"][2].update(dtype="<f8")),
+             ("inventory", lambda header: header.update(inventory=["second", 5])),
+             ("inventory", lambda header: header.update(inventory=["hour"] * 8)),
+             ("inventory", lambda header: header.update(inventory=[u.word for u in reversed(UNITS_8)])),
+             ("dtype", lambda header: header.update(dtype=">f8")),
+             ("dtype", lambda header: header.update(dtype="int32")),
+             ("dtype", lambda header: header.pop("dtype")),
+             ("version", lambda header: header.update(version=7)),
+             ("version", lambda header: header.pop("version")),
+             ("trained_heads", lambda header: header.update(trained_heads=["exact"]))]
+    for key, edit in edits:
+        with pytest.raises(CheckpointError, match=key):
             load(_with_header(blob, edit))
     header_len = int.from_bytes(blob[12:16], "big")
     deep = b"[" * 100_000
@@ -358,6 +367,41 @@ def test_damaged_checkpoint_raises_only_checkpoint_error(blob):
         return
     for array in (model.encoder.embeddings, model.w_e, model.w_r):
         assert np.isfinite(array).all()
+    assert save(model) == blob
+
+
+def test_load_names_the_keys_that_differ_and_accepts_no_other_spelling():
+    blob = save(DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2))
+
+    def two_keys(header):
+        header.update(dtype=">f8", trained_heads=None)
+        del header["version"]
+
+    with pytest.raises(CheckpointError, match="in dtype, trained_heads, version$"):
+        load(_with_header(blob, two_keys))
+    header_len = int.from_bytes(blob[12:16], "big")
+    spaced = json.dumps(json.loads(blob[16:16 + header_len]), sort_keys=True, indent=1).encode()
+    with pytest.raises(CheckpointError, match="in its spelling"):
+        load(blob[:12] + len(spaced).to_bytes(4, "big") + spaced + blob[16 + header_len:])
+
+
+def test_model_refuses_fields_that_break_its_rules():
+    model = DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2)
+    with pytest.raises(ConfigError, match="inventory"):
+        DualHeadModel.create(dim=4, inventory=(TemporalUnit.HOUR, TemporalUnit.DAY), seed=0,
+                             buckets=16, radius=2)
+    with pytest.raises(ConfigError, match="inventory"):
+        DualHeadModel.create(dim=4, inventory=(), seed=0, buckets=16, radius=2)
+    with pytest.raises(ConfigError, match="w_r"):
+        replace(model, w_r=model.w_r[:3])
+    with pytest.raises(ConfigError, match="w_e"):
+        replace(model, w_e=np.zeros(7))
+    for seed in (-1, 2.0, True, "0"):
+        with pytest.raises(ConfigError, match="seed"):
+            replace(model, seed=seed)
+    for radius in (-1, 2.0, None):
+        with pytest.raises(ConfigError, match="radius"):
+            BaselineEncoder(model.encoder.embeddings, radius)
 
 
 def test_create_rejects_empty_or_negative_sizes():
