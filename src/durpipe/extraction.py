@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
 from .adapters import read_jsonl
@@ -64,6 +65,7 @@ TRIGGER_FAMILIES: dict[str, tuple[str, ...]] = {
 }
 
 _FAMILY_OF_WORD = {w: fam for fam, words in TRIGGER_FAMILIES.items() for w in words}
+_UNIT_OF_NAME = TemporalUnit.__members__
 
 _UNIT_ALTERNATION = "|".join(u.word for u in UNITS_8)
 
@@ -79,9 +81,14 @@ _WORD_FILTER_RE = re.compile(
 _ORDINAL_TIME_RE = re.compile(r"(?:" + _ORDINALS + r") time", re.IGNORECASE)
 _SECONDARY_RE = re.compile(r"\d+ secondary", re.IGNORECASE)
 _UNIT_OLD_RE = re.compile(r"(?:" + _UNIT_ALTERNATION + r")s? old", re.IGNORECASE)
+# A literal that every match of the rule above holds, under the same case
+# folding: a text without it cannot match, and it is far cheaper to find.
+_ORDINAL_TIME_GATE = re.compile(" time", re.IGNORECASE)
+_SECONDARY_GATE = re.compile(" secondary", re.IGNORECASE)
+_UNIT_OLD_GATE = re.compile(" old", re.IGNORECASE)
 
 # A sentence ends at terminal punctuation followed by whitespace.
-_SENTENCE_END_RE = re.compile(r"[.!?]\s+")
+_SENTENCE_END_RE = re.compile(r"([.!?])\s+")
 # A sentence that the trigger pattern matches holds a character that \d
 # matches; [0-9] would miss the digits of other scripts that it takes.
 _DIGIT_RE = re.compile(r"\d")
@@ -169,6 +176,7 @@ class LabeledInstance:
     @classmethod
     def from_json(cls, obj: dict) -> "LabeledInstance":
         text, positions, exact = obj["masked_text"], obj["mask_positions"], obj["exact_label"]
+        source_id = obj.get("source_id", "")
         if type(text) is not str:
             raise ValueError(f"masked_text {text!r} is not a string")
         if type(positions) is not list or any(type(p) is not int for p in positions):
@@ -178,14 +186,19 @@ class LabeledInstance:
                                     for p in positions):
             raise ValueError(f"mask_positions {positions} are not a nonempty list of "
                              f"{MASK_TOKEN} token indices")
+        # A repeated position would sum its window twice in training.
+        if any(a >= b for a, b in zip(positions, positions[1:])):
+            raise ValueError(f"mask_positions {positions} are not strictly increasing")
         if type(exact) not in (int, float) or not math.isfinite(exact):
             raise ValueError(f"exact_label {exact!r} is not a finite number")
+        if type(source_id) is not str:
+            raise ValueError(f"source_id {source_id!r} is not a string")
         return cls(
             masked_text=text,
             mask_positions=tuple(positions),
             exact_label=float(exact),
             range_label=TemporalUnit.from_string(obj["range_label"]),
-            source_id=obj.get("source_id", ""),
+            source_id=source_id,
         )
 
 
@@ -219,37 +232,35 @@ def match_sentence(sentence: str, cfg: ExtractionConfig | None = None) -> MatchR
     m = (cfg or _DEFAULT_CONFIG).pattern.search(sentence)
     if m is None:
         return None
-    try:
-        unit = TemporalUnit.from_string(m.group("unit"))
-    except ValueError:
-        # The unit matches case-insensitively, which takes "İ" for "i";
-        # "mİnute" then lowercases to a word that names no unit.
+    trigger, qty, word = m.group("trigger", "qty", "unit")
+    # As TemporalUnit.from_string reads the word (the group holds no plural
+    # "s"). It matched case-insensitively, which takes "İ" for "i"; "mİnute"
+    # then lowercases to a word that names no unit.
+    unit = _UNIT_OF_NAME.get(word.lower().upper())
+    if unit is None:
         return None
     # float() saturates huge numerals to inf; label_sentence rejects those.
-    expression = DurationExpression(
-        quantity=float(m.group("qty")),
-        unit=unit,
-        span=(m.start("expr"), m.end("expr")),
-    )
-    trigger = m.group("trigger")
     return MatchResult(
         trigger=trigger,
         trigger_family=_FAMILY_OF_WORD[trigger],
-        expression=expression,
-        matched_text=m.group(0),
+        expression=DurationExpression(quantity=float(qty), unit=unit, span=m.span("expr")),
+        matched_text=m.group(),
     )
 
 
 def failed_filters(m: MatchResult, sentence: str) -> list[str]:
-    """Names of filter rules that fire on this match, in check order."""
+    """Names of filter rules that fire on this match, in check order. Each
+    rule but the word blocklist runs its pattern only where the literal
+    that every match of it holds (" time", " secondary", " old") is found."""
+    text = m.matched_text
     fired = []
-    if _WORD_FILTER_RE.search(m.matched_text):
+    if _WORD_FILTER_RE.search(text):
         fired.append("word_blocklist")
-    if _ORDINAL_TIME_RE.search(m.matched_text):
+    if _ORDINAL_TIME_GATE.search(text) and _ORDINAL_TIME_RE.search(text):
         fired.append("ordinal_time")
-    if _SECONDARY_RE.search(sentence):
+    if _SECONDARY_GATE.search(sentence) and _SECONDARY_RE.search(sentence):
         fired.append("numeric_secondary")
-    if _UNIT_OLD_RE.search(sentence):
+    if _UNIT_OLD_GATE.search(sentence) and _UNIT_OLD_RE.search(sentence):
         fired.append("unit_old")
     return fired
 
@@ -283,13 +294,12 @@ def segment_sentences(document: str) -> list[str]:
     """Split on terminal punctuation followed by whitespace; no
     abbreviation handling. A sentence keeps its punctuation and loses the
     whitespace after it, and a blank remainder is dropped: these are the
-    nonblank pieces of a split on `(?<=[.!?])\\s+`, found without the
-    lookbehind, which keeps re from scanning ahead for the punctuation."""
-    sentences, start = [], 0
-    for m in _SENTENCE_END_RE.finditer(document):
-        sentences.append(document[start:m.start() + 1])
-        start = m.end()
-    rest = document[start:]
+    nonblank pieces of a split on `(?<=[.!?])\\s+`, found by one split on
+    `([.!?])\\s+` that joins each piece to the punctuation it captured."""
+    parts = _SENTENCE_END_RE.split(document)
+    rest = parts.pop()
+    pairs = iter(parts)
+    sentences = [piece + end for piece, end in zip(pairs, pairs)]
     if rest.strip():
         sentences.append(rest)
     return sentences
@@ -313,8 +323,9 @@ def extract_corpus(
             stats.skipped_documents += 1
             continue
         stats.documents += 1
-        for idx, sentence in enumerate(segment_sentences(text)):
-            stats.sentences += 1
+        sentences = segment_sentences(text)
+        stats.sentences += len(sentences)
+        for idx, sentence in enumerate(sentences):
             m = match_sentence(sentence, cfg)
             if m is None:
                 continue
@@ -364,9 +375,22 @@ def read_documents(lines: Iterable[str], source: str) -> Iterator[tuple[str, str
                        source, n_bad, first_bad)
 
 
+# One instance as json.dumps(inst.to_json(), sort_keys=True) lays it out.
+_INSTANCE_JSON = ('{"exact_label": %s, "mask_positions": [%s], "masked_text": %s, '
+                  '"range_label": "%s", "source_id": %s}\n')
+
+
 def write_instances(instances: Sequence[LabeledInstance]) -> str:
-    """Serialize instances to JSONL (one record per line, stable key order)."""
-    return "".join(json.dumps(inst.to_json(), sort_keys=True) + "\n" for inst in instances)
+    """json.dumps(inst.to_json(), sort_keys=True) + "\\n" for each instance,
+    laid out from a fixed template: strings through json's C encoder, the
+    label through float.__repr__. This holds for what label_sentence and
+    read_instances build: str text and id, int positions, a finite float."""
+    quote = encode_basestring_ascii
+    return "".join([
+        _INSTANCE_JSON % (float.__repr__(inst.exact_label), ", ".join(map(str, inst.mask_positions)),
+                          quote(inst.masked_text), inst.range_label.word, quote(inst.source_id))
+        for inst in instances
+    ])
 
 
 def read_instances(lines: Iterable[str]) -> list[LabeledInstance]:

@@ -747,6 +747,10 @@ _INSTANCE = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2
     (["train", "{data}"], json.dumps({**_INSTANCE, "mask_positions": []})),
     (["train", "{data}"], json.dumps({**_INSTANCE, "mask_positions": [2, -1]})),
     (["train", "{data}"], json.dumps({**_INSTANCE, "mask_positions": [0, 1]})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "mask_positions": [2, 2]})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "mask_positions": [3, 2]})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "source_id": 5})),
+    (["train", "{data}"], json.dumps({**_INSTANCE, "source_id": None})),
     (["train", "{data}", "--head", "range"], json.dumps({**_INSTANCE, "range_label": "fortnight"})),
     (["train", "{data}"], '{"masked_text": "It took'),
     (["train", "{data}", "--format", "mctaco"], '{"context": "C.'),
@@ -759,6 +763,8 @@ _INSTANCE = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2
         "instances-label-string", "instances-label-bool", "instances-positions-string",
         "instances-positions-float", "instances-positions-bool", "instances-text-int",
         "instances-positions-empty", "instances-positions-outside", "instances-positions-not-mask",
+        "instances-positions-repeated", "instances-positions-backward",
+        "instances-source-id-int", "instances-source-id-null",
         "instances-unknown-range-label",
         "instances-not-json", "train-qa-not-json", "eval-qa-not-json"])
 def test_malformed_jsonl_line_is_data_error(small_pipeline, tmp_path, capsys, argv, line):

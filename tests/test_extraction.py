@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import re
 
@@ -6,9 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from durpipe.extraction import (
+    _ORDINAL_TIME_RE,
+    _SECONDARY_RE,
+    _UNIT_OLD_RE,
+    _WORD_FILTER_RE,
     TRIGGER_FAMILIES,
     ExtractionConfig,
     DurationExpression,
+    LabeledInstance,
     MaskedTextError,
     MatchResult,
     extract_corpus,
@@ -204,13 +210,20 @@ def test_digits_of_other_scripts_match():
         assert [i.source_id for i in instances] == ["d#0"]
 
 
-# Text built from the pieces that segmentation and the digit gate look
-# at: ASCII and other digits, ASCII and Unicode whitespace, terminal and clause
-# punctuation, triggers and units, plus arbitrary characters.
+# Text built from the pieces that segmentation, the digit gate, the unit
+# lookup and the filter gates look at: ASCII and other digits, ASCII and
+# Unicode whitespace, terminal and clause punctuation, triggers, units,
+# filter words and ordinals, the characters that case-insensitive matching
+# folds onto ASCII letters ("\u017f" s, "\u0130" and "\u0131" i, "\u212a"
+# k), plus arbitrary characters.
 _PIECES = ["took", "for", "lasting", "spent", "over", "period", "old", "more than", "every",
            "days", "Hours", "years", "week", "x", " ", " ", "  ", "\t", "\n", "\x85", "\xa0",
            "\u2003", "\u3000", ".", "!", "?", ",", ";", "[MASK]", "0", "3", "23", "\u0663",
-           "\u0662\u0664", "\uff13", "\u09ea", " took 3 days", " for \u0663 weeks", " over 12 months"]
+           "\u0662\u0664", "\uff13", "\u09ea", " took 3 days", " for \u0663 weeks", " over 12 months",
+           "time", "secondary", "first", "second", "third", "fourth", "fifth", "sixth", "seventh",
+           "eighth", "ninth", "\u017f", "\u0130", "\u0131", "\u212a", " TIME", " \u017fecondary",
+           " Old", " t\u0130me", " took 3 m\u0130nutes", " for 2 m\u0131nutes",
+           " spent 4 \u017feconds", " over 5 wee\u212as"]
 _texts = st.lists(st.one_of(st.sampled_from(_PIECES), st.characters()), max_size=40).map("".join)
 
 
@@ -221,9 +234,64 @@ def test_segment_sentences_equals_the_lookbehind_split(text):
 
 @given(_texts)
 def test_gated_match_equals_the_ungated_search(text):
+    # The reference reads the unit back with TemporalUnit.from_string, and
+    # a unit word it cannot read is no match.
     m, want = match_sentence(text), ExtractionConfig().pattern.search(text)
-    got = m and (m.trigger, m.expression.span, m.matched_text)
-    assert got == (want and (want["trigger"], want.span("expr"), want[0]))
+    try:
+        want = want and (want["trigger"], want.span("expr"), want[0],
+                         TemporalUnit.from_string(want["unit"]))
+    except ValueError:
+        want = None
+    assert (m and (m.trigger, m.expression.span, m.matched_text, m.expression.unit)) == want
+
+
+def _ungated_filters(matched_text, sentence):
+    rules = [("word_blocklist", _WORD_FILTER_RE, matched_text),
+             ("ordinal_time", _ORDINAL_TIME_RE, matched_text),
+             ("numeric_secondary", _SECONDARY_RE, sentence),
+             ("unit_old", _UNIT_OLD_RE, sentence)]
+    return [name for name, pattern, text in rules if pattern.search(text)]
+
+
+@given(_texts, _texts)
+def test_gated_filters_equal_the_ungated_patterns(matched_text, rest):
+    # failed_filters reads only the matched text and the sentence, so any
+    # text may stand in for either.
+    m = MatchResult(trigger="", trigger_family="", matched_text=matched_text,
+                    expression=DurationExpression(1.0, TemporalUnit.DAY, (0, 0)))
+    for sentence in (matched_text + rest, rest):
+        assert failed_filters(m, sentence) == _ungated_filters(matched_text, sentence)
+
+
+def test_filter_gates_fold_case_as_their_patterns_do():
+    sentence = "It took 3 days, said the FIRST T\u0130ME, 2 \u017fecondary and 4 years OLD."
+    m = match_sentence(sentence)
+    # the ordinal rule reads the matched text: let it span the sentence
+    m = MatchResult(m.trigger, m.trigger_family, m.expression, sentence)
+    assert failed_filters(m, sentence) == ["ordinal_time", "numeric_secondary", "unit_old"]
+
+
+# Strings of what json escapes (quotes, backslashes, C0 controls, U+2028,
+# non-ASCII letters, an astral character it writes as a surrogate pair)
+# and of DEL, which it writes as is.
+_json_strings = st.text(st.one_of(st.sampled_from(['"', "\\", "\u2028", "\x00", "\x1f", "\x7f",
+                                                   "\u00e9", "\U0001f600", " "]),
+                                  st.characters()))
+_instances = st.builds(
+    LabeledInstance,
+    masked_text=_json_strings,
+    mask_positions=st.lists(st.integers(0, 10 ** 6), max_size=4).map(tuple),
+    exact_label=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([-0.0, 5e-324, -1e-300, 1.7976931348623157e308, 1e16])),
+    range_label=st.sampled_from(list(TemporalUnit)),
+    source_id=_json_strings,
+)
+
+
+@given(st.lists(_instances, max_size=5))
+def test_write_instances_equals_json_dumps(instances):
+    assert write_instances(instances) == "".join(
+        json.dumps(inst.to_json(), sort_keys=True) + "\n" for inst in instances)
 
 
 # Three documents, five clean planted matches, two filter traps.
