@@ -28,10 +28,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
-from . import adapters, evaluation, extraction, model as model_lib, synth as synth_lib
+from . import adapters, evaluation, extraction
 from .adapters import MalformedRowError
-from .model import ConfigError, DualHeadModel, TrainConfig
-from .units import closest_unit, coarse_of_value, inventory_of_size
+from .units import ConfigError, closest_unit, coarse_of_value, inventory_of_size
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +65,8 @@ def _iter_input_files(paths: list[str]) -> list[Path]:
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            files.extend(sorted(q for q in p.iterdir() if q.suffix in (".txt", ".jsonl")))
+            files.extend(sorted(q for q in p.iterdir()
+                                if q.suffix in (".txt", ".jsonl") and not q.is_dir()))
         elif p.exists():
             files.append(p)
         else:
@@ -132,16 +132,17 @@ def _read_training_inputs(path: Path, fmt: str, inventory) -> list[adapters.Mode
 
 
 def cmd_train(settings: dict, out: Path) -> None:
+    from . import model as model_lib
     head, init, seed = settings["head"], settings["init"], settings["seed"]
     given = {key: settings[key] for key in _OPTIMIZER_KEYS if settings[key] is not None}
-    make_config = TrainConfig if init == "fresh" else TrainConfig.finetuning
+    make_config = model_lib.TrainConfig if init == "fresh" else model_lib.TrainConfig.finetuning
     cfg = make_config(**given, seed=seed, loss="mse" if head == "exact" else "cross_entropy")
     settings.update({key: getattr(cfg, key) for key in _OPTIMIZER_KEYS})
 
     inventory = inventory_of_size(settings["inventory"])
     if init == "fresh":
-        mdl = DualHeadModel.create(dim=settings["dim"], inventory=inventory, seed=seed,
-                                   buckets=settings["buckets"], radius=settings["radius"])
+        mdl = model_lib.DualHeadModel.create(dim=settings["dim"], inventory=inventory, seed=seed,
+                                             buckets=settings["buckets"], radius=settings["radius"])
     else:
         mdl = model_lib.with_inventory(model_lib.load(Path(init).read_bytes()), inventory)
 
@@ -180,6 +181,7 @@ def _timebank_golds(path: Path, inventory, protocol: str):
 
 
 def cmd_eval(settings: dict, out: Path) -> None:
+    from . import model as model_lib
     protocol, head = settings["protocol"], settings["head"]
     if protocol == "mctaco":
         rule = evaluation.RangeRule(settings["range"])
@@ -243,6 +245,7 @@ def _write_report(out: Path, report: evaluation.EvalReport) -> None:
 
 
 def cmd_synth(settings: dict, out: Path) -> None:
+    from . import synth as synth_lib
     spec = synth_lib.SynthSpec(size=settings["size"], holdout=settings["holdout"],
                                seed=settings["seed"], sigma=settings["sigma"])
     result = synth_lib.generate(spec)

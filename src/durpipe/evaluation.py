@@ -13,12 +13,12 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
-from .model import ConfigError
 from .units import (
     LESS_THAN_DAY,
     MORE_THAN_DAY,
     UNITS_7,
     UNITS_8,
+    ConfigError,
     TemporalUnit,
     UnitInventory,
     approx_match,

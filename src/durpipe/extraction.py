@@ -36,7 +36,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "TRIGGER_FAMILIES",
-    "FILTER_NAMES",
     "ExtractionConfig",
     "DurationExpression",
     "MatchResult",
@@ -72,8 +71,6 @@ _UNIT_ALTERNATION = "|".join(u.word for u in UNITS_8)
 _FILTER_WORDS = ("at", "age", "every", "next", "per")
 _FILTER_PHRASE = "more than"
 _ORDINALS = "first|second|third|fourth|fifth|sixth|seventh|eighth|ninth"
-
-FILTER_NAMES = ("word_blocklist", "ordinal_time", "numeric_secondary", "unit_old")
 
 _WORD_FILTER_RE = re.compile(
     r"\b(?:" + "|".join(_FILTER_WORDS) + r"|" + _FILTER_PHRASE + r")\b", re.IGNORECASE

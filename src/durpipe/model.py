@@ -48,7 +48,7 @@ import numpy as np
 
 from .adapters import ModelInput
 from .text import strip_clinging, tokenize
-from .units import UNITS_8, TemporalUnit, UnitInventory
+from .units import UNITS_8, ConfigError, TemporalUnit, UnitInventory
 
 logger = logging.getLogger(__name__)
 
@@ -76,10 +76,6 @@ CHECKPOINT_VERSION = 1
 
 class InvalidInputError(ValueError):
     """Raised for inputs that cannot be encoded (no mask positions, bad indices)."""
-
-
-class ConfigError(ValueError):
-    """Raised when training configuration and data disagree."""
 
 
 class CheckpointError(ValueError):
@@ -143,7 +139,11 @@ class DualHeadModel:
         if dim < 1 or buckets < 1:
             raise ConfigError(f"dim and buckets must be >= 1, got dim={dim} buckets={buckets}")
         rng = np.random.default_rng(seed)
-        encoder = BaselineEncoder(rng.uniform(-0.05, 0.05, size=(buckets, dim)), radius)
+        try:
+            table = rng.uniform(-0.05, 0.05, size=(buckets, dim))
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(f"dim={dim} and buckets={buckets} give no table: {exc}") from exc
+        encoder = BaselineEncoder(table, radius)
         w_e = rng.uniform(-0.05, 0.05, size=dim)
         w_r = rng.uniform(-0.05, 0.05, size=(len(inventory), dim))
         return cls(encoder=encoder, w_e=w_e, w_r=w_r, inventory=inventory, seed=seed)

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapters import TimeBankRow
-from .model import ConfigError
-from .units import TemporalUnit, closest_unit, format_duration, normalize
+from .units import ConfigError, TemporalUnit, closest_unit, format_duration, normalize
 
 __all__ = ["SynthSpec", "SynthOutput", "DEFAULT_CUES", "generate"]
 

@@ -22,6 +22,7 @@ __all__ = [
     "MORE_THAN_DAY",
     "DAY_BOUNDARY_SECONDS",
     "InvalidQuantityError",
+    "ConfigError",
     "normalize",
     "closest_unit",
     "approx_match",
@@ -33,6 +34,11 @@ __all__ = [
 
 class InvalidQuantityError(ValueError):
     """Raised for quantities that do not describe a positive finite duration."""
+
+
+class ConfigError(ValueError):
+    """Raised for a setting that is invalid or disagrees with the data; it
+    lives in this leaf module so that raising it loads no numpy."""
 
 
 class TemporalUnit(enum.IntEnum):

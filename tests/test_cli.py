@@ -106,6 +106,18 @@ def test_extract_cli_plain_text_and_directory(tmp_path):
     assert json.loads(lines[0])["source_id"].startswith("one.txt")
 
 
+def test_extract_cli_skips_a_directory_named_like_an_input(tmp_path):
+    data = tmp_path / "data"
+    (data / "notes.txt").mkdir(parents=True)
+    (data / "x.jsonl").mkdir()
+    (data / "one.txt").write_text("The trial lasted for 2 weeks.", encoding="utf-8")
+    assert run("extract", data, "--out", tmp_path / "ex") == 0
+    assert len((tmp_path / "ex" / "instances.jsonl").read_text().splitlines()) == 1
+    # A broken symlink is still an input that cannot be read.
+    (data / "gone.txt").symlink_to(tmp_path / "missing.txt")
+    assert run("extract", data, "--out", tmp_path / "ex2") == cli.EXIT_IO
+
+
 def test_extract_cli_empty_dir_warns_but_succeeds(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -688,6 +700,18 @@ def test_train_negative_dim_is_config_error(small_pipeline, tmp_path, capsys):
                    "--epochs", 1, "--out", tmp_path / "t")
         assert code == cli.EXIT_CONFIG, (flag, value)
         assert "dim and buckets" in capsys.readouterr().err
+    assert not (tmp_path / "t" / "model.ckpt").exists()
+
+
+# 10**15 x 32 float64 (227 PiB) is more than any 64-bit address space, so
+# the allocation fails at once; 10**15 x 4096 overflows numpy's maximum size.
+@pytest.mark.parametrize("flag", ["--buckets", "--dim"])
+def test_train_table_too_large_is_config_error(small_pipeline, tmp_path, capsys, flag):
+    code = run("train", small_pipeline / "ex" / "instances.jsonl", flag, 10**15,
+               "--epochs", 1, "--out", tmp_path / "t")
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "dim=" in err and "buckets=" in err and len(err.splitlines()) == 1
     assert not (tmp_path / "t" / "model.ckpt").exists()
 
 

@@ -37,3 +37,32 @@ def test_python_dash_m_runs_the_command_line():
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert "synth" in done.stdout and "baseline" in done.stdout
+
+
+def test_extract_and_baseline_run_without_numpy(tmp_path):
+    # Only the model and synth stages use numpy; extract and baseline
+    # must not pay its import.
+    from durpipe.adapters import TimeBankRow, write_timebank_tsv
+    from durpipe.units import TemporalUnit
+
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a", "text": "Repairs took 3 hours."}\n', encoding="utf-8")
+    tsv = tmp_path / "gold.tsv"
+    tsv.write_text(write_timebank_tsv([
+        TimeBankRow("They met.", (5, 8), (1.0, TemporalUnit.HOUR), (2.0, TemporalUnit.HOUR)),
+        TimeBankRow("It rained.", (3, 9), (3.0, TemporalUnit.DAY), (4.0, TemporalUnit.DAY)),
+    ]), encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from durpipe import cli\n"
+        "assert 'numpy' not in sys.modules, 'import durpipe.cli loads numpy'\n"
+        f"assert cli.main(['extract', {str(corpus)!r}, '--out', {str(tmp_path / 'ex')!r}]) == 0\n"
+        f"assert cli.main(['baseline', {str(tsv)!r}, '--out', {str(tmp_path / 'base')!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'extract or baseline loads numpy'\n"
+    )
+    src = str(Path(durpipe.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "ex" / "instances.jsonl").read_text().count("\n") == 1
+    assert (tmp_path / "base" / "report.json").exists()
