@@ -14,7 +14,8 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .text import MASK_TOKEN, splice_masks, starts_word
@@ -31,6 +32,7 @@ __all__ = [
     "TimeBankRow",
     "McTacoRow",
     "ModelInput",
+    "timebank_labels",
     "timebank_to_input",
     "question_to_statement",
     "McTacoQuestion",
@@ -65,10 +67,6 @@ class MalformedRowError(ValueError):
     """Raised when an annotation row cannot be interpreted."""
 
 
-def _seconds(duration: tuple[float, TemporalUnit]) -> float:
-    return duration[0] * duration[1].seconds
-
-
 @dataclass(frozen=True)
 class TimeBankRow:
     """An annotated event row. It is refused when made (MalformedRowError)
@@ -82,6 +80,8 @@ class TimeBankRow:
     event_span: tuple[int, int]
     min_duration: tuple[float, TemporalUnit]
     max_duration: tuple[float, TemporalUnit]
+    # The two durations in seconds, computed once when the row is made.
+    seconds: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         start, end = self.event_span
@@ -96,10 +96,13 @@ class TimeBankRow:
         for quantity, _ in (self.min_duration, self.max_duration):
             if not 0 < quantity < math.inf:
                 raise MalformedRowError(f"quantity {quantity!r} is not a positive finite number")
-        if not math.isfinite((_seconds(self.min_duration) + _seconds(self.max_duration)) / 2.0):
+        seconds = (self.min_duration[0] * self.min_duration[1].seconds,
+                   self.max_duration[0] * self.max_duration[1].seconds)
+        if not math.isfinite((seconds[0] + seconds[1]) / 2.0):
             raise MalformedRowError("durations " + " and ".join(
                 f"{q:g} {unit.word}" for q, unit in (self.min_duration, self.max_duration))
                 + " or their mean overflow a float in seconds")
+        object.__setattr__(self, "seconds", seconds)
 
 
 _QA_FIELDS = {"context": str, "question": str, "answer": str, "gold": bool}
@@ -145,24 +148,18 @@ class McTacoQuestion:
     dropped: int
 
 
-def _mean_log_seconds(row: TimeBankRow) -> float:
-    # Arithmetic mean of the two annotated durations, taken in linear
-    # seconds before the log.
-    return normalize((_seconds(row.min_duration) + _seconds(row.max_duration)) / 2.0,
-                     TemporalUnit.SECOND)
+def timebank_labels(row: TimeBankRow, inventory: UnitInventory = UNITS_7) -> tuple[float, TemporalUnit]:
+    """The row's exact label, the log of the arithmetic mean of its two
+    durations taken in linear seconds, and that label's closest unit."""
+    exact = normalize((row.seconds[0] + row.seconds[1]) / 2.0, TemporalUnit.SECOND)
+    return exact, closest_unit(exact, inventory)
 
 
 def timebank_to_input(row: TimeBankRow, inventory: UnitInventory = UNITS_7) -> ModelInput:
     """Insert the duration pattern after the event word and label the row."""
     end = row.event_span[1]
     text, positions = splice_masks(row.sentence[:end], MASK_PATTERN_MID, row.sentence[end:])
-    exact = _mean_log_seconds(row)
-    return ModelInput(
-        text=text,
-        mask_positions=positions,
-        exact_label=exact,
-        range_label=closest_unit(exact, inventory),
-    )
+    return ModelInput(text, positions, *timebank_labels(row, inventory))
 
 
 _AUXILIARIES = (
@@ -206,6 +203,13 @@ def parse_answer_value(answer: str) -> float | None:
     it holds no quantity-unit pair ("a few moments") or its first pair is
     no positive finite duration: a case-insensitive match takes "İ" for
     "i" and "ſ" for "s" ("2 mİnutes", "ſix hours"), and numerals overflow."""
+    return _answer_value(answer)
+
+
+# QA answers repeat across questions ("2 hours"), so each distinct text
+# is parsed once.
+@lru_cache(maxsize=4096)
+def _answer_value(answer: str) -> float | None:
     m = _ANSWER_RE.search(answer)
     if m is None:
         return None
@@ -251,7 +255,7 @@ def read_timebank_tsv(lines: Iterable[str]) -> list[TimeBankRow]:
     i = -1
     try:
         for i, record in enumerate(csv.reader(lines, delimiter="\t")):
-            if not record or all(not cell.strip() for cell in record):
+            if not "".join(record).strip():
                 continue
             if i == 0 and record[0].strip().lower() == "sentence":
                 continue
@@ -264,9 +268,10 @@ def read_timebank_tsv(lines: Iterable[str]) -> list[TimeBankRow]:
                 span = int(start), int(end)
                 lo = _quantity(min_q), TemporalUnit.from_string(min_u)
                 hi = _quantity(max_q), TemporalUnit.from_string(max_u)
-                if _seconds(lo) > _seconds(hi):
-                    lo, hi = hi, lo  # annotations occasionally swap the bounds
-                out.append(TimeBankRow(sentence, span, lo, hi))
+                row = TimeBankRow(sentence, span, lo, hi)
+                if row.seconds[0] > row.seconds[1]:
+                    row = TimeBankRow(sentence, span, hi, lo)  # annotations occasionally swap the bounds
+                out.append(row)
             except ValueError as exc:
                 raise MalformedRowError(f"row {i}: {exc}") from exc
     except csv.Error as exc:  # raised while reading the row after row i
@@ -330,8 +335,8 @@ def read_jsonl(lines: Iterable[str], parse: Callable[[Any], T], what: str) -> li
 def read_mctaco_jsonl(lines: Iterable[str]) -> list[McTacoRow]:
     """Parse JSONL rows with string fields context, question and answer
     and a JSON boolean gold."""
-    return read_jsonl(lines, lambda obj: McTacoRow(**{key: obj[key] for key in _QA_FIELDS}),
-                      "a QA row")
+    return read_jsonl(lines, lambda obj: McTacoRow(obj["context"], obj["question"], obj["answer"],
+                                                   obj["gold"]), "a QA row")
 
 
 def read_mctaco_questions(lines: Iterable[str], inventory: UnitInventory) -> list[McTacoQuestion]:
@@ -350,7 +355,7 @@ def read_mctaco_questions(lines: Iterable[str], inventory: UnitInventory) -> lis
         correct = [v for v, gold in answers if gold]
         if correct:
             mean = sum(correct) / len(correct)
-            model_input = replace(model_input, exact_label=mean,
-                                  range_label=closest_unit(mean, inventory))
+            model_input = ModelInput(model_input.text, model_input.mask_positions, mean,
+                                     closest_unit(mean, inventory))
         questions.append(McTacoQuestion(qid, model_input, answers, len(parsed) - len(answers)))
     return questions

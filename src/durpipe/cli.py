@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
-from . import adapters, evaluation, extraction
+from . import adapters, evaluation
 from .adapters import MalformedRowError
 from .units import ConfigError, closest_unit, coarse_of_value, inventory_of_size
 
@@ -75,6 +75,7 @@ def _iter_input_files(paths: list[str]) -> list[Path]:
 
 
 def _iter_documents(files: list[Path]):
+    from . import extraction
     for path in files:
         try:
             text = path.read_bytes().decode("utf-8-sig")
@@ -91,6 +92,7 @@ def _iter_documents(files: list[Path]):
 
 
 def cmd_extract(settings: dict, out: Path) -> None:
+    from . import extraction
     try:
         cfg = extraction.ExtractionConfig.from_selector(settings["patterns"])
     except ValueError as exc:
@@ -123,6 +125,7 @@ def _read_training_inputs(path: Path, fmt: str, inventory) -> list[adapters.Mode
     # cell reads back; the JSONL readers strip each line.
     with open(path, encoding="utf-8-sig", newline="") as fh:
         if fmt == "instances":
+            from . import extraction
             return [adapters.ModelInput(i.masked_text, i.mask_positions, i.exact_label)
                     for i in extraction.read_instances(fh)]
         if fmt == "timebank":
@@ -175,9 +178,15 @@ def _timebank_golds(path: Path, inventory, protocol: str):
         inputs, keys = adapters.read_timebank_inputs(fh, inventory)
     if not inputs:
         raise MalformedRowError(f"no rows in {path}")
+    return inputs, _golds([(mi.exact_label, mi.range_label) for mi in inputs], protocol), keys
+
+
+def _golds(labels: list[tuple[float, object]], protocol: str) -> list:
+    """The gold labels under the coarse or fine protocol of the rows'
+    (exact, range) labels."""
     if protocol == "fine":
-        return inputs, [mi.range_label for mi in inputs], keys
-    return inputs, [coarse_of_value(mi.exact_label) for mi in inputs], keys
+        return [unit for _, unit in labels]
+    return [coarse_of_value(exact) for exact, _ in labels]
 
 
 def cmd_eval(settings: dict, out: Path) -> None:
@@ -222,10 +231,15 @@ def cmd_eval(settings: dict, out: Path) -> None:
 
 
 def cmd_baseline(settings: dict, out: Path) -> None:
-    protocol = settings["protocol"]
+    # The baseline predicts nothing, so it labels the rows without
+    # placing masks in them.
+    protocol, path = settings["protocol"], Path(settings["data"])
     inventory = inventory_of_size(settings["inventory"])
-    _, golds, _ = _timebank_golds(Path(settings["data"]), inventory, protocol)
-    _write_report(out, evaluation.majority_baseline(golds, protocol, inventory))
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        labels = [adapters.timebank_labels(row, inventory) for row in adapters.read_timebank_tsv(fh)]
+    if not labels:
+        raise MalformedRowError(f"no rows in {path}")
+    _write_report(out, evaluation.majority_baseline(_golds(labels, protocol), protocol, inventory))
 
 
 def _write_report(out: Path, report: evaluation.EvalReport) -> None:

@@ -53,7 +53,7 @@ class RangeRule:
             raise ConfigError(f"range must be > 0, got {self.range_width}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ItemRecord:
     item_id: str
     prediction: str
@@ -158,9 +158,11 @@ def eval_coarse(
     keys: Sequence[str] | None = None,
 ) -> EvalReport:
     """Binary less-than-a-day task. A prediction is a head's raw output
-    (see `_unit_or_value`) or a coarse label."""
+    (see `_unit_or_value`) or a coarse label. `preds`, `golds` and `keys`
+    must be of one length."""
+    keys = [""] * len(preds) if keys is None else keys
     items = []
-    for i, (raw, gold) in enumerate(zip(preds, golds, strict=True)):
+    for i, (raw, gold, key) in enumerate(zip(preds, golds, keys, strict=True)):
         if gold not in _COARSE:
             raise ValueError(f"not a coarse gold label: {gold!r}")
         if isinstance(raw, str):
@@ -170,13 +172,7 @@ def eval_coarse(
         else:
             pred = _unit_or_value(raw)
             pred = coarse_of_unit(pred) if isinstance(pred, TemporalUnit) else coarse_of_value(pred)
-        items.append(ItemRecord(
-            item_id=str(i),
-            prediction=pred,
-            gold=gold,
-            correct=pred == gold,
-            key=keys[i] if keys else "",
-        ))
+        items.append(ItemRecord(str(i), pred, gold, pred == gold, key))
     return _tally("coarse", items, _COARSE)
 
 
@@ -187,24 +183,23 @@ def eval_fine(
     keys: Sequence[str] | None = None,
 ) -> EvalReport:
     """Fine-grained unit task under approximate agreement. A log-second
-    prediction scores as its closest inventory unit."""
+    prediction scores as its closest inventory unit. `preds`, `golds` and
+    `keys` must be of one length."""
     inventory = tuple(inventory)
+    keys = [""] * len(preds) if keys is None else keys
+    # One lookup both checks that a unit is in the inventory and gives its word.
+    word_of = {unit: unit.word for unit in inventory}
     items = []
-    for i, (raw, gold) in enumerate(zip(preds, golds, strict=True)):
+    for i, (raw, gold, key) in enumerate(zip(preds, golds, keys, strict=True)):
         pred = _unit_or_value(raw)
         if not isinstance(pred, TemporalUnit):
             pred = closest_unit(pred, inventory)
-        if pred not in inventory:
+        shown, gold_word = word_of.get(pred), word_of.get(gold)
+        if shown is None:
             raise ValueError(f"prediction {pred.word} outside inventory")
-        if gold not in inventory:
+        if gold_word is None:
             raise ValueError(f"gold {gold.word} outside inventory")
-        items.append(ItemRecord(
-            item_id=str(i),
-            prediction=pred.word,
-            gold=gold.word,
-            correct=approx_match(pred, gold),
-            key=keys[i] if keys else "",
-        ))
+        items.append(ItemRecord(str(i), shown, gold_word, approx_match(pred, gold), key))
     return _tally("fine", items)
 
 
@@ -230,33 +225,29 @@ def eval_mctaco(
     known = set(question_order)
     extra = sum(1 for q in preds if q not in known)
     predicted = {q: _unit_or_value(preds[q]) for q in question_order}
+    shown = {q: pred.word if isinstance(pred, TemporalUnit) else f"{pred:.6g}"
+             for q, pred in predicted.items()}
 
     inventory = tuple(inventory)
+    width = rule.range_width
     items = []
     pair_counts: Counter[tuple[str, str]] = Counter()
     per_question_ok: dict[str, bool] = {q: True for q in question_order}
-    answer_index: Counter[str] = Counter()
+    answer_index = dict.fromkeys(question_order, 0)
     for qid, value, gold in answers:
         pred = predicted[qid]
         if isinstance(pred, TemporalUnit):
             verdict = approx_match(pred, closest_unit(value, inventory))
-            shown = pred.word
         else:
-            verdict = abs(value - pred) <= rule.range_width
-            shown = f"{pred:.6g}"
+            verdict = abs(value - pred) <= width
         correct = verdict == gold
-        per_question_ok[qid] = per_question_ok[qid] and correct
+        if not correct:
+            per_question_ok[qid] = False
         idx = answer_index[qid]
-        answer_index[qid] += 1
+        answer_index[qid] = idx + 1
         labels = ("correct" if verdict else "incorrect", "correct" if gold else "incorrect")
         pair_counts[labels] += 1
-        items.append(ItemRecord(
-            item_id=f"{qid}#a{idx}",
-            prediction=f"{shown}:{labels[0]}",
-            gold=labels[1],
-            correct=correct,
-            key=qid,
-        ))
+        items.append(ItemRecord(f"{qid}#a{idx}", f"{shown[qid]}:{labels[0]}", labels[1], correct, qid))
     report = _tally("mctaco", items, ("correct",), pair_counts)
     report.exact_match = sum(per_question_ok.values()) / len(question_order)
     if extra:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
+from functools import lru_cache
 from typing import Sequence
 
 __all__ = [
@@ -62,37 +64,36 @@ class TemporalUnit(enum.IntEnum):
 
     @property
     def word(self) -> str:
-        return self.name.lower()
+        return _UNIT_WORDS[self]
 
     @classmethod
     def from_string(cls, text: str) -> "TemporalUnit":
         """Parse a unit word, tolerating case and a plural trailing "s"."""
-        word = text.strip().lower()
-        if word.endswith("s") and word != "s":
-            word = word[:-1]
-        try:
-            return cls[word.upper()]
-        except KeyError:
-            raise ValueError(f"unknown temporal unit: {text!r}") from None
+        return _unit_of_word(text)
 
     def __str__(self) -> str:
         return self.word
 
 
-# Calendar approximations: 30-day month, 365-day year, 10-year decade.
-# The day value (86,400 s) is also the coarse-task boundary.
-_UNIT_SECONDS = {
-    TemporalUnit.SECOND: 1,
-    TemporalUnit.MINUTE: 60,
-    TemporalUnit.HOUR: 3_600,
-    TemporalUnit.DAY: 86_400,
-    TemporalUnit.WEEK: 604_800,
-    TemporalUnit.MONTH: 2_592_000,
-    TemporalUnit.YEAR: 31_536_000,
-    TemporalUnit.DECADE: 315_360_000,
-}
-# Indexed by the unit's ordinal.
-_UNIT_LOG_SECONDS = tuple(math.log(_UNIT_SECONDS[u]) for u in TemporalUnit)
+# Indexed by the unit's ordinal. Calendar approximations: 30-day month,
+# 365-day year, 10-year decade. The day value (86,400 s) is also the
+# coarse-task boundary.
+_UNIT_SECONDS = (1, 60, 3_600, 86_400, 604_800, 2_592_000, 31_536_000, 315_360_000)
+_UNIT_WORDS = tuple(u.name.lower() for u in TemporalUnit)
+_UNIT_LOG_SECONDS = tuple(math.log(s) for s in _UNIT_SECONDS)
+
+
+# A ValueError is not cached, so each bad word raises with its own text.
+@lru_cache(maxsize=256)
+def _unit_of_word(text: str) -> TemporalUnit:
+    word = text.strip().lower()
+    if word.endswith("s") and word != "s":
+        word = word[:-1]
+    try:
+        return TemporalUnit[word.upper()]
+    except KeyError:
+        raise ValueError(f"unknown temporal unit: {text!r}") from None
+
 
 DAY_BOUNDARY_SECONDS = 86_400
 _LOG_DAY = math.log(DAY_BOUNDARY_SECONDS)
@@ -128,19 +129,27 @@ def closest_unit(value: float, inventory: UnitInventory = UNITS_8) -> TemporalUn
 
     Distance is measured in log space, so bucket boundaries fall at
     geometric midpoints between adjacent units. Exact ties go to the
-    smaller unit.
+    smaller unit, and a value past either end unit's point gets that unit.
     """
     if not math.isfinite(value):
         raise InvalidQuantityError(f"value must be finite, got {value!r}")
+    units, points = _points_of(inventory if type(inventory) is tuple else tuple(inventory))
+    i = bisect_left(points, value)
+    if i == 0:
+        return units[0]
+    if i == len(points):
+        return units[-1]
+    # The two neighbours, compared as a scan from the smaller unit would.
+    return units[i] if abs(value - points[i]) < abs(value - points[i - 1]) else units[i - 1]
+
+
+@lru_cache(maxsize=16)
+def _points_of(inventory: tuple[TemporalUnit, ...]) -> tuple[tuple[TemporalUnit, ...], tuple[float, ...]]:
+    """The units of an inventory in unit order, and their log-second points."""
     if not inventory:
         raise ValueError("inventory must be nonempty")
-    best = inventory[0]
-    best_dist = abs(value - _UNIT_LOG_SECONDS[best])
-    for unit in inventory[1:]:
-        dist = abs(value - _UNIT_LOG_SECONDS[unit])
-        if dist < best_dist:
-            best, best_dist = unit, dist
-    return best
+    units = tuple(sorted(set(inventory)))
+    return units, tuple(_UNIT_LOG_SECONDS[u] for u in units)
 
 
 def approx_match(a: TemporalUnit, b: TemporalUnit) -> bool:

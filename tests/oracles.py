@@ -41,6 +41,18 @@ def bucket_unit(log_seconds: float, n_units: int = 8) -> str:
     return UNIT_WORDS[n_units - 1]
 
 
+def scan_closest_unit(log_seconds: float, n_units: int = 8) -> str:
+    """Closest unit by a scan from the smallest that keeps the earlier of
+    two equal distances, as `closest_unit` was first written."""
+    best = UNIT_WORDS[0]
+    best_dist = abs(log_seconds - math.log(ORACLE_SECONDS[best]))
+    for unit in UNIT_WORDS[1:n_units]:
+        dist = abs(log_seconds - math.log(ORACLE_SECONDS[unit]))
+        if dist < best_dist:
+            best, best_dist = unit, dist
+    return best
+
+
 TRIGGER_WORDS = [
     "duration", "period", "for", "last", "lasting",
     "spend", "spent", "over", "take", "took", "taken",

@@ -694,6 +694,22 @@ def test_damaged_input_record_exits_with_a_documented_code(small_pipeline, tmp_p
         cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_DATA}
 
 
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_tsv_row_ends_baseline_and_eval_alike(small_pipeline, tmp_path, capsys, data):
+    # baseline labels the rows without placing masks in them, and eval
+    # places them; both must accept and refuse the same files.
+    path = tmp_path / "data.tsv"
+    path.write_text("\n".join(["\t".join(TIMEBANK_COLUMNS), "They met.\t5\t8\t1\thour\t2\thours",
+                               data.draw(damaged_cells(["They met.", "5", "8", "1", "hour", "2", "hours"]))])
+                    + "\n", encoding="utf-8")
+    ends = []
+    for argv in (["baseline", path], ["eval", small_pipeline / "te" / "model.ckpt", path]):
+        code = run(*argv, "--protocol", "fine", "--out", tmp_path / "out")
+        ends.append((code, capsys.readouterr().err))
+    assert ends[0] == ends[1]
+
+
 def test_train_negative_dim_is_config_error(small_pipeline, tmp_path, capsys):
     for flag, value in [("--dim", -1), ("--dim", 0), ("--buckets", -2)]:
         code = run("train", small_pipeline / "ex" / "instances.jsonl", flag, value,
@@ -1069,6 +1085,39 @@ def test_traced_stage_counts_every_window_token(small_pipeline, tmp_path):
                 "model.encoder.window_buckets")
         assert np.count_nonzero(window_spans) == len(lengths), name
         assert counts["model.encoder.bucket_calls"] == lengths.sum(), name
+
+
+def test_traced_eval_spans_each_row_and_counts_each_dropped_answer(small_pipeline, tmp_path):
+    # The tracer spans adapters.timebank_to_input once per TSV row, and
+    # counts a dropped answer for each None that adapters.parse_answer_value
+    # returns; eval must call both through the module, once per row and
+    # per answer, for these to read true.
+    stage = Path(__file__).parents[1] / "durbench" / "stage.py"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    holdout = small_pipeline / "synth" / "holdout.tsv"
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text("".join(json.dumps({"context": f"They met {i}.", "question": "How long did they meet?",
+                                      "answer": answer, "gold": gold}) + "\n"
+                          for i in range(3) for answer, gold in [("2 hours", True), ("a while", False),
+                                                                 ("3 days", False), ("a while", True)]),
+                  encoding="utf-8")
+    for protocol, data in [("fine", holdout), ("mctaco", qa)]:
+        spans, out = tmp_path / f"{protocol}.npz", tmp_path / protocol
+        proc = subprocess.run([sys.executable, *map(str, [
+            stage, tmp_path / f"{protocol}.json", spans, "eval", small_pipeline / "te" / "model.ckpt",
+            data, "--protocol", protocol, "--out", out])], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        with np.load(spans) as traced:
+            names, counts = list(traced["names"]), json.loads(str(traced["counts"]))
+            calls = {name: int(np.count_nonzero(traced["name"] == i)) for i, name in enumerate(names)}
+        if protocol == "fine":
+            assert calls["adapters.timebank_to_input"] == len(read_timebank_tsv(
+                holdout.read_text(encoding="utf-8").splitlines())) == len(report["items"])
+        else:
+            assert calls["adapters.parse_answer_value"] == 12
+            assert counts["adapters.dropped_answers"] == report["diagnostics"]["unparseable_answers"] == 6
 
 
 def test_log_verbosity_env_var(tmp_path):

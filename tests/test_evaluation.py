@@ -328,6 +328,14 @@ def test_f1_reproducible_from_stored_confusion():
         )
 
 
+@pytest.mark.parametrize("keys", [["x"], ["x", "y", "z"], []], ids=["short", "long", "empty"])
+def test_keys_of_another_length_than_the_predictions_are_refused(keys):
+    with pytest.raises(ValueError):
+        eval_fine([U.DAY, U.WEEK], [U.DAY, U.YEAR], UNITS_8, keys=keys)
+    with pytest.raises(ValueError):
+        eval_coarse([LT, GT], [LT, LT], keys=keys)
+
+
 def test_report_json_roundtrip():
     report = eval_fine([U.DAY, U.WEEK], [U.DAY, U.YEAR], UNITS_8, keys=["x", "y"])
     payload = json.loads(report_to_json(report))

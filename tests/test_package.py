@@ -66,3 +66,32 @@ def test_extract_and_baseline_run_without_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "ex" / "instances.jsonl").read_text().count("\n") == 1
     assert (tmp_path / "base" / "report.json").exists()
+
+
+def test_eval_and_baseline_run_without_the_extraction_module(tmp_path):
+    # Only extract and the training intake of extracted instances read
+    # with the extraction module; eval and baseline must not load it.
+    from durpipe import model
+    from durpipe.adapters import TimeBankRow, write_timebank_tsv
+    from durpipe.units import TemporalUnit
+
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(model.save(model.DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2)))
+    tsv = tmp_path / "gold.tsv"
+    tsv.write_text(write_timebank_tsv([
+        TimeBankRow("They met.", (5, 8), (1.0, TemporalUnit.HOUR), (2.0, TemporalUnit.HOUR)),
+    ]), encoding="utf-8")
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text('{"context": "They met.", "question": "How long did they meet?", '
+                  '"answer": "2 hours", "gold": true}\n', encoding="utf-8")
+    runs = [["eval", ckpt, tsv, "--protocol", protocol] for protocol in ("coarse", "fine")]
+    runs += [["eval", ckpt, qa, "--protocol", "mctaco"], ["baseline", tsv]]
+    code = "import sys\nfrom durpipe import cli\n" + "".join(
+        f"assert cli.main({[*map(str, argv), '--out', str(tmp_path / str(i))]!r}) == 0\n"
+        for i, argv in enumerate(runs)
+    ) + "assert 'durpipe.extraction' not in sys.modules, 'eval or baseline loads extraction'\n"
+    src = str(Path(durpipe.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert all((tmp_path / str(i) / "report.json").exists() for i in range(len(runs)))

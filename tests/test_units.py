@@ -19,7 +19,7 @@ from durpipe.units import (
     normalize,
 )
 
-from oracles import ORACLE_SECONDS, bucket_unit
+from oracles import ORACLE_SECONDS, UNIT_WORDS, bucket_unit, scan_closest_unit
 
 ALL_UNITS = list(TemporalUnit)
 
@@ -77,6 +77,40 @@ def test_closest_unit_tie_goes_to_smaller():
     # exact geometric midpoint between second and minute
     midpoint = 0.5 * (math.log(1) + math.log(60))
     assert closest_unit(midpoint, UNITS_8) is TemporalUnit.SECOND
+
+
+@pytest.mark.parametrize("value,unit8,unit3", [
+    (1e17, TemporalUnit.DECADE, TemporalUnit.HOUR),
+    (1e300, TemporalUnit.DECADE, TemporalUnit.HOUR),
+    (-1e300, TemporalUnit.SECOND, TemporalUnit.SECOND),
+])
+def test_closest_unit_of_a_value_past_either_end_is_the_end_unit(value, unit8, unit3):
+    # At this size every distance rounds to one float, and a scan that
+    # keeps the first of equal distances picked the smallest unit.
+    assert closest_unit(value, UNITS_8) is unit8
+    assert closest_unit(value, UNITS_8[:3]) is unit3
+
+
+_POINTS = [math.log(ORACLE_SECONDS[word]) for word in UNIT_WORDS]
+_MIDPOINTS = [(a + b) / 2 for a, b in zip(_POINTS, _POINTS[1:])]
+
+
+def test_closest_unit_equals_the_scan_at_every_midpoint_and_its_float_neighbours():
+    for n in range(1, 9):
+        for mid in _MIDPOINTS:
+            for value in (math.nextafter(mid, -math.inf), mid, math.nextafter(mid, math.inf)):
+                assert closest_unit(value, UNITS_8[:n]).word == scan_closest_unit(value, n), (n, value)
+
+
+@given(st.integers(1, 8), st.floats(-1e6, 1e6) | st.sampled_from(_POINTS))
+def test_closest_unit_equals_the_scan(n, value):
+    assert closest_unit(value, UNITS_8[:n]).word == scan_closest_unit(value, n)
+
+
+def test_closest_unit_reads_any_sequence_in_unit_order():
+    v = normalize(3, TemporalUnit.WEEK)
+    for inventory in ([TemporalUnit.HOUR, TemporalUnit.YEAR], (TemporalUnit.YEAR, TemporalUnit.HOUR)):
+        assert closest_unit(v, inventory) is TemporalUnit.YEAR
 
 
 def test_closest_unit_rejects_empty_inventory():
@@ -153,6 +187,14 @@ def test_from_string_parsing():
     assert TemporalUnit.from_string("DECADES") is TemporalUnit.DECADE
     with pytest.raises(ValueError):
         TemporalUnit.from_string("fortnight")
+
+
+def test_from_string_answers_a_repeated_word_alike_and_names_each_bad_one():
+    for _ in range(2):
+        assert TemporalUnit.from_string(" Weeks ") is TemporalUnit.WEEK
+        for bad in ("fortnight", "fortnights", "s"):
+            with pytest.raises(ValueError, match=f"unknown temporal unit: {bad!r}"):
+                TemporalUnit.from_string(bad)
 
 
 def test_inventory_of_size():
