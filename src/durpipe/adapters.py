@@ -40,7 +40,6 @@ __all__ = [
     "parse_answer_value",
     "group_mctaco_rows",
     "read_timebank_tsv",
-    "read_timebank_inputs",
     "write_timebank_tsv",
     "read_jsonl",
     "read_mctaco_jsonl",
@@ -206,8 +205,9 @@ def parse_answer_value(answer: str) -> float | None:
     return _answer_value(answer)
 
 
-# QA answers repeat across questions ("2 hours"), so each distinct text
-# is parsed once.
+# Each distinct answer text is parsed once. That pays only where answers
+# repeat across questions ("2 hours"); a text not seen before costs a
+# cache miss on top of its parse.
 @lru_cache(maxsize=4096)
 def _answer_value(answer: str) -> float | None:
     m = _ANSWER_RE.search(answer)
@@ -277,15 +277,6 @@ def read_timebank_tsv(lines: Iterable[str]) -> list[TimeBankRow]:
     except csv.Error as exc:  # raised while reading the row after row i
         raise MalformedRowError(f"row {i + 1}: {exc}") from exc
     return out
-
-
-def read_timebank_inputs(
-    lines: Iterable[str], inventory: UnitInventory
-) -> tuple[list[ModelInput], list[str]]:
-    """Labelled inputs of a TimeBank-style TSV, and the event word of each row."""
-    rows = read_timebank_tsv(lines)
-    inputs = [timebank_to_input(row, inventory) for row in rows]
-    return inputs, [row.sentence[row.event_span[0]:row.event_span[1]] for row in rows]
 
 
 def write_timebank_tsv(rows: Sequence[TimeBankRow]) -> str:

@@ -26,7 +26,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import adapters, evaluation
 from .adapters import MalformedRowError
@@ -129,7 +129,8 @@ def _read_training_inputs(path: Path, fmt: str, inventory) -> list[adapters.Mode
             return [adapters.ModelInput(i.masked_text, i.mask_positions, i.exact_label)
                     for i in extraction.read_instances(fh)]
         if fmt == "timebank":
-            return adapters.read_timebank_inputs(fh, inventory)[0]
+            return [adapters.timebank_to_input(row, inventory)
+                    for row in adapters.read_timebank_tsv(fh)]
         return [q.input for q in adapters.read_mctaco_questions(fh, inventory)
                 if q.input.exact_label is not None]
 
@@ -171,22 +172,30 @@ def cmd_train(settings: dict, out: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _timebank_rows(path: Path) -> list[adapters.TimeBankRow]:
+    """The rows of a TSV data file; a file with no rows is a data error."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        rows = adapters.read_timebank_tsv(fh)
+    if not rows:
+        raise MalformedRowError(f"no rows in {path}")
+    return rows
+
+
+def _golds(protocol: str, exacts: Iterable[float], units: Iterable) -> list:
+    """The gold labels under the coarse or fine protocol of rows with these
+    exact and range labels; only the labels the protocol reads are read."""
+    if protocol == "fine":
+        return list(units)
+    return [coarse_of_value(exact) for exact in exacts]
+
+
 def _timebank_golds(path: Path, inventory, protocol: str):
     """Inputs, gold labels under the coarse or fine protocol and event
-    words of a TSV data file; a file with no rows is a data error."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        inputs, keys = adapters.read_timebank_inputs(fh, inventory)
-    if not inputs:
-        raise MalformedRowError(f"no rows in {path}")
-    return inputs, _golds([(mi.exact_label, mi.range_label) for mi in inputs], protocol), keys
-
-
-def _golds(labels: list[tuple[float, object]], protocol: str) -> list:
-    """The gold labels under the coarse or fine protocol of the rows'
-    (exact, range) labels."""
-    if protocol == "fine":
-        return [unit for _, unit in labels]
-    return [coarse_of_value(exact) for exact, _ in labels]
+    words of a TSV data file."""
+    rows = _timebank_rows(path)
+    inputs = [adapters.timebank_to_input(row, inventory) for row in rows]
+    golds = _golds(protocol, (mi.exact_label for mi in inputs), (mi.range_label for mi in inputs))
+    return inputs, golds, [row.sentence[row.event_span[0]:row.event_span[1]] for row in rows]
 
 
 def cmd_eval(settings: dict, out: Path) -> None:
@@ -233,13 +242,12 @@ def cmd_eval(settings: dict, out: Path) -> None:
 def cmd_baseline(settings: dict, out: Path) -> None:
     # The baseline predicts nothing, so it labels the rows without
     # placing masks in them.
-    protocol, path = settings["protocol"], Path(settings["data"])
+    protocol = settings["protocol"]
     inventory = inventory_of_size(settings["inventory"])
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        labels = [adapters.timebank_labels(row, inventory) for row in adapters.read_timebank_tsv(fh)]
-    if not labels:
-        raise MalformedRowError(f"no rows in {path}")
-    _write_report(out, evaluation.majority_baseline(_golds(labels, protocol), protocol, inventory))
+    exacts, units = zip(*(adapters.timebank_labels(row, inventory)
+                          for row in _timebank_rows(Path(settings["data"]))))
+    golds = _golds(protocol, exacts, units)
+    _write_report(out, evaluation.majority_baseline(golds, protocol, inventory))
 
 
 def _write_report(out: Path, report: evaluation.EvalReport) -> None:

@@ -12,8 +12,7 @@ from intake_fuzz import damaged_cells, damaged_record
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from durpipe import cli, model
-from durpipe.adapters import (TIMEBANK_COLUMNS, TimeBankRow, read_timebank_inputs,
-                              read_timebank_tsv, write_timebank_tsv)
+from durpipe.adapters import TIMEBANK_COLUMNS, TimeBankRow, read_timebank_tsv, write_timebank_tsv
 from durpipe.synth import SynthSpec, generate
 from durpipe.text import tokenize
 from durpipe.units import TemporalUnit
@@ -625,7 +624,7 @@ def test_eval_with_non_finite_checkpoint_is_data_error(small_pipeline, tmp_path,
     # inf in the range head and NaN in an embedding row that no holdout token uses
     holdout = small_pipeline / "synth" / "holdout.tsv"
     trained = model.load((small_pipeline / "tr" / "model.ckpt").read_bytes())
-    inputs, _ = read_timebank_inputs(holdout.read_text().splitlines(), trained.inventory)
+    inputs = cli._timebank_golds(holdout, trained.inventory, "fine")[0]
     used = {trained.encoder.bucket(token) for mi in inputs for token in tokenize(mi.text)}
     trained.w_r[3, 0] = np.inf
     trained.encoder.embeddings[min(set(range(trained.encoder.buckets)) - used), 0] = np.nan
