@@ -1119,6 +1119,38 @@ def test_traced_eval_spans_each_row_and_counts_each_dropped_answer(small_pipelin
             assert counts["adapters.dropped_answers"] == report["diagnostics"]["unparseable_answers"] == 6
 
 
+def test_traced_extract_spans_each_document_and_each_sentence(tmp_path):
+    # durbench traces one extraction.segment_sentences span per document
+    # and one extraction.match_sentence span per sentence; extract must
+    # make both calls through the module for every document and sentence,
+    # whether or not a text takes the period-only split or the ASCII digit
+    # test.
+    stage = Path(__file__).parents[1] / "durbench" / "stage.py"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    texts = ["It took 3 days. Then it rained.",
+             "Did it last for 2 weeks? Yes!  It did.",
+             "The strike lasted for ٣ days. Café talk went on for 4 hours.",
+             "No digits here. None at all",
+             "Über 5 years?\u3000Quite.  ",
+             "Nothing to split"]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"id": f"d{i}", "text": text}, ensure_ascii=i % 2 == 0) + "\n"
+                              for i, text in enumerate(texts)) + "not json\n", encoding="utf-8")
+    spans, out = tmp_path / "extract.npz", tmp_path / "out"
+    proc = subprocess.run([sys.executable, *map(str, [
+        stage, tmp_path / "extract.json", spans, "extract", corpus, "--out", out])],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+    with np.load(spans) as traced:
+        names, counts = list(traced["names"]), json.loads(str(traced["counts"]))
+        calls = {name: int(np.count_nonzero(traced["name"] == i)) for i, name in enumerate(names)}
+    assert calls["extraction.segment_sentences"] == stats["documents"] == len(texts)
+    assert calls["extraction.match_sentence"] == counts["extraction.sentences"] == stats["sentences"] == 12
+    assert counts["extraction.matched"] == stats["matched"] == 4
+
+
 def test_log_verbosity_env_var(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("this is not json\n", encoding="utf-8")

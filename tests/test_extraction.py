@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from durpipe.extraction import (
+    _DIGIT_RE,
     _ORDINAL_TIME_RE,
     _SECONDARY_RE,
     _UNIT_OLD_RE,
     _WORD_FILTER_RE,
+    _holds_digit,
     TRIGGER_FAMILIES,
     ExtractionConfig,
     DurationExpression,
@@ -232,6 +234,17 @@ def test_segment_sentences_equals_the_lookbehind_split(text):
     assert segment_sentences(text) == [s for s in re.split(r"(?<=[.!?])\s+", text) if s.strip()]
 
 
+@given(_texts.map(lambda text: text.replace("!", "").replace("?", "")))
+def test_period_only_split_equals_the_lookbehind_split(text):
+    # Every example takes the split on the period alone.
+    assert segment_sentences(text) == [s for s in re.split(r"(?<=[.!?])\s+", text) if s.strip()]
+
+
+@given(st.one_of(_texts, st.text(st.characters(max_codepoint=127))))
+def test_digit_test_equals_the_digit_search(text):
+    assert _holds_digit(text) == (_DIGIT_RE.search(text) is not None)
+
+
 @given(_texts)
 def test_gated_match_equals_the_ungated_search(text):
     # The reference reads the unit back with TemporalUnit.from_string, and
@@ -404,6 +417,54 @@ def test_read_documents_jsonl():
     _, stats = extract_corpus(docs)
     assert stats.documents == 2
     assert stats.skipped_documents == 3
+
+
+def _json_loads_documents(lines, source):
+    # read_documents as it was written on json.loads.
+    for i, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            yield str(obj.get("id", f"{source}:{i}")), obj["text"]
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError):
+            yield f"{source}:{i}", None
+
+
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), _texts),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["id", "text", "x"]), inner, max_size=3)),
+    max_leaves=6)
+_records = st.one_of(
+    st.fixed_dictionaries({"text": _texts}, optional={"id": _json_values}),
+    st.fixed_dictionaries({}, optional={"id": _json_values, "text": _json_values, "body": _json_values}))
+# What may stand around a value on a line: JSON whitespace, whitespace that
+# str.strip takes and JSON does not (U+2028, U+0085), a byte-order mark,
+# and trailing data.
+_line_ends = st.sampled_from(["", " ", "\t", "\r", "\u2028", "\x85", "\xa0", "\ufeff", " x", "x",
+                              "{}", "[]", "0", '"a"', "\u2028 {}"])
+_lines = st.one_of(
+    st.builds(lambda head, value, sep, ascii, tail:
+              head + json.dumps(value, separators=sep, ensure_ascii=ascii) + tail,
+              _line_ends, st.one_of(_records, _json_values),
+              st.sampled_from([(",", ":"), (", ", ": "), (" ,\t", " :\r\n ")]), st.booleans(),
+              _line_ends),
+    _texts,
+)
+
+
+@given(st.lists(_lines, max_size=6))
+def test_read_documents_equals_json_loads(lines):
+    assert list(read_documents(lines, "c")) == list(_json_loads_documents(lines, "c"))
+
+
+def test_read_documents_refuses_trailing_data():
+    lines = ['{"text": "a"} x', '{"text": "a"}{}', '{"text": "a"}\u2028{}', '\ufeff{"text": "a"}',
+             ' {"text": "a"}\x85', '{ "id" : 7 ,\t"text" : "b" }']
+    assert list(read_documents(lines, "c")) == list(_json_loads_documents(lines, "c")) == [
+        ("c:0", None), ("c:1", None), ("c:2", None), ("c:3", None), ("c:4", "a"), ("7", "b")]
 
 
 # --- agreement with the reference scanner ---------------------------------
