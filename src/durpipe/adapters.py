@@ -41,6 +41,7 @@ __all__ = [
     "group_mctaco_rows",
     "read_timebank_tsv",
     "write_timebank_tsv",
+    "loads_stripped",
     "read_jsonl",
     "read_mctaco_jsonl",
     "read_mctaco_questions",
@@ -309,6 +310,21 @@ def _format_quantity(q: float) -> str:
     return str(int(q)) if float(q).is_integer() else repr(q)
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def loads_stripped(line: str) -> Any:
+    """json.loads(line) for a line without whitespace at either end, by
+    raw_decode: the line has no JSON whitespace to skip, so raw_decode
+    reads the same value. On a line it refuses or with text after the
+    value, json.loads runs to raise its own error with its own message."""
+    try:
+        obj, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        end = -1
+    return obj if end == len(line) else json.loads(line)
+
+
 def read_jsonl(lines: Iterable[str], parse: Callable[[Any], T], what: str) -> list[T]:
     """`parse` of the JSON value of each nonblank line. A MalformedRowError
     from `parse` gets the 1-based line number in front; any other failure
@@ -320,7 +336,7 @@ def read_jsonl(lines: Iterable[str], parse: Callable[[Any], T], what: str) -> li
         if not line:
             continue
         try:
-            out.append(parse(json.loads(line)))
+            out.append(parse(loads_stripped(line)))
         except MalformedRowError as exc:
             raise MalformedRowError(f"line {n}: {exc}") from exc
         except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:

@@ -20,7 +20,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
-from .adapters import read_jsonl
+from .adapters import loads_stripped, read_jsonl
 from .text import (
     MASK_TOKEN,
     MaskedTextError,
@@ -90,7 +90,6 @@ _PERIOD_END_RE = re.compile(r"(\.)\s+")
 # A sentence that the trigger pattern matches holds a character that \d
 # matches; [0-9] would miss the digits of other scripts that it takes.
 _DIGIT_RE = re.compile(r"\d")
-_decode_json = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True)
@@ -370,10 +369,7 @@ def read_documents(lines: Iterable[str], source: str) -> Iterator[tuple[str, str
     A record without an id gets "<source>:<line index>". A malformed
     line yields that id with text None, which extract_corpus counts as
     skipped; each is logged at DEBUG, and one WARNING at the end gives
-    their number and the first one's line index. A line is decoded by
-    raw_decode, and text after its value is "Extra data": that is
-    json.loads less its skipping of JSON whitespace at either end, which
-    a stripped line does not have, so the same lines are malformed.
+    their number and the first one's line index.
     """
     n_bad, first_bad = 0, None
     for i, line in enumerate(lines):
@@ -381,9 +377,7 @@ def read_documents(lines: Iterable[str], source: str) -> Iterator[tuple[str, str
         if not line:
             continue
         try:
-            obj, end = _decode_json(line)
-            if end != len(line):
-                raise json.JSONDecodeError("Extra data", line, end)
+            obj = loads_stripped(line)
             doc = str(obj.get("id", f"{source}:{i}")), obj["text"]
         except (json.JSONDecodeError, AttributeError, KeyError, TypeError):
             logger.debug("skipping malformed document %s:%d", source, i)

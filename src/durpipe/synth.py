@@ -17,9 +17,9 @@ length and vocabulary composition steady across the splits.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -99,13 +99,22 @@ class SynthSpec:
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
+# One document as json.dumps(doc, sort_keys=True) lays it out.
+_DOCUMENT_JSON = '{"id": %s, "text": %s}\n'
+
+
 @dataclass
 class SynthOutput:
     documents: list[dict] = field(default_factory=list)  # {"id", "text"} records
     holdout_rows: list[TimeBankRow] = field(default_factory=list)
 
     def corpus_jsonl(self) -> str:
-        return "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in self.documents)
+        """json.dumps(doc, sort_keys=True) + "\\n" for each document, laid
+        out from a fixed template with the strings through json's C
+        encoder. This holds for what generate builds: str id and text."""
+        quote = encode_basestring_ascii
+        return "".join([_DOCUMENT_JSON % (quote(doc["id"]), quote(doc["text"]))
+                        for doc in self.documents])
 
 
 def _render_duration(seconds: float) -> tuple[int, TemporalUnit]:

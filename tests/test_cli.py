@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from durpipe import cli, model
 from durpipe.adapters import TIMEBANK_COLUMNS, TimeBankRow, read_timebank_tsv, write_timebank_tsv
-from durpipe.synth import SynthSpec, generate
+from durpipe.synth import SynthOutput, SynthSpec, generate
 from durpipe.text import tokenize
 from durpipe.units import TemporalUnit
 
@@ -47,6 +48,18 @@ def test_synth_generate_shapes():
         event = row.sentence[row.event_span[0]:row.event_span[1]]
         assert event in row.sentence
         assert row.min_duration == row.max_duration
+
+
+# Strings with what json escapes: quotes, backslashes, control and
+# non-ASCII characters, U+2028 and characters outside the BMP.
+_json_strings = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028é😀')))
+
+
+@given(st.lists(st.tuples(_json_strings, _json_strings), max_size=5))
+def test_corpus_jsonl_equals_json_dumps(records):
+    out = SynthOutput(documents=[{"id": doc_id, "text": text} for doc_id, text in records])
+    assert out.corpus_jsonl() == "".join(json.dumps(doc, sort_keys=True) + "\n"
+                                         for doc in out.documents)
 
 
 def test_synth_rejects_degenerate_spec():
@@ -1237,3 +1250,89 @@ def test_error_is_one_line_on_stderr(small_pipeline, overflowing, tmp_path, argv
     assert result.returncode == code
     assert result.stderr.splitlines() == [result.stderr.strip()]
     assert result.stderr.startswith(f"durpipe: {message}")
+
+
+# --- the paused collector ----------------------------------------------------
+
+# Input sizes, in rows, of the garbage test: a reference cycle in a
+# per-row object leaves ten times as many unreachable objects after a run
+# on the larger.
+_FEW, _MANY = 30, 300
+_GARBAGE_ARGV = {
+    "synth": lambda d, n, root: ["synth", "--size", n, "--holdout", n],
+    "extract": lambda d, n, root: ["extract", d / "synth" / "corpus.jsonl"],
+    "train": lambda d, n, root: ["train", d / "ex" / "instances.jsonl", "--epochs", 1],
+    "eval-coarse": lambda d, n, root: ["eval", root / "ckpt" / "model.ckpt",
+                                       d / "synth" / "holdout.tsv", "--protocol", "coarse"],
+    "eval-fine": lambda d, n, root: ["eval", root / "ckpt" / "model.ckpt",
+                                     d / "synth" / "holdout.tsv", "--protocol", "fine"],
+    "eval-mctaco": lambda d, n, root: ["eval", root / "ckpt" / "model.ckpt", d / "qa.jsonl",
+                                       "--protocol", "mctaco"],
+    "baseline": lambda d, n, root: ["baseline", d / "synth" / "holdout.tsv"],
+}
+
+
+@pytest.fixture(scope="module")
+def sized_inputs(tmp_path_factory):
+    """Synth outputs, instances and QA rows at _FEW and at _MANY rows, in
+    directories named by the size, and a checkpoint trained on the few."""
+    root = tmp_path_factory.mktemp("sized")
+    for n in (_FEW, _MANY):
+        d = root / str(n)
+        assert run("synth", "--out", d / "synth", "--size", n, "--holdout", n, "--seed", 3) == 0
+        assert run("extract", d / "synth" / "corpus.jsonl", "--out", d / "ex") == 0
+        (d / "qa.jsonl").write_text("".join(json.dumps({
+            "context": f"Talk {i} began.", "question": "How long did the talk last?",
+            "answer": f"{i % 5 + 1} hours", "gold": i % 3 != 0}) + "\n" for i in range(n)),
+            encoding="utf-8")
+    assert run("train", root / str(_FEW) / "ex" / "instances.jsonl", "--epochs", 1,
+               "--out", root / "ckpt") == 0
+    return root
+
+
+def _cyclic_garbage(argv) -> int:
+    """The objects that gc.collect() finds unreachable after one run of
+    `argv`, made with the collector off."""
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        assert run(*argv) == cli.EXIT_OK
+        return gc.collect()
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@pytest.mark.parametrize("command", list(_GARBAGE_ARGV))
+def test_cyclic_garbage_does_not_grow_with_the_input(sized_inputs, tmp_path, command):
+    # A run pauses the collector, so a reference cycle in a per-row object
+    # would hold its memory until the run ends: memory would grow with the
+    # input. argparse and configparser leave the same cycles in every run.
+    def garbage(n, name):
+        make_argv = _GARBAGE_ARGV[command]
+        return _cyclic_garbage([*make_argv(sized_inputs / str(n), n, sized_inputs),
+                                "--out", tmp_path / name])
+
+    garbage(_FEW, "warm-up")  # first-run imports and caches
+    few, many = garbage(_FEW, "few"), garbage(_MANY, "many")
+    assert few == many, f"{command}: {few} unreachable objects after {_FEW} rows, {many} after {_MANY}"
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv,code", [
+    (["synth", "--size", 4, "--holdout", 2, "--out", "{tmp}/out"], cli.EXIT_OK),
+    (["extract", "{tmp}/corpus.jsonl", "--patterns", "nonsense", "--out", "{tmp}/out"],
+     cli.EXIT_CONFIG),
+    (["extract", "{tmp}/missing.jsonl", "--out", "{tmp}/out"], cli.EXIT_IO),
+    (["train", "{tmp}/corpus.jsonl", "--out", "{tmp}/out"], cli.EXIT_DATA),
+    (["synth", "--size", "many"], cli.EXIT_CONFIG),
+], ids=["ok", "config-error", "io-error", "data-error", "usage-error"])
+def test_main_gives_back_the_callers_collector_setting(tmp_path, argv, code, collecting):
+    (tmp_path / "corpus.jsonl").write_text('{"text": "It lasted 3 hours."}\n', encoding="utf-8")
+    gc.enable() if collecting else gc.disable()
+    try:
+        assert run(*[str(a).format(tmp=tmp_path) for a in argv]) == code
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()

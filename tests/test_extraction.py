@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from durpipe.adapters import McTacoRow, MalformedRowError, read_mctaco_jsonl
 from durpipe.extraction import (
     _DIGIT_RE,
     _ORDINAL_TIME_RE,
@@ -445,14 +446,22 @@ _records = st.one_of(
 # and trailing data.
 _line_ends = st.sampled_from(["", " ", "\t", "\r", "\u2028", "\x85", "\xa0", "\ufeff", " x", "x",
                               "{}", "[]", "0", '"a"', "\u2028 {}"])
-_lines = st.one_of(
-    st.builds(lambda head, value, sep, ascii, tail:
-              head + json.dumps(value, separators=sep, ensure_ascii=ascii) + tail,
-              _line_ends, st.one_of(_records, _json_values),
-              st.sampled_from([(",", ":"), (", ", ": "), (" ,\t", " :\r\n ")]), st.booleans(),
-              _line_ends),
-    _texts,
-)
+
+
+def _jsonl_lines(records):
+    """Lines that hold one of `records` or another JSON value, in one of
+    three layouts and between two of _line_ends, or arbitrary text."""
+    return st.one_of(
+        st.builds(lambda head, value, sep, ascii, tail:
+                  head + json.dumps(value, separators=sep, ensure_ascii=ascii) + tail,
+                  _line_ends, st.one_of(records, _json_values),
+                  st.sampled_from([(",", ":"), (", ", ": "), (" ,\t", " :\r\n ")]), st.booleans(),
+                  _line_ends),
+        _texts,
+    )
+
+
+_lines = _jsonl_lines(_records)
 
 
 @given(st.lists(_lines, max_size=6))
@@ -465,6 +474,62 @@ def test_read_documents_refuses_trailing_data():
              ' {"text": "a"}\x85', '{ "id" : 7 ,\t"text" : "b" }']
     assert list(read_documents(lines, "c")) == list(_json_loads_documents(lines, "c")) == [
         ("c:0", None), ("c:1", None), ("c:2", None), ("c:3", None), ("c:4", "a"), ("7", "b")]
+
+
+def _json_loads_rows(lines, parse, what):
+    # adapters.read_jsonl as it was written on json.loads.
+    out = []
+    for n, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(parse(json.loads(line)))
+        except MalformedRowError as exc:
+            raise MalformedRowError(f"line {n}: {exc}") from exc
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+            raise MalformedRowError(f"line {n}: not {what} ({exc!r}): {line[:80]}") from exc
+    return out
+
+
+def _rows_or_error(read, lines):
+    try:
+        return read(lines)
+    except MalformedRowError as exc:
+        return f"MalformedRowError: {exc}"
+
+
+_qa_records = st.fixed_dictionaries(
+    {}, optional={"context": st.one_of(_texts, _json_values), "question": _texts,
+                  "answer": st.one_of(st.just("2 hours"), _json_values),
+                  "gold": st.one_of(st.booleans(), _json_values)})
+_instance_records = st.fixed_dictionaries(
+    {}, optional={"masked_text": st.sampled_from(["It took [MASK] [MASK].", "[MASK]", "none", 3]),
+                  "mask_positions": st.sampled_from([[2, 3], [0], [], [3, 2], [1.0], "2"]),
+                  "exact_label": st.one_of(st.floats(), st.integers(), _json_values),
+                  "range_label": st.sampled_from(["hour", "days", "aeon", None]),
+                  "source_id": st.one_of(_texts, _json_values)})
+
+
+@given(st.lists(_jsonl_lines(_qa_records), max_size=4),
+       st.lists(_jsonl_lines(_instance_records), max_size=4))
+def test_read_jsonl_equals_json_loads(qa_lines, instance_lines):
+    # The same rows, or the same MalformedRowError text, as json.loads gives:
+    # trailing data, non-object values and whitespace tails included.
+    assert _rows_or_error(read_mctaco_jsonl, qa_lines) == _rows_or_error(
+        lambda lines: _json_loads_rows(lines, lambda obj: McTacoRow(
+            obj["context"], obj["question"], obj["answer"], obj["gold"]), "a QA row"), qa_lines)
+    assert _rows_or_error(read_instances, instance_lines) == _rows_or_error(
+        lambda lines: _json_loads_rows(lines, LabeledInstance.from_json, "an instance"),
+        instance_lines)
+
+
+def test_read_jsonl_quotes_json_loads_on_trailing_data():
+    lines = ['{"context": "c", "question": "q", "answer": "2 hours", "gold": true} {}']
+    with pytest.raises(MalformedRowError, match=re.escape("Extra data: line 1 column 70 (char 69)")):
+        read_mctaco_jsonl(lines)
+    with pytest.raises(MalformedRowError, match="Unexpected UTF-8 BOM"):
+        read_mctaco_jsonl(['\ufeff{"context": "c"}'])
 
 
 # --- agreement with the reference scanner ---------------------------------
