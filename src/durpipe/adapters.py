@@ -14,9 +14,9 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .text import MASK_TOKEN, splice_masks, starts_word
 from .units import (
@@ -67,59 +67,76 @@ class MalformedRowError(ValueError):
     """Raised when an annotation row cannot be interpreted."""
 
 
-@dataclass(frozen=True)
-class TimeBankRow:
-    """An annotated event row. It is refused when made (MalformedRowError)
-    unless the event span lies in the sentence and ends where a word ends
-    and the sentence holds no mask token, so that the masks inserted after
-    the span come out as exactly the inserted tokens, and unless both
-    quantities are positive and finite and both durations and their mean
-    are finite in seconds, so that it has a label."""
-
+class _TimeBankRowFields(NamedTuple):
     sentence: str
     event_span: tuple[int, int]
     min_duration: tuple[float, TemporalUnit]
     max_duration: tuple[float, TemporalUnit]
     # The two durations in seconds, computed once when the row is made.
-    seconds: tuple[float, float] = field(init=False, repr=False, compare=False)
+    seconds: tuple[float, float]
 
-    def __post_init__(self) -> None:
-        start, end = self.event_span
-        if not 0 <= start < end <= len(self.sentence):
+
+class TimeBankRow(_TimeBankRowFields):
+    """An annotated event row. It is refused when made (MalformedRowError)
+    unless the event span lies in the sentence and ends where a word ends
+    and the sentence holds no mask token, so that the masks inserted after
+    the span come out as exactly the inserted tokens, and unless both
+    quantities are positive and finite and both durations and their mean
+    are finite in seconds, so that it has a label. It is a tuple, so it
+    cannot be changed once made; `_replace` and copies make a new row
+    through the same checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, sentence: str, event_span: tuple[int, int],
+                min_duration: tuple[float, TemporalUnit],
+                max_duration: tuple[float, TemporalUnit]) -> TimeBankRow:
+        start, end = event_span
+        if not 0 <= start < end <= len(sentence):
             raise MalformedRowError(
-                f"event span {self.event_span} outside sentence of length {len(self.sentence)}"
+                f"event span {event_span} outside sentence of length {len(sentence)}"
             )
-        if MASK_TOKEN in self.sentence:
+        if MASK_TOKEN in sentence:
             raise MalformedRowError(f"sentence holds {MASK_TOKEN}")
-        if self.sentence[end - 1].isspace() or starts_word(self.sentence[end:]):
-            raise MalformedRowError(f"event span {self.event_span} does not end where a word ends")
-        for quantity, _ in (self.min_duration, self.max_duration):
+        if sentence[end - 1].isspace() or starts_word(sentence[end:]):
+            raise MalformedRowError(f"event span {event_span} does not end where a word ends")
+        for quantity, _ in (min_duration, max_duration):
             if not 0 < quantity < math.inf:
                 raise MalformedRowError(f"quantity {quantity!r} is not a positive finite number")
-        seconds = (self.min_duration[0] * self.min_duration[1].seconds,
-                   self.max_duration[0] * self.max_duration[1].seconds)
+        seconds = (min_duration[0] * min_duration[1].seconds,
+                   max_duration[0] * max_duration[1].seconds)
         if not math.isfinite((seconds[0] + seconds[1]) / 2.0):
             raise MalformedRowError("durations " + " and ".join(
-                f"{q:g} {unit.word}" for q, unit in (self.min_duration, self.max_duration))
+                f"{q:g} {unit.word}" for q, unit in (min_duration, max_duration))
                 + " or their mean overflow a float in seconds")
-        object.__setattr__(self, "seconds", seconds)
+        return tuple.__new__(cls, (sentence, event_span, min_duration, max_duration, seconds))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> TimeBankRow:
+        return cls(*tuple(fields)[:4])
+
+    def __getnewargs__(self) -> tuple:
+        return self[:4]
 
 
-@dataclass(frozen=True)
-class McTacoRow:
-    """A QA row. It is refused when made (MalformedRowError) unless its
-    context, question and answer are str and its gold a bool (checked in
-    that order) and neither context nor question holds a mask token."""
-
+class _McTacoRowFields(NamedTuple):
     context: str
     question: str
     answer: str
     gold: bool
 
-    def __post_init__(self) -> None:
-        # Written out: a loop over the fields with getattr cost several
-        # times as much.
-        context, question, answer, gold = self.context, self.question, self.answer, self.gold
+
+class McTacoRow(_McTacoRowFields):
+    """A QA row. It is refused when made (MalformedRowError) unless its
+    context, question and answer are str and its gold a bool (checked in
+    that order) and neither context nor question holds a mask token. It
+    is a tuple, so it cannot be changed once made; `_replace` and copies
+    make a new row through the same checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, context: str, question: str, answer: str, gold: bool) -> McTacoRow:
+        # Written out: a loop over the fields cost several times as much.
         if not isinstance(context, str):
             raise MalformedRowError(f"QA field context is {context!r}, not a str")
         if not isinstance(question, str):
@@ -132,9 +149,14 @@ class McTacoRow:
             raise MalformedRowError(f"QA field context holds {MASK_TOKEN}")
         if MASK_TOKEN in question:
             raise MalformedRowError(f"QA field question holds {MASK_TOKEN}")
+        return tuple.__new__(cls, (context, question, answer, gold))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> McTacoRow:
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ModelInput:
     text: str
     mask_positions: tuple[int, ...]
@@ -142,7 +164,7 @@ class ModelInput:
     range_label: TemporalUnit | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class McTacoQuestion:
     """One QA question: its input, the (log-second value, gold) of each
     answer that parses, and how many answers did not."""
@@ -232,7 +254,7 @@ def mctaco_to_input(row: McTacoRow) -> ModelInput:
     """Build the masked input for a QA row; its answer is not read."""
     head = row.context.strip() + " " + question_to_statement(row.question)
     text, positions = splice_masks(head, MASK_PATTERN_END, "")
-    return ModelInput(text=text, mask_positions=positions)
+    return ModelInput(text, positions)
 
 
 def group_mctaco_rows(rows: Iterable[McTacoRow]) -> list[tuple[str, list[McTacoRow]]]:

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .adapters import loads_stripped, read_jsonl
 from .text import (
@@ -139,14 +139,14 @@ class ExtractionConfig:
 _DEFAULT_CONFIG = ExtractionConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DurationExpression:
     quantity: float
     unit: TemporalUnit
     span: tuple[int, int]  # [start, end) character offsets in the sentence
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MatchResult:
     trigger: str
     trigger_family: str
@@ -154,8 +154,10 @@ class MatchResult:
     matched_text: str  # sub-sentence from trigger start to expression end
 
 
-@dataclass(frozen=True)
-class LabeledInstance:
+class LabeledInstance(NamedTuple):
+    """One training instance. It is a tuple, so it cannot be changed once
+    made; `from_json` checks one read back from a file."""
+
     masked_text: str
     mask_positions: tuple[int, ...]
     exact_label: float  # log-seconds
@@ -177,27 +179,33 @@ class LabeledInstance:
         source_id = obj.get("source_id", "")
         if type(text) is not str:
             raise ValueError(f"masked_text {text!r} is not a string")
-        if type(positions) is not list or any(type(p) is not int for p in positions):
-            raise ValueError(f"mask_positions {positions!r} is not a list of integers")
+        # One pass over the positions. A non-integer anywhere is reported
+        # first, then a position that is not on a mask token, then one that
+        # repeats or goes back (which would sum a window twice in training).
         tokens = tokenize(text)
-        if not positions or not all(0 <= p < len(tokens) and is_mask_token(tokens[p])
-                                    for p in positions):
+        ints, on_masks, increasing, last = type(positions) is list, bool(positions), True, -1
+        for p in positions if ints else ():
+            if type(p) is not int:
+                ints = False
+                break
+            if on_masks and not (0 <= p < len(tokens) and is_mask_token(tokens[p])):
+                on_masks = False
+            if p <= last:
+                increasing = False
+            last = p
+        if not ints:
+            raise ValueError(f"mask_positions {positions!r} is not a list of integers")
+        if not on_masks:
             raise ValueError(f"mask_positions {positions} are not a nonempty list of "
                              f"{MASK_TOKEN} token indices")
-        # A repeated position would sum its window twice in training.
-        if any(a >= b for a, b in zip(positions, positions[1:])):
+        if not increasing:
             raise ValueError(f"mask_positions {positions} are not strictly increasing")
         if type(exact) not in (int, float) or not math.isfinite(exact):
             raise ValueError(f"exact_label {exact!r} is not a finite number")
         if type(source_id) is not str:
             raise ValueError(f"source_id {source_id!r} is not a string")
-        return cls(
-            masked_text=text,
-            mask_positions=tuple(positions),
-            exact_label=float(exact),
-            range_label=TemporalUnit.from_string(obj["range_label"]),
-            source_id=source_id,
-        )
+        return cls(text, tuple(positions), float(exact),
+                   TemporalUnit.from_string(obj["range_label"]), source_id)
 
 
 @dataclass
@@ -252,12 +260,9 @@ def match_sentence(sentence: str, cfg: ExtractionConfig | None = None) -> MatchR
     if unit is None:
         return None
     # float() saturates huge numerals to inf; label_sentence rejects those.
-    return MatchResult(
-        trigger=trigger,
-        trigger_family=_FAMILY_OF_WORD[trigger],
-        expression=DurationExpression(quantity=float(qty), unit=unit, span=m.span("expr")),
-        matched_text=m.group(),
-    )
+    # Positional arguments: keywords cost about as much as the record.
+    return MatchResult(trigger, _FAMILY_OF_WORD[trigger],
+                       DurationExpression(float(qty), unit, m.span("expr")), m.group())
 
 
 def failed_filters(m: MatchResult, sentence: str) -> list[str]:
@@ -293,13 +298,7 @@ def label_sentence(sentence: str, m: MatchResult, source_id: str = "") -> Labele
     n_tokens = len(tokenize(sentence[start:end]))
     masked, positions = splice_masks(sentence[:start], mask_string(n_tokens), sentence[end:])
     exact = normalize(m.expression.quantity, m.expression.unit)
-    return LabeledInstance(
-        masked_text=masked,
-        mask_positions=positions,
-        exact_label=exact,
-        range_label=closest_unit(exact, UNITS_8),
-        source_id=source_id,
-    )
+    return LabeledInstance(masked, positions, exact, closest_unit(exact, UNITS_8), source_id)
 
 
 def segment_sentences(document: str) -> list[str]:

@@ -153,7 +153,7 @@ class DualHeadModel:
         return self.encoder.dim
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Windows:
     """Items compiled to the table rows of their mask windows' tokens; the
     windows of one item are adjacent and items keep their order.
@@ -427,10 +427,15 @@ class _Adam:
         v *= self.beta2
         v[:h] += head * (1.0 - self.beta2) * head
         v[rows] += values * (1.0 - self.beta2) * values
-        np.divide(m, 1.0 - self.beta1 ** self.t, out=step)
-        step *= lr
-        np.divide(v, 1.0 - self.beta2 ** self.t, out=denom)
-        np.sqrt(denom, out=denom)
+        # A bias correction rounds to 1.0 from t = 356 (beta1) and t = 37,412
+        # (beta2) on, and x / 1.0 is x bit for bit, so that division is skipped.
+        c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
+        if c1 == 1.0:
+            np.multiply(m, lr, out=step)
+        else:
+            np.divide(m, c1, out=step)
+            step *= lr
+        np.sqrt(v if c2 == 1.0 else np.divide(v, c2, out=denom), out=denom)
         denom += self.eps
         step /= denom
         self.param[:k] -= step

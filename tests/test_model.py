@@ -693,6 +693,22 @@ def test_train_bit_identical_to_dense_reference(vocabulary, buckets, under_half,
     assert (changed < 0.5) == under_half
 
 
+@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+def test_long_training_equals_the_dense_reference_past_the_unit_bias_correction(loss):
+    # From step 356 on, 1 - beta1^t rounds to 1.0 and the optimizer skips
+    # that division; 410 steps reach well past it.
+    rng = np.random.default_rng(7)
+    model = DualHeadModel.create(dim=4, seed=5, buckets=64, radius=2)
+    reference = DualHeadModel.create(dim=4, seed=5, buckets=64, radius=2)
+    data = _vocabulary_batch(rng, model, 40, 60, loss)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=4, epochs=41, seed=3, loss=loss)
+    assert 1.0 - model_mod._Adam.beta1 ** 356 == 1.0 != 1.0 - model_mod._Adam.beta1 ** 355
+    _, curve = train(model, data, cfg)
+    assert len(curve) == 410
+    assert curve == _reference_train(reference, data, cfg)
+    assert save(model) == save(reference)
+
+
 def _first_seen(row_sets, size):
     """Every row in `range(size)`, those in `row_sets` first, in the order
     of their first appearance there; this is how `train` numbers rows."""
