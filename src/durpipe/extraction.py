@@ -179,26 +179,15 @@ class LabeledInstance(NamedTuple):
         source_id = obj.get("source_id", "")
         if type(text) is not str:
             raise ValueError(f"masked_text {text!r} is not a string")
-        # One pass over the positions. A non-integer anywhere is reported
-        # first, then a position that is not on a mask token, then one that
-        # repeats or goes back (which would sum a window twice in training).
-        tokens = tokenize(text)
-        ints, on_masks, increasing, last = type(positions) is list, bool(positions), True, -1
-        for p in positions if ints else ():
-            if type(p) is not int:
-                ints = False
-                break
-            if on_masks and not (0 <= p < len(tokens) and is_mask_token(tokens[p])):
-                on_masks = False
-            if p <= last:
-                increasing = False
-            last = p
-        if not ints:
+        if type(positions) is not list or any(type(p) is not int for p in positions):
             raise ValueError(f"mask_positions {positions!r} is not a list of integers")
-        if not on_masks:
+        tokens = tokenize(text)
+        if not positions or not all(0 <= p < len(tokens) and is_mask_token(tokens[p])
+                                    for p in positions):
             raise ValueError(f"mask_positions {positions} are not a nonempty list of "
                              f"{MASK_TOKEN} token indices")
-        if not increasing:
+        # A repeated position would sum its window twice in training.
+        if any(a >= b for a, b in zip(positions, positions[1:])):
             raise ValueError(f"mask_positions {positions} are not strictly increasing")
         if type(exact) not in (int, float) or not math.isfinite(exact):
             raise ValueError(f"exact_label {exact!r} is not a finite number")

@@ -427,15 +427,16 @@ class _Adam:
         v *= self.beta2
         v[:h] += head * (1.0 - self.beta2) * head
         v[rows] += values * (1.0 - self.beta2) * values
-        # A bias correction rounds to 1.0 from t = 356 (beta1) and t = 37,412
-        # (beta2) on, and x / 1.0 is x bit for bit, so that division is skipped.
-        c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
+        # 1 - beta1^t rounds to 1.0 from t = 356 on, and x / 1.0 is x bit for
+        # bit, so that division is skipped.
+        c1 = 1.0 - self.beta1 ** self.t
         if c1 == 1.0:
             np.multiply(m, lr, out=step)
         else:
             np.divide(m, c1, out=step)
             step *= lr
-        np.sqrt(v if c2 == 1.0 else np.divide(v, c2, out=denom), out=denom)
+        np.divide(v, 1.0 - self.beta2 ** self.t, out=denom)
+        np.sqrt(denom, out=denom)
         denom += self.eps
         step /= denom
         self.param[:k] -= step

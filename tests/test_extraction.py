@@ -4,7 +4,7 @@ import math
 import re
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from durpipe.adapters import McTacoRow, MalformedRowError, read_mctaco_jsonl
 from durpipe.extraction import (
@@ -406,52 +406,6 @@ def test_instances_jsonl_roundtrip():
     instances, _ = extract_corpus(FIXTURE_DOCS)
     payload = write_instances(instances)
     assert read_instances(io.StringIO(payload)) == instances
-
-
-def _three_pass_position_error(text, positions):
-    """The message LabeledInstance.from_json gave for these mask positions
-    when it checked them in three passes, or None."""
-    if type(positions) is not list or any(type(p) is not int for p in positions):
-        return f"mask_positions {positions!r} is not a list of integers"
-    tokens = text.split()
-    if not positions or not all(0 <= p < len(tokens) and tokens[p].strip(",.;:!?\"'()") == "[MASK]"
-                                for p in positions):
-        return f"mask_positions {positions} are not a nonempty list of [MASK] token indices"
-    if any(a >= b for a, b in zip(positions, positions[1:])):
-        return f"mask_positions {positions} are not strictly increasing"
-    return None
-
-
-_POSITION_TEXT = "It took [MASK] [MASK] and [MASK], today."  # masks at 2, 3 and 5
-
-
-_ON_MASKS = st.sampled_from([2, 3, 5])
-
-
-@given(st.one_of(
-    st.lists(_ON_MASKS, max_size=4),
-    st.lists(st.one_of(_ON_MASKS, st.integers(-2, 8)), max_size=4),
-    st.lists(st.one_of(_ON_MASKS, st.integers(-2, 8), st.booleans(), st.floats(-2, 8),
-                       st.just(3.0)), max_size=5),
-    st.sampled_from(["23", 5, None, {"2": 3}, (2, 3)])))
-@example([3, 2])
-@example([2, 2])
-@example([7, 2.0])
-@example([2, 3, 5])
-@example([])
-@example([5, True])
-def test_mask_positions_are_refused_as_the_three_pass_check_refused_them(positions):
-    # Ints, floats, bools, repeats, positions out of range and on non-mask
-    # tokens: one pass raises what the type, mask and order passes raised.
-    obj = {"masked_text": _POSITION_TEXT, "mask_positions": positions, "exact_label": 1.0,
-           "range_label": "day", "source_id": "s"}
-    want = _three_pass_position_error(_POSITION_TEXT, positions)
-    if want is None:
-        assert LabeledInstance.from_json(obj).mask_positions == tuple(positions)
-    else:
-        with pytest.raises(ValueError) as caught:
-            LabeledInstance.from_json(obj)
-        assert str(caught.value) == want
 
 
 def test_read_documents_jsonl():
