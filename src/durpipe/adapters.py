@@ -225,19 +225,15 @@ _ANSWER_RE = re.compile(
 )
 
 
+# Each distinct answer text is parsed once. That pays only where answers
+# repeat across questions ("2 hours"); a text not seen before costs a
+# cache miss on top of its parse.
+@lru_cache(maxsize=4096)
 def parse_answer_value(answer: str) -> float | None:
     """Log-second value of an answer like "2 hours" or "an hour"; None when
     it holds no quantity-unit pair ("a few moments") or its first pair is
     no positive finite duration: a case-insensitive match takes "İ" for
     "i" and "ſ" for "s" ("2 mİnutes", "ſix hours"), and numerals overflow."""
-    return _answer_value(answer)
-
-
-# Each distinct answer text is parsed once. That pays only where answers
-# repeat across questions ("2 hours"); a text not seen before costs a
-# cache miss on top of its parse.
-@lru_cache(maxsize=4096)
-def _answer_value(answer: str) -> float | None:
     m = _ANSWER_RE.search(answer)
     if m is None:
         return None

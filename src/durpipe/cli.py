@@ -99,15 +99,11 @@ def _iter_documents(files: list[Path]):
 
 def cmd_extract(settings: dict, out: Path) -> None:
     from . import extraction
-    try:
-        cfg = extraction.ExtractionConfig.from_selector(settings["patterns"])
-    except ValueError as exc:
-        raise ConfigError(f"patterns {settings['patterns']!r}: {exc}") from exc
     files = _iter_input_files(settings["inputs"])
     if not files:
         logger.warning("no input files found under %s", settings["inputs"])
 
-    instances, stats = extraction.extract_corpus(_iter_documents(files), cfg)
+    instances, stats = extraction.extract_corpus(_iter_documents(files))
 
     (out / "instances.jsonl").write_text(extraction.write_instances(instances), encoding="utf-8")
     (out / "stats.json").write_text(
@@ -331,7 +327,6 @@ _OUT = "output directory"
 COMMANDS = {
     "extract": Command("extract", cmd_extract, "harvest labeled instances from raw text",
                        (("inputs", "text/JSONL files or directories", "+"),), (
-        Setting("patterns", default="all", help="'all', 'for-only', or comma-separated families"),
         Setting("out", default="extract-out", help=_OUT),
     )),
     "train": Command("train", cmd_train, "train one head on labeled instances",

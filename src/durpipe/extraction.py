@@ -16,7 +16,6 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -36,7 +35,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "TRIGGER_FAMILIES",
-    "ExtractionConfig",
     "DurationExpression",
     "MatchResult",
     "LabeledInstance",
@@ -68,6 +66,19 @@ _UNIT_OF_NAME = TemporalUnit.__members__
 
 _UNIT_ALTERNATION = "|".join(u.word for u in UNITS_8)
 
+# Longest trigger variants first so the reported trigger is the full word
+# ("lasting", not its prefix "last"); the overall span is the same either
+# way because the gap absorbs the remainder. Triggers are matched verbatim
+# (no word boundary, no case folding) while the unit is case-insensitive
+# with an optional plural "s". The gap is any run free of clause
+# punctuation. The lookbehind keeps the greedy gap from splitting a
+# numeral: the quantity is always the full digit run ("23 years", never
+# "3 years" inside "23 years").
+_TRIGGER_RE = re.compile(
+    rf"(?P<trigger>{'|'.join(sorted(_FAMILY_OF_WORD, key=len, reverse=True))})[^,.!?;]*"
+    rf"(?<!\d)(?P<expr>(?P<qty>\d+) (?i:(?P<unit>{_UNIT_ALTERNATION})s?)\b)"
+)
+
 _FILTER_WORDS = ("at", "age", "every", "next", "per")
 _FILTER_PHRASE = "more than"
 _ORDINALS = "first|second|third|fourth|fifth|sixth|seventh|eighth|ninth"
@@ -90,53 +101,6 @@ _PERIOD_END_RE = re.compile(r"(\.)\s+")
 # A sentence that the trigger pattern matches holds a character that \d
 # matches; [0-9] would miss the digits of other scripts that it takes.
 _DIGIT_RE = re.compile(r"\d")
-
-
-@dataclass(frozen=True)
-class ExtractionConfig:
-    """The trigger families to match; the default, all of them, reproduces
-    the published extraction rules."""
-
-    families: tuple[str, ...] = tuple(TRIGGER_FAMILIES)
-
-    def __post_init__(self) -> None:
-        if not self.families:
-            raise ValueError("families must be nonempty")
-        unknown = [f for f in self.families if f not in TRIGGER_FAMILIES]
-        if unknown:
-            raise ValueError(f"unknown trigger families: {unknown}")
-
-    @classmethod
-    def from_selector(cls, selector: str) -> "ExtractionConfig":
-        """Build a config from a CLI-style selector: "all", "for-only", or
-        a comma-separated list of family names."""
-        sel = selector.strip().lower()
-        if sel in ("all", ""):
-            return cls()
-        if sel.endswith("-only"):
-            sel = sel[: -len("-only")]
-        return cls(tuple(part.strip() for part in sel.split(",") if part.strip()))
-
-    @cached_property
-    def pattern(self) -> re.Pattern[str]:
-        # Longest trigger variants first so the reported trigger is the full
-        # word ("lasting", not its prefix "last"); the overall span is the
-        # same either way because the gap absorbs the remainder. Triggers are
-        # matched verbatim (no word boundary, no case folding) while the unit
-        # is case-insensitive with an optional plural "s".
-        words = sorted((w for f in self.families for w in TRIGGER_FAMILIES[f]),
-                       key=len, reverse=True)
-        trigger = "|".join(re.escape(w) for w in words)
-        # The gap is any run free of clause punctuation. The lookbehind keeps
-        # the greedy gap from splitting a numeral: the quantity is always the
-        # full digit run ("23 years", never "3 years" inside "23 years").
-        return re.compile(
-            rf"(?P<trigger>{trigger})[^,.!?;]*"
-            rf"(?<!\d)(?P<expr>(?P<qty>\d+) (?i:(?P<unit>{_UNIT_ALTERNATION})s?)\b)"
-        )
-
-
-_DEFAULT_CONFIG = ExtractionConfig()
 
 
 @dataclass(slots=True)
@@ -224,7 +188,7 @@ def _holds_digit(sentence: str) -> bool:
     return _DIGIT_RE.search(sentence) is not None
 
 
-def match_sentence(sentence: str, cfg: ExtractionConfig | None = None) -> MatchResult | None:
+def match_sentence(sentence: str) -> MatchResult | None:
     """Leftmost match of the trigger-gap-value pattern, or None.
 
     The gap is greedy, so when several values follow one trigger before a
@@ -238,7 +202,7 @@ def match_sentence(sentence: str, cfg: ExtractionConfig | None = None) -> MatchR
     """
     if not _holds_digit(sentence):
         return None
-    m = (cfg or _DEFAULT_CONFIG).pattern.search(sentence)
+    m = _TRIGGER_RE.search(sentence)
     if m is None:
         return None
     trigger, qty, word = m.group("trigger", "qty", "unit")
@@ -310,7 +274,6 @@ def segment_sentences(document: str) -> list[str]:
 
 def extract_corpus(
     documents: Iterable[tuple[str, str | None]],
-    cfg: ExtractionConfig | None = None,
 ) -> tuple[list[LabeledInstance], ExtractionStats]:
     """Run match/filter/label over a stream of (doc_id, text) pairs.
 
@@ -329,7 +292,7 @@ def extract_corpus(
         sentences = segment_sentences(text)
         stats.sentences += len(sentences)
         for idx, sentence in enumerate(sentences):
-            m = match_sentence(sentence, cfg)
+            m = match_sentence(sentence)
             if m is None:
                 continue
             stats.matched += 1

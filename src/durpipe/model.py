@@ -446,6 +446,10 @@ class _Adam:
 # error of over 1000 log-seconds, and every finite positive duration has
 # |ln s| < 745.
 _DIVERGED_LOSS = 1e6
+# Cross-entropy is clamped at -ln 1e-300 (about 690.8), so it never passes
+# the bound above: a range run whose last epoch's mean step loss is above
+# half the clamp has diverged.
+_DIVERGED_CROSS_ENTROPY = -math.log(1e-300) / 2
 
 
 def _warmup_lr(base: float, step: int, warmup_steps: int) -> float:
@@ -463,7 +467,9 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
     of the model inventory for "cross_entropy". Returns the model and the
     per-step loss curve. Empty data is a warned no-op. A step loss that
     is not finite or is above `_DIVERGED_LOSS` raises ValueError, and
-    leaves the model as the steps before it made it.
+    leaves the model as the steps before it made it. A "cross_entropy"
+    run whose last epoch's mean step loss is above
+    `_DIVERGED_CROSS_ENTROPY` raises ValueError after its last step.
     """
     data = list(data)
     if not data:
@@ -506,11 +512,15 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
                 lr = _warmup_lr(cfg.learning_rate, len(curve) + 1, warmup_steps)
                 optimizer.step(lr, grads[head_key].reshape(h, -1), *grads["embeddings"])
                 curve.append(loss)
+            mean = sum(curve[-steps:]) / steps
             logger.info("epoch %d: %d steps, mean loss %.6g, learning rate %.6g",
-                        epoch, steps, sum(curve[-steps:]) / steps, lr)
+                        epoch, steps, mean, lr)
     finally:
         table[seen] = buffer[h:]
         head[...] = getattr(work, head_key)
+    if cfg.loss == "cross_entropy" and curve and mean > _DIVERGED_CROSS_ENTROPY:
+        raise ValueError(f"training diverged in epoch {cfg.epochs}: mean loss {mean:.6g} "
+                         f"is not at most {_DIVERGED_CROSS_ENTROPY:.6g}")
     return model, curve
 
 

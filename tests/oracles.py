@@ -57,11 +57,6 @@ TRIGGER_WORDS = [
     "duration", "period", "for", "last", "lasting",
     "spend", "spent", "over", "take", "took", "taken",
 ]
-TRIGGER_FAMILY = {
-    "duration": "duration", "period": "period", "for": "for",
-    "last": "last", "lasting": "last", "spend": "spend", "spent": "spend",
-    "over": "over", "take": "take", "took": "take", "taken": "take",
-}
 STOP_CHARS = set(",.!?;")
 FILTER_WORDS = ["at", "age", "every", "next", "per"]
 ORDINALS = ["first", "second", "third", "fourth", "fifth",
@@ -129,13 +124,11 @@ def _scan_after_trigger(sentence: str, start: int) -> tuple[int, int, str, str] 
     return best
 
 
-def scan_sentence(sentence: str, families: set[str] | None = None) -> OracleMatch | None:
+def scan_sentence(sentence: str) -> OracleMatch | None:
     """Leftmost successful trigger-plus-expression match, one trigger word
     at a time."""
     best: OracleMatch | None = None
     for word in TRIGGER_WORDS:
-        if families is not None and TRIGGER_FAMILY[word] not in families:
-            continue
         pos = sentence.find(word)
         while pos != -1:
             got = _scan_after_trigger(sentence, pos + len(word))
@@ -215,7 +208,7 @@ def label_instance(sentence: str, match: OracleMatch, source_id: str) -> dict | 
     }
 
 
-def scan_corpus(sentences: list[str], families: set[str] | None = None):
+def scan_corpus(sentences: list[str]):
     """Full reference pipeline over pre-segmented sentences.
 
     Returns (instances, matched_count, filtered_count, skipped_count).
@@ -223,7 +216,7 @@ def scan_corpus(sentences: list[str], families: set[str] | None = None):
     instances = []
     matched = filtered = skipped = 0
     for idx, sentence in enumerate(sentences):
-        m = scan_sentence(sentence, families)
+        m = scan_sentence(sentence)
         if m is None:
             continue
         matched += 1

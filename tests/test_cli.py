@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,16 +95,13 @@ def test_extract_cli(tmp_path, corpus_file):
     assert (out / "config.ini").exists()
 
 
-def test_extract_cli_pattern_subset(tmp_path, corpus_file):
-    out = tmp_path / "ex"
-    assert run("extract", corpus_file, "--out", out, "--patterns", "for-only") == 0
-    stats = json.loads((out / "stats.json").read_text())
-    assert set(stats["by_trigger"]) == {"for"}
-
-
 def test_extract_cli_unknown_pattern_is_config_error(tmp_path, corpus_file, capsys):
-    assert run("extract", corpus_file, "--out", tmp_path / "ex", "--patterns", "bogus") == cli.EXIT_CONFIG
-    assert "bogus" in capsys.readouterr().err
+    # every trigger family always runs, so no value of the old selector,
+    # its default "all" included, is a setting
+    for value in ("bogus", "all"):
+        assert run("extract", corpus_file, "--out", tmp_path / "ex", "--patterns", value) == cli.EXIT_CONFIG
+        assert value in capsys.readouterr().err
+    assert not (tmp_path / "ex").exists()
 
 
 def test_extract_cli_plain_text_and_directory(tmp_path):
@@ -468,6 +466,33 @@ def test_diverged_training_is_data_error(recipe_instances, tmp_path, capsys, rat
     assert (out / "model.ckpt").exists() == (code == cli.EXIT_OK)
     if code == cli.EXIT_DATA:
         assert "diverged at step" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def noisy_instances(tmp_path_factory):
+    """The instances of the noisier synth that the README's claims use."""
+    root = tmp_path_factory.mktemp("noisy")
+    assert run("synth", "--out", root / "synth", "--size", 2000, "--holdout", 4, "--seed", 17,
+               "--sigma", 2.0) == 0
+    assert run("extract", root / "synth" / "corpus.jsonl", "--out", root / "ex") == 0
+    return root / "ex" / "instances.jsonl"
+
+
+# The range head's clamped cross-entropy never passes the step bound. On
+# the noisier synth its last epoch's mean loss is about 49 at rate 1, 402
+# at rate 10 and 432 at rate 1e6; on the recipe it ends near 0 at rates
+# 0.05 and 1e6 alike.
+@pytest.mark.parametrize("corpus,epochs,rate,code", [
+    ("noisy", 2, 1, cli.EXIT_OK), ("noisy", 2, 10, cli.EXIT_DATA), ("noisy", 2, 1e6, cli.EXIT_DATA),
+    ("recipe", 20, 0.05, cli.EXIT_OK), ("recipe", 20, 1e6, cli.EXIT_OK),
+])
+def test_diverged_range_training_is_data_error(request, tmp_path, capsys, corpus, epochs, rate, code):
+    out = tmp_path / "t"
+    assert run("train", request.getfixturevalue(f"{corpus}_instances"), "--head", "range",
+               "--learning-rate", rate, "--epochs", epochs, "--seed", 17, "--out", out) == code
+    assert (out / "model.ckpt").exists() == (code == cli.EXIT_OK)
+    if code == cli.EXIT_DATA:
+        assert f"diverged in epoch {epochs}: mean loss" in capsys.readouterr().err
 
 
 def test_eval_fine_and_coarse(small_pipeline, tmp_path, capsys):
@@ -987,13 +1012,13 @@ def test_input_with_a_byte_order_mark_reads_as_without_one(
     assert not outputs[1].startswith(_BOM)
 
 
-def test_config_file_with_a_byte_order_mark_is_read(tmp_path, corpus_file):
+def test_config_file_with_a_byte_order_mark_is_read(tmp_path):
     config = tmp_path / "run.ini"
-    config.write_text("[extract]\npatterns = for-only\n", encoding="utf-8-sig")
-    out = tmp_path / "ex"
-    assert run("extract", corpus_file, "--config", config, "--out", out) == 0
-    assert set(json.loads((out / "stats.json").read_text())["by_trigger"]) == {"for"}
-    assert (out / "config.ini").read_bytes().startswith(b"[extract]")
+    config.write_text("[synth]\nsize = 5\n", encoding="utf-8-sig")
+    out = tmp_path / "synth"
+    assert run("synth", "--holdout", 2, "--config", config, "--out", out) == 0
+    assert len((out / "corpus.jsonl").read_text().splitlines()) == 5
+    assert (out / "config.ini").read_bytes().startswith(b"[synth]")
 
 
 @pytest.mark.parametrize("command,section,key,value", [
@@ -1021,26 +1046,30 @@ def test_config_file_value_outside_choices_is_config_error(
     assert not (out / "config.ini").exists()
 
 
-def test_config_file_layering(tmp_path, corpus_file):
+def test_config_file_layering(tmp_path):
     config = tmp_path / "run.ini"
-    config.write_text("[extract]\npatterns = for-only\n", encoding="utf-8")
-    out = tmp_path / "ex"
-    assert run("extract", corpus_file, "--config", config, "--out", out) == 0
-    stats = json.loads((out / "stats.json").read_text())
-    assert set(stats["by_trigger"]) == {"for"}
+    config.write_text("[common]\nseed = 3\nsize = 9\n[synth]\nsize = 5\n", encoding="utf-8")
+    out = tmp_path / "synth"
+    assert run("synth", "--holdout", 2, "--config", config, "--out", out) == 0
+    assert len((out / "corpus.jsonl").read_text().splitlines()) == 5
+    assert "seed = 3" in (out / "config.ini").read_text()
     # a flag overrides the file value
-    out2 = tmp_path / "ex2"
-    assert run("extract", corpus_file, "--config", config, "--out", out2,
-               "--patterns", "all") == 0
-    stats2 = json.loads((out2 / "stats.json").read_text())
-    assert "take" in stats2["by_trigger"]
+    out2 = tmp_path / "synth2"
+    assert run("synth", "--holdout", 2, "--config", config, "--out", out2, "--size", 7) == 0
+    assert len((out2 / "corpus.jsonl").read_text().splitlines()) == 7
 
 
-def test_effective_config_echoed(tmp_path, corpus_file):
-    out = tmp_path / "ex"
-    assert run("extract", corpus_file, "--out", out, "--patterns", "for-only") == 0
+def test_effective_config_echoed(tmp_path):
+    out = tmp_path / "synth"
+    assert run("synth", "--size", 5, "--holdout", 2, "--out", out) == 0
     text = (out / "config.ini").read_text()
-    assert "patterns = for-only" in text
+    assert "size = 5" in text
+
+
+def test_readme_names_every_flag():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    flags = {row.flag_name for command in cli.COMMANDS.values() for row in command.settings}
+    assert sorted(f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", readme)) == []
 
 
 def test_missing_config_file_is_io_error(tmp_path, corpus_file):
@@ -1048,13 +1077,13 @@ def test_missing_config_file_is_io_error(tmp_path, corpus_file):
     assert code == cli.EXIT_IO
 
 
-def test_rerun_from_echoed_config_reproduces_outputs(tmp_path, corpus_file):
+def test_rerun_from_echoed_config_reproduces_outputs(tmp_path):
     first = tmp_path / "first"
-    assert run("extract", corpus_file, "--out", first, "--patterns", "for-only") == 0
+    assert run("synth", "--size", 5, "--holdout", 2, "--seed", 3, "--out", first) == 0
     again = tmp_path / "again"
-    assert run("extract", corpus_file, "--config", first / "config.ini", "--out", again) == 0
-    assert (first / "instances.jsonl").read_bytes() == (again / "instances.jsonl").read_bytes()
-    assert (first / "stats.json").read_bytes() == (again / "stats.json").read_bytes()
+    assert run("synth", "--config", first / "config.ini", "--out", again) == 0
+    assert (first / "corpus.jsonl").read_bytes() == (again / "corpus.jsonl").read_bytes()
+    assert (first / "holdout.tsv").read_bytes() == (again / "holdout.tsv").read_bytes()
 
 
 def _run_child(*argv, log_level=""):
@@ -1322,8 +1351,8 @@ def test_cyclic_garbage_does_not_grow_with_the_input(sized_inputs, tmp_path, com
 @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("argv,code", [
     (["synth", "--size", 4, "--holdout", 2, "--out", "{tmp}/out"], cli.EXIT_OK),
-    (["extract", "{tmp}/corpus.jsonl", "--patterns", "nonsense", "--out", "{tmp}/out"],
-     cli.EXIT_CONFIG),
+    (["train", "{tmp}/corpus.jsonl", "--init", "{tmp}/model.ckpt", "--dim", 4,
+      "--out", "{tmp}/out"], cli.EXIT_CONFIG),
     (["extract", "{tmp}/missing.jsonl", "--out", "{tmp}/out"], cli.EXIT_IO),
     (["train", "{tmp}/corpus.jsonl", "--out", "{tmp}/out"], cli.EXIT_DATA),
     (["synth", "--size", "many"], cli.EXIT_CONFIG),

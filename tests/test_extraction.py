@@ -11,11 +11,10 @@ from durpipe.extraction import (
     _DIGIT_RE,
     _ORDINAL_TIME_RE,
     _SECONDARY_RE,
+    _TRIGGER_RE,
     _UNIT_OLD_RE,
     _WORD_FILTER_RE,
     _holds_digit,
-    TRIGGER_FAMILIES,
-    ExtractionConfig,
     DurationExpression,
     LabeledInstance,
     MaskedTextError,
@@ -250,7 +249,7 @@ def test_digit_test_equals_the_digit_search(text):
 def test_gated_match_equals_the_ungated_search(text):
     # The reference reads the unit back with TemporalUnit.from_string, and
     # a unit word it cannot read is no match.
-    m, want = match_sentence(text), ExtractionConfig().pattern.search(text)
+    m, want = match_sentence(text), _TRIGGER_RE.search(text)
     try:
         want = want and (want["trigger"], want.span("expr"), want[0],
                          TemporalUnit.from_string(want["unit"]))
@@ -335,14 +334,6 @@ def test_extract_corpus_fixture_counts():
     assert stats.by_filter == {"word_blocklist": 1, "unit_old": 1}
 
 
-def test_extract_corpus_for_only_subset():
-    cfg = ExtractionConfig.from_selector("for-only")
-    instances, stats = extract_corpus(FIXTURE_DOCS, cfg)
-    assert set(stats.by_trigger) == {"for"}
-    # only the "for"-triggered clean sentences survive
-    assert {i.source_id for i in instances} == {"news-1#0", "news-3#0"}
-
-
 def test_extract_corpus_empty_stream():
     instances, stats = extract_corpus([])
     assert instances == []
@@ -366,40 +357,6 @@ def test_extract_corpus_counts_skipped_quantities():
     assert instances == []
     assert stats.matched == 2
     assert stats.skipped_instances == 2
-
-
-def test_selector_parsing():
-    assert ExtractionConfig.from_selector("all") == ExtractionConfig()
-    assert ExtractionConfig().families == tuple(TRIGGER_FAMILIES)
-    assert ExtractionConfig.from_selector("for-only").families == ("for",)
-    assert ExtractionConfig.from_selector("for,take").families == ("for", "take")
-    with pytest.raises(ValueError):
-        ExtractionConfig.from_selector("bogus-only")
-
-
-@pytest.mark.parametrize("families", [("bogus",), (), ("for", "bogus")])
-def test_config_rejects_empty_or_unknown_families(families):
-    # an unknown family alone would leave an empty trigger alternation,
-    # which matches any numeral and unit with trigger ''
-    with pytest.raises(ValueError):
-        ExtractionConfig(families)
-
-
-def test_config_pattern_is_built_once_per_config():
-    cfg = ExtractionConfig(("for",))
-    assert cfg.pattern is cfg.pattern
-    assert match_sentence("It took 3 hours.", cfg) is None
-    assert match_sentence("He ran for 3 hours.", cfg).trigger_family == "for"
-
-
-def test_family_order_does_not_change_matches():
-    # equal-length trigger words are tried in family order; two different
-    # words of one length never both match at one position
-    sentences = generate_sentences(250, seed=23)
-    forward = ExtractionConfig(tuple(TRIGGER_FAMILIES))
-    backward = ExtractionConfig(tuple(reversed(TRIGGER_FAMILIES)))
-    for sentence in sentences:
-        assert match_sentence(sentence, forward) == match_sentence(sentence, backward)
 
 
 def test_instances_jsonl_roundtrip():
