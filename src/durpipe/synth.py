@@ -141,27 +141,27 @@ def generate(spec: SynthSpec) -> SynthOutput:
             "adj": _ADJECTIVES[int(rng.integers(len(_ADJECTIVES)))],
             "adv": _ADVERBS[int(rng.integers(len(_ADVERBS)))],
         }
-        with np.errstate(over="ignore"):  # the range check below reports it
-            seconds = cue_unit.seconds * float(np.exp(rng.normal(0.0, spec.sigma)))
+        seconds = cue_unit.seconds * float(np.exp(rng.normal(0.0, spec.sigma)))
         if not 0 < seconds < math.inf:
             raise ConfigError(f"sigma = {spec.sigma} drew a duration of {seconds} s")
         quantity, unit = _render_duration(seconds)
         return frame.format(dur=format_duration(quantity, unit), **slots), quantity, unit
 
-    for i in range(spec.size):
-        sentence, _, _ = render(_TRAIN_TEMPLATES, *DEFAULT_CUES[i % len(DEFAULT_CUES)])
-        out.documents.append({"id": f"synth-{i:05d}", "text": sentence})
+    with np.errstate(over="ignore"):  # render's range check reports an overflow
+        for i in range(spec.size):
+            sentence, _, _ = render(_TRAIN_TEMPLATES, *DEFAULT_CUES[i % len(DEFAULT_CUES)])
+            out.documents.append({"id": f"synth-{i:05d}", "text": sentence})
 
-    for i in range(spec.holdout):
-        word, cue_unit = DEFAULT_CUES[i % len(DEFAULT_CUES)]
-        sentence, quantity, unit = render(_HOLDOUT_FRAMES, word, cue_unit)
-        start = sentence.index(word)
-        out.holdout_rows.append(
-            TimeBankRow(
-                sentence=sentence,
-                event_span=(start, start + len(word)),
-                min_duration=(float(quantity), unit),
-                max_duration=(float(quantity), unit),
+        for i in range(spec.holdout):
+            word, cue_unit = DEFAULT_CUES[i % len(DEFAULT_CUES)]
+            sentence, quantity, unit = render(_HOLDOUT_FRAMES, word, cue_unit)
+            start = sentence.index(word)
+            out.holdout_rows.append(
+                TimeBankRow(
+                    sentence=sentence,
+                    event_span=(start, start + len(word)),
+                    min_duration=(float(quantity), unit),
+                    max_duration=(float(quantity), unit),
+                )
             )
-        )
     return out

@@ -342,6 +342,17 @@ def test_train_checkpoint_bytes_are_pinned(tmp_path):
                 == report_digest), protocol
 
 
+def test_train_checkpoint_bytes_are_pinned_with_the_optimizer_split_in_two(tmp_path,
+                                                                           split_every_step):
+    assert run("synth", "--out", tmp_path / "synth", "--size", 200, "--holdout", 40, "--seed", 3) == 0
+    assert run("extract", tmp_path / "synth" / "corpus.jsonl", "--out", tmp_path / "ex") == 0
+    for head, digest in PINNED_CHECKPOINTS.items():
+        out = tmp_path / f"train-{head}"
+        assert run("train", tmp_path / "ex" / "instances.jsonl", "--head", head,
+                   "--learning-rate", 0.05, "--epochs", 3, "--seed", 3, "--out", out) == 0
+        assert hashlib.sha256((out / "model.ckpt").read_bytes()).hexdigest() == digest, head
+
+
 # Checkpoint bytes of the same recipe on a 64-row table. More than half
 # the rows have had a gradient from the fourth step on, so the optimizer
 # crosses from row-indexed steps to stepping the whole table, which the

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -792,17 +794,24 @@ def test_packed_moment_adam_matches_dense_adam(run, seed):
     param, reference = initial[order], {"p": initial.copy()}
     optimizer, dense = model_mod._Adam(param), _DenseAdam(reference)
     seen = set()
-    for rows, values, lr in steps:
-        relabelled = np.argsort(label[rows])
-        optimizer.step(lr, np.empty((0, *shape[1:])), label[rows][relabelled], values[relabelled])
-        grad = np.zeros(shape)
-        grad[rows] = values
-        dense.step(reference, {"p": grad}, lr)
-        seen.update(rows.tolist())
-        assert optimizer.k == len(seen)
-        assert param.tobytes() == reference["p"][order].tobytes()
-        assert optimizer.m.tobytes() == dense.m["p"][order].tobytes()
-        assert optimizer.v.tobytes() == dense.v["p"][order].tobytes()
+    try:
+        for rows, values, lr in steps:
+            relabelled = np.argsort(label[rows])
+            optimizer.step(lr, np.empty((0, *shape[1:])), label[rows][relabelled], values[relabelled])
+            grad = np.zeros(shape)
+            grad[rows] = values
+            dense.step(reference, {"p": grad}, lr)
+            seen.update(rows.tolist())
+            assert optimizer.k == len(seen)
+            assert param.tobytes() == reference["p"][order].tobytes()
+            assert optimizer.m.tobytes() == dense.m["p"][order].tobytes()
+            assert optimizer.v.tobytes() == dense.v["p"][order].tobytes()
+    finally:
+        optimizer.close()
+
+
+def test_adam_split_in_two_row_ranges_matches_dense_adam(split_every_step):
+    test_packed_moment_adam_matches_dense_adam()
 
 
 @st.composite
@@ -849,19 +858,90 @@ def test_train_steps_a_prefix_of_first_gradient_rows_and_equals_the_reference(ru
     assert save(model) == save(reference)
 
 
+def test_train_split_in_two_row_ranges_steps_the_prefix_and_equals_the_reference(split_every_step):
+    test_train_steps_a_prefix_of_first_gradient_rows_and_equals_the_reference()
+
+
 @pytest.mark.parametrize("rate,step", [(60.0, 10), (1e150, 2)])
 def test_diverged_training_writes_back_the_steps_before_it(rate, step):
     # The loss passes the limit at step 10, in the second epoch, or is
     # infinite at step 2. The model keeps its arrays, in bucket order,
-    # holding what the steps before that one made.
+    # holding what the steps before that one made, and no thread that
+    # training started outlives it.
     rng = np.random.default_rng(11)
     model = DualHeadModel.create(dim=4, seed=1, buckets=64, radius=2)
     reference = DualHeadModel.create(dim=4, seed=1, buckets=64, radius=2)
     arrays_before = model.encoder.embeddings, model.w_e, model.w_r
     data = _vocabulary_batch(rng, model, 40, 30, "mse")
     cfg = TrainConfig(learning_rate=rate, batch_size=6, warmup_proportion=1.0, epochs=3, seed=2)
+    threads = threading.active_count()
     with pytest.raises(ValueError, match=rf"training diverged at step {step} "):
         train(model, data, cfg)
+    assert threading.active_count() == threads
     assert all(a is b for a, b in zip((model.encoder.embeddings, model.w_e, model.w_r), arrays_before))
     assert len(_reference_train(reference, data, cfg, stop=step - 1)) == step - 1
     assert save(model) == save(reference)
+
+
+@pytest.mark.parametrize("rate,step", [(60.0, 10), (1e150, 2)])
+def test_diverged_training_split_in_two_row_ranges_stops_the_worker(rate, step, split_every_step):
+    test_diverged_training_writes_back_the_steps_before_it(rate, step)
+
+
+def _small_training_run():
+    rng = np.random.default_rng(12)
+    model = DualHeadModel.create(dim=4, seed=1, buckets=64, radius=2)
+    data = _vocabulary_batch(rng, model, 40, 30, "mse")
+    return model, data, TrainConfig(learning_rate=0.05, batch_size=6, epochs=2, seed=2)
+
+
+def _threads_after_each_step(monkeypatch) -> list[int]:
+    counts = []
+    original = model_mod._Adam.step
+
+    def step(optimizer, *args):
+        original(optimizer, *args)
+        counts.append(threading.active_count())
+
+    monkeypatch.setattr(model_mod._Adam, "step", step)
+    return counts
+
+
+def test_one_usable_cpu_starts_no_thread_and_writes_the_same_checkpoint(split_every_step,
+                                                                         monkeypatch):
+    threads = threading.active_count()
+    counts = _threads_after_each_step(monkeypatch)
+    checkpoints = []
+    for cpus, worker in (({0, 1}, 1), ({0}, 0)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        counts.clear()
+        model, data, cfg = _small_training_run()
+        _, curve = train(model, data, cfg)
+        assert counts == [threads + worker] * len(curve) and len(curve) == 14
+        assert threading.active_count() == threads
+        checkpoints.append(save(model))
+    assert checkpoints[0] == checkpoints[1]
+
+
+def test_an_error_in_the_workers_range_reaches_the_caller_of_train(split_every_step, monkeypatch):
+    original = model_mod._Adam._range
+
+    def fail_in_the_worker(optimizer, *args):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("the worker's range failed")
+        original(optimizer, *args)
+
+    def run():
+        try:
+            train(*_small_training_run())
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    monkeypatch.setattr(model_mod._Adam, "_range", fail_in_the_worker)
+    threads, raised = threading.active_count(), []
+    caller = threading.Thread(target=run)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in raised] == ["the worker's range failed"]
+    assert threading.active_count() == threads

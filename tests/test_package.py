@@ -66,6 +66,19 @@ def test_per_row_records_have_no_instance_dict_and_checked_rows_cannot_change():
     assert copy.deepcopy(timebank) == timebank and pickle.loads(pickle.dumps(qa)) == qa
 
 
+def test_importing_the_command_line_and_the_model_starts_no_thread():
+    code = (
+        "import threading\n"
+        "import durpipe.cli, durpipe.model\n"
+        "print(threading.active_count())\n"
+    )
+    src = str(Path(durpipe.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1\n"
+
+
 def test_python_dash_m_runs_the_command_line():
     src = str(Path(durpipe.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-m", "durpipe", "--help"], capture_output=True, text=True,
