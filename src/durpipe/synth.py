@@ -18,13 +18,14 @@ length and vocabulary composition steady across the splits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .adapters import TimeBankRow
-from .units import ConfigError, TemporalUnit, closest_unit, format_duration, normalize
+from .units import ConfigError, TemporalUnit, closest_unit, format_duration
 
 __all__ = ["SynthSpec", "SynthOutput", "DEFAULT_CUES", "generate"]
 
@@ -93,10 +94,12 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         for name in ("size", "holdout", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0 <= self.sigma < math.inf:
-            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ConfigError(f"{name} must be an int >= 0, got {value!r}")
+        # An int past the float range passes `< math.inf`, then fails to convert.
+        if type(self.sigma) not in (int, float) or not 0 <= self.sigma <= sys.float_info.max:
+            raise ConfigError(f"sigma must be a finite int or float >= 0, got {self.sigma!r}")
 
 
 # One document as json.dumps(doc, sort_keys=True) lays it out.
@@ -117,11 +120,28 @@ class SynthOutput:
                         for doc in self.documents])
 
 
-def _render_duration(seconds: float) -> tuple[int, TemporalUnit]:
-    """Express a raw duration as the closest unit with a rounded count."""
-    unit = closest_unit(normalize(seconds, TemporalUnit.SECOND))
-    quantity = max(1, round(seconds / unit.seconds))
-    return quantity, unit
+def _draws_below(bit_generator: np.random.BitGenerator):
+    """n -> int(Generator.integers(n)) for 2 <= n < 2**32, drawn from a PCG64
+    generator's raw output by numpy's rule: Lemire's multiply-shift on the
+    32-bit halves of each output, low half first, the high half kept for the
+    next draw, redrawn while the product's low word is below (2**32 - n) % n.
+    numpy's other draws take whole outputs and leave the kept half be."""
+    raw = bit_generator.random_raw
+    kept = None
+
+    def below(n: int) -> int:
+        nonlocal kept
+        while True:
+            if kept is None:
+                word = raw()
+                half, kept = word & 0xFFFFFFFF, word >> 32
+            else:
+                half, kept = kept, None
+            product = half * n
+            if product & 0xFFFFFFFF >= (0x100000000 - n) % n:
+                return product >> 32
+
+    return below
 
 
 def generate(spec: SynthSpec) -> SynthOutput:
@@ -130,22 +150,22 @@ def generate(spec: SynthSpec) -> SynthOutput:
     Cues cycle round-robin so both splits stay balanced across units.
     """
     rng = np.random.default_rng(spec.seed)
+    below, standard_normal, sigma = _draws_below(rng.bit_generator), rng.standard_normal, spec.sigma
     out = SynthOutput()
 
     def render(frames: tuple[str, ...], word: str, cue_unit: TemporalUnit):
         """A filled frame, and the (quantity, unit) drawn around the cue unit."""
-        frame = frames[int(rng.integers(len(frames)))]
-        slots = {
-            "cue": word,
-            "name": _NAMES[int(rng.integers(len(_NAMES)))],
-            "adj": _ADJECTIVES[int(rng.integers(len(_ADJECTIVES)))],
-            "adv": _ADVERBS[int(rng.integers(len(_ADVERBS)))],
-        }
-        seconds = cue_unit.seconds * float(np.exp(rng.normal(0.0, spec.sigma)))
+        frame = frames[below(len(frames))]
+        name, adj = _NAMES[below(len(_NAMES))], _ADJECTIVES[below(len(_ADJECTIVES))]
+        adv = _ADVERBS[below(len(_ADVERBS))]
+        # Generator.normal(0.0, sigma) is 0.0 + sigma * standard_normal().
+        seconds = cue_unit.seconds * float(np.exp(0.0 + sigma * standard_normal()))
         if not 0 < seconds < math.inf:
             raise ConfigError(f"sigma = {spec.sigma} drew a duration of {seconds} s")
-        quantity, unit = _render_duration(seconds)
-        return frame.format(dur=format_duration(quantity, unit), **slots), quantity, unit
+        unit = closest_unit(math.log(seconds))
+        quantity = max(1, round(seconds / unit.seconds))
+        return frame.format(cue=word, name=name, adj=adj, adv=adv,
+                            dur=format_duration(quantity, unit)), quantity, unit
 
     with np.errstate(over="ignore"):  # render's range check reports an overflow
         for i in range(spec.size):

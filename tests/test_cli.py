@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from durpipe import cli, model
 from durpipe.adapters import TIMEBANK_COLUMNS, TimeBankRow, read_timebank_tsv, write_timebank_tsv
-from durpipe.synth import SynthOutput, SynthSpec, generate
+from durpipe.synth import SynthOutput, SynthSpec, _draws_below, generate
 from durpipe.text import tokenize
-from durpipe.units import TemporalUnit
+from durpipe.units import ConfigError, TemporalUnit
 
 
 def run(*argv):
@@ -66,6 +66,69 @@ def test_corpus_jsonl_equals_json_dumps(records):
 def test_synth_rejects_degenerate_spec():
     with pytest.raises(ValueError):
         SynthSpec(size=-1)
+
+
+# A count or seed that is not an int (a bool included) used to fail inside
+# generate, or to make one document for True; a sigma that is not a number
+# used to fail in the range check, and an int sigma past the float range
+# with an OverflowError inside generate.
+@pytest.mark.parametrize("field,value", [
+    ("size", 2.5), ("size", True), ("holdout", 3.0), ("holdout", False), ("seed", 1.5),
+    ("seed", True), ("seed", "1"), ("sigma", "1"), ("sigma", None), ("sigma", True),
+    ("sigma", 10**400),
+])
+def test_synth_spec_of_the_wrong_type_is_config_error_naming_it(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        SynthSpec(**{field: value})
+
+
+def test_synth_spec_takes_an_int_or_float_sigma():
+    assert generate(SynthSpec(size=3, holdout=2, sigma=2)).documents == generate(
+        SynthSpec(size=3, holdout=2, sigma=2.0)).documents
+
+
+# synth's bounded draws against numpy's own: bounds synth uses, bounds
+# that reject often (3 * 2**30 about a quarter of the time, 2**31 + 1
+# about half) and the largest 32-bit one. A normal after every third
+# draw takes whole outputs, so a kept upper half is carried across it;
+# the first draw keeps one and the first normal follows it at once.
+_DRAW_BOUNDS = (4, 8, 20, 30, 3 * 2**30, 2**31 + 1, 2**32 - 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2**63 + 5])
+def test_draws_below_equal_generator_integers(seed):
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    below = _draws_below(rng.bit_generator)
+    for i in range(2100):
+        n = _DRAW_BOUNDS[i % len(_DRAW_BOUNDS)]
+        assert below(n) == int(twin.integers(n)), (i, n)
+        if i % 3 == 0:
+            assert rng.standard_normal() == twin.standard_normal(), i
+    assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
+
+
+# sha256 of corpus.jsonl and holdout.tsv, recorded before synth drew from
+# the raw stream: the README recipe, the claims recipe's two noisier
+# synths and a run the size of durbench's qa-eval.
+PINNED_SYNTH = {
+    (2000, 400, 17, 0.25): ("328b79cdb6029d6c67cc1248e1d80bb5702c404e3c363bc1f683adb78dae8f7d",
+                            "f84e190d02ee7af5fcf7b9f479aaaf6e7818ddd6a1e0dfeb6c8eeb395703a119"),
+    (2000, 400, 17, 2.0): ("44b08f2a359221087473b898c1346c4a158ac3be90bd2b715962fb308930d565",
+                           "3d5f780c13c8679b53c88d98bf21e716f7237283ed7150e3c988d405624151e4"),
+    (10, 40, 18, 2.0): ("b1e52b28097d895060c8f72741de229f23edfa484fa2008d4948872545e7088c",
+                        "0bb55d1cbfade77946e454d369f0969637536d02e28b3d53debbfb2ce4baef47"),
+    (20000, 10000, 1, 0.25): ("f6c49182e667b387a9964b3ffb927e600e0c4922d8686a023dc7af176504d1fc",
+                              "721947bb9ef2201e55a93d40795cff358127ac19c0a846529cff6e9fc3830dad"),
+}
+
+
+@pytest.mark.parametrize("size,holdout,seed,sigma", list(PINNED_SYNTH))
+def test_synth_bytes_are_pinned(tmp_path, size, holdout, seed, sigma):
+    assert run("synth", "--out", tmp_path, "--size", size, "--holdout", holdout,
+               "--seed", seed, "--sigma", sigma) == 0
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("corpus.jsonl", "holdout.tsv"))
+    assert digests == PINNED_SYNTH[size, holdout, seed, sigma]
 
 
 # --- extract ----------------------------------------------------------------
@@ -378,10 +441,11 @@ def test_train_dense_step_checkpoint_bytes_are_pinned(tmp_path):
 
 
 # Fine accuracy of both heads on the README recipe with a noisier synth
-# (`--sigma 2.0`; at 1.0 both heads score above 0.97), per training seed,
-# recorded under the per-item float order that the batch-wide heads
-# replaced. The seed alone moves exact fine accuracy from 0.81 to 0.92,
-# so each seed keeps its own value, and training may lose at most 0.02.
+# (`--sigma 2.0`; at the default 0.25 both heads score above 0.97), per
+# training seed, recorded under the per-item float order that the
+# batch-wide heads replaced. The seed alone moves exact fine accuracy
+# from 0.81 to 0.92, so each seed keeps its own value, and training may
+# lose at most 0.02.
 QUALITY_FINE_ACCURACY = {
     ("exact", 17): 0.8100, ("exact", 18): 0.8800, ("exact", 19): 0.9200,
     ("range", 17): 0.8650, ("range", 18): 0.8525, ("range", 19): 0.8825,

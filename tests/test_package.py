@@ -116,6 +116,23 @@ def test_extract_and_baseline_run_without_numpy(tmp_path):
     assert (tmp_path / "base" / "report.json").exists()
 
 
+def test_synth_runs_without_the_model_or_extraction_module(tmp_path):
+    # synth's start-up is part of every recipe; it needs numpy for its
+    # draws, but neither the model nor the extraction module.
+    code = (
+        "import sys\n"
+        "from durpipe import cli\n"
+        f"assert cli.main(['synth', '--size', '8', '--holdout', '8', '--out', {str(tmp_path)!r}]) == 0\n"
+        "loaded = {'durpipe.model', 'durpipe.extraction'} & set(sys.modules)\n"
+        "assert not loaded, f'synth loads {sorted(loaded)}'\n"
+    )
+    src = str(Path(durpipe.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "holdout.tsv").read_text().count("\n") == 9
+
+
 def test_eval_and_baseline_run_without_the_extraction_module(tmp_path):
     # Only extract and the training intake of extracted instances read
     # with the extraction module; eval and baseline must not load it.
