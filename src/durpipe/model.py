@@ -5,12 +5,21 @@ positions, of the mean embedding of the tokens in a window around each
 one (BaselineEncoder hashes tokens into a fixed embedding table). The
 exact head is a bias-free linear regression to a log-second value, the
 range head a bias-free linear layer plus softmax over the unit
-inventory. One forward pass computes that vector for prediction, loss
-evaluation and training alike: `_compile` hashes the mask windows of its
-inputs, `_item_sums` reduces their embeddings with two `np.add.reduceat`
-calls, and both heads and the softmax run on the whole batch at once.
-The heads are `np.einsum` products, which give each item's row the same
-bits whatever rows surround it (a BLAS matrix product need not).
+inventory. `_compile` hashes the mask windows of its inputs once, and
+both heads and the softmax run on a whole batch at once. The heads are
+`np.einsum` products, which give each item's row the same bits whatever
+rows surround it (a BLAS matrix product need not).
+
+Prediction computes the vector with `_item_sums`: two `np.add.reduceat`
+calls, window means first. Training and loss evaluation read a batch
+through averaging matrices instead, one per block of at most `_BLOCK`
+items (`_Batch`): a block's vectors are one matrix product with the table
+rows its tokens use, and its embedding gradient is the transpose product.
+The two forwards round in another order, so they agree to rounding only;
+`test_loss_and_grads_match_item_loop_within_rounding` ties both to a loop
+over items. Prediction keeps the window means because a product over
+shared columns could make one item's prediction depend on its neighbours.
+The blocks bound a matrix at `_BLOCK` rows whatever the batch size.
 
 `predict_many` predicts a whole input list in chunks of `_PREDICT_CHUNK`
 items, which bounds the embedding rows gathered at a time.
@@ -21,18 +30,23 @@ moments and a linear-warmup-then-constant schedule. All randomness flows
 from the config seed, so runs are bit-reproducible.
 
 `train` hashes its data once, into one flat `_Windows`. Each epoch
-gathers its shuffled items from it once, and a batch is a set of slices
-of that gather, distinct rows included. The first epoch's shuffle fixes
-the step at which each table row first has a gradient; in that order,
-the rows follow the head in one buffer, so the rows that have had a
-gradient are always a prefix of it, and one optimizer steps that prefix
-in place. Every later row has zero moments, so skipping it changes no
-bit (unlike "lazy" Adam, which also skips the moment decay of rows
-without a gradient). Once that prefix is large and a second CPU is
-usable, the optimizer steps it as two row ranges, one in a worker thread
-that `train` stops before it returns; each range runs the same
-operations on its own rows, so the bytes are those of one pass. At the
-end the buffer goes back into the model's own arrays, in bucket order.
+gathers its shuffled items from it once and builds every block's matrix
+with one weighted `np.bincount`. A block's columns are its distinct rows
+in the order of their first appearance in its tokens, an order that the
+renumbering below leaves as it is; so `train` and the (input, label)
+path compute the same products in the same order, bit for bit.
+
+The first epoch's shuffle fixes the step at which each table row first
+has a gradient; in that order, the rows follow the head in one buffer,
+so the rows that have had a gradient are always a prefix of it, and one
+optimizer steps that prefix in place. Every later row has zero moments,
+so skipping it changes no bit (unlike "lazy" Adam, which also skips the
+moment decay of rows without a gradient). Once that prefix is large and
+a second CPU is usable, the optimizer steps it as two row ranges, one in
+a worker thread that `train` stops before it returns; each range runs
+the same operations on its own rows, so the bytes are those of one pass.
+At the end the buffer goes back into the model's own arrays, in bucket
+order.
 `DURPIPE_LOG=INFO` logs each epoch's steps, mean loss and learning rate.
 """
 
@@ -46,9 +60,10 @@ import math
 import os
 import queue
 import struct
+import sys
 import threading
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -162,14 +177,26 @@ class DualHeadModel:
 @dataclass(slots=True)
 class _Windows:
     """Items compiled to the table rows of their mask windows' tokens; the
-    windows of one item are adjacent and items keep their order.
-    `distinct` is `np.unique(rows, return_inverse=True)`, when known."""
+    windows of one item are adjacent and items keep their order."""
 
     rows: np.ndarray  # table row of every window token
     lengths: np.ndarray  # tokens per window
     counts: np.ndarray  # windows per item
     labels: np.ndarray  # log-seconds for mse, inventory index for cross_entropy
-    distinct: tuple[np.ndarray, np.ndarray] | None = None
+
+
+@dataclass(slots=True)
+class _Batch:
+    """A training batch as averaging matrices, one per block of at most
+    `_BLOCK` items. A block is (matrix, cols, slots): the block's distinct
+    table rows `cols`, in order of first appearance in its tokens, and the
+    (items, len(cols)) matrix whose entry (i, c) is the sum of
+    1 / len(window) over item i's window tokens on row cols[c]; `slots`
+    places cols in `rows`, the batch's distinct rows, ascending."""
+
+    labels: np.ndarray
+    rows: np.ndarray
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _compile(model: DualHeadModel, inputs: Sequence[ModelInput], labels: Sequence = (),
@@ -200,27 +227,55 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _epoch(data: _Windows, order: np.ndarray, size: int, span: int) -> Iterator[_Windows]:
-    """The items of `data` in `order`, gathered once, as batches of `size`
-    items. Every batch's `distinct` comes from one `np.unique` over the
-    epoch's (batch, row) keys; every row is below `span`."""
-    counts, labels = data.counts[order], data.labels[order]
+def _epoch(data: _Windows, order: np.ndarray, size: int, span: int) -> list[_Batch]:
+    """The items of `data` in `order` as batches of `size` items, cut into
+    blocks of `_BLOCK`; one weighted `np.bincount` builds every block's
+    matrix. Every row is below `span`."""
+    n = len(order)
+    counts = data.counts[order]
     windows = _ranges((np.cumsum(data.counts) - data.counts)[order], counts)
     lengths = data.lengths[windows]
     rows = data.rows[_ranges((np.cumsum(data.lengths) - data.lengths)[windows], lengths)]
-    # The first item, window, token and distinct row of every batch.
-    i = np.arange(0, len(order) + size, size).clip(max=len(order))
-    w = np.append(0, np.cumsum(counts))[i]
-    t = np.append(0, np.cumsum(lengths))[w]
-    keys, inverse = np.unique(np.repeat(np.arange(len(i) - 1) * span, np.diff(t)) + rows,
-                              return_inverse=True)
-    u = np.searchsorted(keys, np.arange(len(i)) * span)
-    inverse -= np.repeat(u[:-1], np.diff(t))
-    keys %= span
-    i, w, t, u = i.tolist(), w.tolist(), t.tolist(), u.tolist()
-    for b in range(len(i) - 1):
-        yield _Windows(rows[t[b]:t[b + 1]], lengths[w[b]:w[b + 1]], counts[i[b]:i[b + 1]],
-                       labels[i[b]:i[b + 1]], (keys[u[b]:u[b + 1]], inverse[t[b]:t[b + 1]]))
+    # A block starts at every _BLOCK-th item of a batch.
+    starts = np.flatnonzero(np.arange(n) % size % _BLOCK == 0)
+    items = np.diff(starts, append=n)
+    block = np.repeat(np.arange(len(starts)), items)  # of every item
+    # A block's columns are its distinct rows, numbered in the order of
+    # their first token; `cells` is each token's column, then its entry.
+    keys = np.repeat(np.repeat(block * span, counts), lengths)
+    keys += rows
+    tokens = np.argsort(keys)  # grouped by (block, row), each group in any order
+    keys = keys[tokens]
+    groups = np.flatnonzero(np.diff(keys, prepend=-1))
+    first = np.minimum.reduceat(tokens, groups)
+    is_first = np.zeros(len(rows), dtype=bool)
+    is_first[first] = True
+    cells = np.empty_like(tokens)
+    cells[tokens] = np.repeat(np.cumsum(is_first)[first] - 1, np.diff(groups, append=len(rows)))
+    cols = rows[is_first]
+    widths = np.bincount(keys[groups] // span, minlength=len(starts))
+    # Token-sized arrays go before the matrices are made, which keeps the
+    # epoch's peak memory near that of the token arrays alone.
+    del rows, keys, tokens, is_first, first
+    sizes = items * widths
+    col_ends, ends = np.cumsum(widths), np.cumsum(sizes)
+    base = ((ends - sizes) - (col_ends - widths))[block] + (np.arange(n) - starts[block]) * widths[block]
+    cells += np.repeat(np.repeat(base, counts), lengths)
+    matrices = np.bincount(cells, weights=np.repeat(1.0 / lengths, lengths), minlength=ends[-1])
+    del cells
+    # Each batch's distinct rows, ascending, and where each block's columns are in them.
+    firsts = np.arange(0, n + size, size)
+    batch = np.repeat(starts // size, widths)
+    distinct, slots = np.unique(batch * span + cols, return_inverse=True)
+    u = np.searchsorted(distinct, np.arange(len(firsts)) * span)
+    slots -= u[batch]
+    distinct %= span
+    blocks = [(matrices[e - s:e].reshape(k, w), cols[c - w:c], slots[c - w:c]) for k, w, s, e, c
+              in zip(items.tolist(), widths.tolist(), sizes.tolist(), ends.tolist(), col_ends.tolist())]
+    labels, u = data.labels[order], u.tolist()
+    b = np.searchsorted(starts, firsts.clip(max=n)).tolist()
+    return [_Batch(labels[i:i + size], distinct[u[j]:u[j + 1]], blocks[b[j]:b[j + 1]])
+            for j, i in enumerate(firsts[:-1].tolist())]
 
 
 def _item_sums(embeddings: np.ndarray, batch: _Windows) -> np.ndarray:
@@ -240,6 +295,10 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 # Items compiled and reduced at once by predict_many; it bounds the
 # gathered embedding rows, whatever the size of the input list.
 _PREDICT_CHUNK = 256
+# Items per averaging matrix in training: a batch is cut into blocks of
+# this many items, so a matrix has at most this many rows whatever the
+# batch size, and a default batch is one block.
+_BLOCK = 16
 
 
 def predict_many(model: DualHeadModel, inputs: Sequence[ModelInput], head: str) -> list:
@@ -301,16 +360,16 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.loss not in ("mse", "cross_entropy"):
             raise ConfigError(f"loss must be 'mse' or 'cross_entropy', got {self.loss!r}")
-        if not 0.0 <= self.warmup_proportion <= 1.0:
-            raise ConfigError(f"warmup_proportion must be in [0, 1], got {self.warmup_proportion}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 <= self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("batch_size", 1), ("epochs", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{name} must be an int >= {least}, got {value!r}")
+        rate, warmup = self.learning_rate, self.warmup_proportion
+        # An int past the float range passes `< math.inf`, then fails to convert.
+        if type(rate) not in (int, float) or not 0 <= rate <= sys.float_info.max:
+            raise ConfigError(f"learning_rate must be a finite int or float >= 0, got {rate!r}")
+        if type(warmup) not in (int, float) or not 0 <= warmup <= 1:
+            raise ConfigError(f"warmup_proportion must be an int or float in [0, 1], got {warmup!r}")
 
     @classmethod
     def finetuning(cls, **overrides) -> "TrainConfig":
@@ -337,16 +396,28 @@ def _labels(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]], los
     return labels
 
 
-def loss_and_grads(model: DualHeadModel, batch: Sequence[tuple[ModelInput, object]] | _Windows,
+def loss_and_grads(model: DualHeadModel,
+                   batch: Sequence[tuple[ModelInput, object]] | _Windows | _Batch,
                    loss: str) -> tuple[float, dict]:
     """Mean batch loss and its analytic gradients.
 
     `batch` holds (input, label) pairs; `train` passes its items already
-    compiled, so that each dataset is hashed once.
-    The forward pass is the one prediction runs. The backward pass runs
-    on the whole batch too: the head gradient is one matrix product with
-    the item sums, and each item's gradient is spread over its window
-    tokens with one weighted `np.bincount`.
+    compiled and cut into blocks, so that each dataset is hashed once.
+    Each block's item sums are one matrix product, `matrix @ E[cols]`
+    (see `_Batch`), and the block's share of the embedding gradient is its
+    transpose, `matrix.T @ d_sums`; the blocks' shares are added into the
+    batch's rows in block order. The head gradient is one matrix product
+    with the item sums.
+
+    A block's columns follow the first appearance of its rows in its
+    tokens, which does not change when `train` renumbers the table's rows,
+    so `train` and the (input, label) path compute the same products in the
+    same order and get the same bits. The blocks bound a matrix at
+    `_BLOCK` rows, where one matrix per batch would grow with the batch
+    size. The sums agree with prediction's window means to rounding only
+    (`test_loss_and_grads_match_item_loop_within_rounding`). Prediction
+    keeps those means: a product over shared columns could make one
+    item's prediction depend on its neighbours.
 
     Returns gradients for the active head ("w_e" for mse, "w_r" for
     cross_entropy) and for the encoder embeddings. For a compiled batch
@@ -355,12 +426,17 @@ def loss_and_grads(model: DualHeadModel, batch: Sequence[tuple[ModelInput, objec
     row's gradient is zero. For (input, label) pairs it is the dense
     (buckets, dim) table.
     """
-    compiled = isinstance(batch, _Windows)
-    if not compiled:
-        batch = _compile(model, [mi for mi, _ in batch], _labels(model, batch, loss))
+    compiled = isinstance(batch, (_Windows, _Batch))
     embeddings = model.encoder.embeddings
-    sums = _item_sums(embeddings, batch)
-    n = len(sums)
+    if not isinstance(batch, _Batch):
+        if not compiled:
+            batch = _compile(model, [mi for mi, _ in batch], _labels(model, batch, loss))
+        n = len(batch.counts)
+        batch = _epoch(batch, np.arange(n), n, len(embeddings))[0]
+    n, dim = len(batch.labels), embeddings.shape[1]
+    sums = np.empty((n, dim))
+    for k, (matrix, cols, _) in enumerate(batch.blocks):
+        np.matmul(matrix, embeddings[cols], out=sums[k * _BLOCK:(k + 1) * _BLOCK])
     if loss == "mse":
         errs = np.einsum("id,d->i", sums, model.w_e) - batch.labels
         item_losses = errs * errs
@@ -376,19 +452,14 @@ def loss_and_grads(model: DualHeadModel, batch: Sequence[tuple[ModelInput, objec
         grads = {"w_r": dz.T @ sums}
         d_sums = dz @ model.w_r
 
-    d_windows = np.repeat(d_sums, batch.counts, axis=0) / batch.lengths[:, None]
-    rows, slots = batch.distinct or np.unique(batch.rows, return_inverse=True)
-    # A weighted bincount adds its weights in order from zero, so over
-    # (row, column) indices it is the token-order scatter-add.
-    dim = embeddings.shape[1]
-    cells = (slots[:, None] * dim + np.arange(dim)).ravel()
-    d_rows = np.bincount(cells, weights=np.repeat(d_windows, batch.lengths, axis=0).ravel(),
-                         minlength=len(rows) * dim).reshape(len(rows), dim)
+    d_rows = np.zeros((len(batch.rows), dim))
+    for k, (matrix, _, slots) in enumerate(batch.blocks):
+        d_rows[slots] += matrix.T @ d_sums[k * _BLOCK:(k + 1) * _BLOCK]
     if compiled:
-        grads["embeddings"] = (rows, d_rows)
+        grads["embeddings"] = (batch.rows, d_rows)
     else:
         grads["embeddings"] = np.zeros_like(embeddings)
-        grads["embeddings"][rows] = d_rows
+        grads["embeddings"][batch.rows] = d_rows
     return float(item_losses.sum()) / n, grads
 
 

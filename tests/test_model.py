@@ -235,6 +235,24 @@ def test_label_loss_mismatch_is_config_error():
         train(seven, [(SAMPLE, TemporalUnit.DECADE)], TrainConfig(loss="cross_entropy"))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 2.5), ("batch_size", True), ("epochs", 1.5), ("seed", 1.5),
+    ("learning_rate", "0.1"), ("learning_rate", 10**400), ("warmup_proportion", "0.1")],
+    ids=["batch_size-2.5", "batch_size-True", "epochs-1.5", "seed-1.5", "learning_rate-str",
+         "learning_rate-10**400", "warmup_proportion-str"])
+@pytest.mark.parametrize("make", [TrainConfig, TrainConfig.finetuning], ids=["bare", "finetuning"])
+def test_train_config_of_the_wrong_type_is_config_error_naming_it(make, field, value):
+    with pytest.raises(ConfigError, match=rf"^{field} must be "):
+        make(**{field: value})
+
+
+def test_train_config_takes_an_int_learning_rate_and_warmup_proportion():
+    cfg = TrainConfig.finetuning(learning_rate=0, warmup_proportion=1)
+    model, curve = train(DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2),
+                         [(SAMPLE, 2.0)], cfg)
+    assert len(curve) == 3
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(loss="hinge")
@@ -709,6 +727,63 @@ def test_long_training_equals_the_dense_reference_past_the_unit_bias_correction(
     assert len(curve) == 410
     assert curve == _reference_train(reference, data, cfg)
     assert save(model) == save(reference)
+
+
+@pytest.mark.parametrize("batch_size", [1, 16, 17, 33, 50])
+@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+def test_train_through_block_matrices_equals_the_dense_reference(batch_size, loss):
+    # One item per batch, one whole block, a block and one item, two blocks
+    # and one item, and one batch of all 50 items in four blocks. From 17
+    # items on, a row in two blocks of a batch gets both blocks' gradients.
+    rng = np.random.default_rng(30 + batch_size)
+    model = DualHeadModel.create(dim=4, seed=2, buckets=64, radius=3)
+    reference = DualHeadModel.create(dim=4, seed=2, buckets=64, radius=3)
+    data = _vocabulary_batch(rng, model, 50, 40, loss, max_words=12)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, epochs=2, seed=4, loss=loss)
+    batches = model_mod._epoch(model_mod._compile(model, [mi for mi, _ in data], [0.0] * 50),
+                               np.arange(50), batch_size, 64)
+    heights = [len(matrix) for batch in batches for matrix, _, _ in batch.blocks]
+    assert max(heights) == min(batch_size, model_mod._BLOCK) and sum(heights) == 50
+    shared = [sum(len(cols) for _, cols, _ in batch.blocks) > len(batch.rows) for batch in batches]
+    assert any(shared) == (batch_size > model_mod._BLOCK)
+    _, curve = train(model, data, cfg)
+    assert curve == _reference_train(reference, data, cfg)
+    assert save(model) == save(reference)
+
+
+def _random_windows(rng, n, buckets, loss):
+    """`n` compiled items of 1 to 3 windows of 1 to 11 tokens each, on rows
+    of a `buckets`-row table, so rows repeat in windows and items."""
+    counts = rng.integers(1, 4, size=n)
+    lengths = rng.integers(1, 12, size=int(counts.sum()))
+    labels = rng.uniform(0.0, 6.0, size=n) if loss == "mse" else rng.integers(0, 8, size=n)
+    return model_mod._Windows(rng.integers(0, buckets, size=int(lengths.sum())), lengths,
+                              counts, labels)
+
+
+@pytest.mark.parametrize("dim", [1, 5, 32])
+@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+def test_loss_and_grads_do_not_change_when_the_rows_are_renumbered(dim, loss):
+    # `train` renumbers the table's rows. A block's columns follow the first
+    # appearance of its rows, so the products, and their bits, stay the
+    # same; this is what keeps `train` equal to the dense reference.
+    rng = np.random.default_rng(40 + dim)
+    model = DualHeadModel.create(dim=dim, seed=6, buckets=30, radius=5)
+    head = "w_e" if loss == "mse" else "w_r"
+    for n in [1, 16, 17, 40] + rng.integers(1, 50, size=8).tolist():
+        batch = _random_windows(rng, n, 30, loss)
+        number = rng.permutation(30)
+        renumbered = replace(model, encoder=BaselineEncoder(
+            model.encoder.embeddings[np.argsort(number)], model.encoder.radius))
+        value, grads = loss_and_grads(model, batch, loss)
+        new_value, new_grads = loss_and_grads(renumbered, replace(batch, rows=number[batch.rows]), loss)
+        assert new_value == value
+        assert new_grads[head].tobytes() == grads[head].tobytes()
+        rows, values = grads["embeddings"]
+        new_rows, new_values = new_grads["embeddings"]
+        back = np.argsort(number)[new_rows]
+        assert back[np.argsort(back)].tolist() == rows.tolist()
+        assert new_values[np.argsort(back)].tobytes() == values.tobytes()
 
 
 def _first_seen(row_sets, size):
