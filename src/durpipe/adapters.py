@@ -272,16 +272,18 @@ def _quantity(text: str) -> float:
 
 def read_timebank_tsv(lines: Iterable[str]) -> list[TimeBankRow]:
     """Parse TSV rows with columns sentence, event_start, event_end,
-    min_quantity, min_unit, max_quantity, max_unit. A header row is
-    recognized and skipped. A row that csv cannot read, such as one with
-    a cell over csv's field size limit, is a MalformedRowError."""
+    min_quantity, min_unit, max_quantity, max_unit. Blank rows are
+    skipped, and so is a header: a first nonblank row whose first cell
+    is "sentence". A row that csv cannot read, such as one with a cell
+    over csv's field size limit, is a MalformedRowError."""
     out = []
-    i = -1
+    i, first = -1, True
     try:
         for i, record in enumerate(csv.reader(lines, delimiter="\t")):
             if not "".join(record).strip():
                 continue
-            if i == 0 and record[0].strip().lower() == "sentence":
+            header, first = first and record[0].strip().lower() == "sentence", False
+            if header:
                 continue
             if len(record) != len(TIMEBANK_COLUMNS):
                 raise MalformedRowError(

@@ -35,7 +35,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "TRIGGER_FAMILIES",
-    "DurationExpression",
     "MatchResult",
     "LabeledInstance",
     "ExtractionStats",
@@ -104,17 +103,12 @@ _DIGIT_RE = re.compile(r"\d")
 
 
 @dataclass(slots=True)
-class DurationExpression:
-    quantity: float
-    unit: TemporalUnit
-    span: tuple[int, int]  # [start, end) character offsets in the sentence
-
-
-@dataclass(slots=True)
 class MatchResult:
     trigger: str
     trigger_family: str
-    expression: DurationExpression
+    quantity: float
+    unit: TemporalUnit
+    span: tuple[int, int]  # [start, end) character offsets of the expression in the sentence
     matched_text: str  # sub-sentence from trigger start to expression end
 
 
@@ -214,8 +208,7 @@ def match_sentence(sentence: str) -> MatchResult | None:
         return None
     # float() saturates huge numerals to inf; label_sentence rejects those.
     # Positional arguments: keywords cost about as much as the record.
-    return MatchResult(trigger, _FAMILY_OF_WORD[trigger],
-                       DurationExpression(float(qty), unit, m.span("expr")), m.group())
+    return MatchResult(trigger, _FAMILY_OF_WORD[trigger], float(qty), unit, m.span("expr"), m.group())
 
 
 def failed_filters(m: MatchResult, sentence: str) -> list[str]:
@@ -247,10 +240,10 @@ def label_sentence(sentence: str, m: MatchResult, source_id: str = "") -> Labele
     """
     if MASK_TOKEN in sentence and find_mask_positions(sentence):
         raise MaskedTextError(f"sentence already holds a {MASK_TOKEN} token")
-    start, end = m.expression.span
+    start, end = m.span
     n_tokens = len(tokenize(sentence[start:end]))
     masked, positions = splice_masks(sentence[:start], mask_string(n_tokens), sentence[end:])
-    exact = normalize(m.expression.quantity, m.expression.unit)
+    exact = normalize(m.quantity, m.unit)
     return LabeledInstance(masked, positions, exact, closest_unit(exact, UNITS_8), source_id)
 
 
@@ -317,10 +310,10 @@ def extract_corpus(
 def read_documents(lines: Iterable[str], source: str) -> Iterator[tuple[str, str | None]]:
     """Parse JSONL document records ({"id": ..., "text": ...}).
 
-    A record without an id gets "<source>:<line index>". A malformed
-    line yields that id with text None, which extract_corpus counts as
-    skipped; each is logged at DEBUG, and one WARNING at the end gives
-    their number and the first one's line index.
+    A record without an id, or whose id is null, gets "<source>:<line
+    index>". A malformed line yields that id with text None, which
+    extract_corpus counts as skipped; each is logged at DEBUG, and one
+    WARNING at the end gives their number and the first one's line index.
     """
     n_bad, first_bad = 0, None
     for i, line in enumerate(lines):
@@ -329,7 +322,8 @@ def read_documents(lines: Iterable[str], source: str) -> Iterator[tuple[str, str
             continue
         try:
             obj = loads_stripped(line)
-            doc = str(obj.get("id", f"{source}:{i}")), obj["text"]
+            doc_id = obj.get("id")
+            doc = f"{source}:{i}" if doc_id is None else str(doc_id), obj["text"]
         except (json.JSONDecodeError, AttributeError, KeyError, TypeError):
             logger.debug("skipping malformed document %s:%d", source, i)
             n_bad += 1

@@ -10,43 +10,14 @@ both heads and the softmax run on a whole batch at once. The heads are
 `np.einsum` products, which give each item's row the same bits whatever
 rows surround it (a BLAS matrix product need not).
 
-Prediction computes the vector with `_item_sums`: two `np.add.reduceat`
-calls, window means first. Training and loss evaluation read a batch
-through averaging matrices instead, one per block of at most `_BLOCK`
-items (`_Batch`): a block's vectors are one matrix product with the table
-rows its tokens use, and its embedding gradient is the transpose product.
-The two forwards round in another order, so they agree to rounding only;
-`test_loss_and_grads_match_item_loop_within_rounding` ties both to a loop
-over items. Prediction keeps the window means because a product over
-shared columns could make one item's prediction depend on its neighbours.
-The blocks bound a matrix at `_BLOCK` rows whatever the batch size.
-
-`predict_many` predicts a whole input list in chunks of `_PREDICT_CHUNK`
-items, which bounds the embedding rows gathered at a time.
-`predict_exact` and `predict_range` are one-item calls into it.
+Prediction (`predict_many`) sums each item's window means. Training and
+loss evaluation (`loss_and_grads`) take an item's vector as a row of a
+matrix product with the table rows of its block; the two forwards agree
+to rounding.
 
 Training is minibatch gradient descent with adaptive per-parameter
-moments and a linear-warmup-then-constant schedule. All randomness flows
-from the config seed, so runs are bit-reproducible.
-
-`train` hashes its data once, into one flat `_Windows`. Each epoch
-gathers its shuffled items from it once and builds every block's matrix
-with one weighted `np.bincount`. A block's columns are its distinct rows
-in the order of their first appearance in its tokens, an order that the
-renumbering below leaves as it is; so `train` and the (input, label)
-path compute the same products in the same order, bit for bit.
-
-The first epoch's shuffle fixes the step at which each table row first
-has a gradient; in that order, the rows follow the head in one buffer,
-so the rows that have had a gradient are always a prefix of it, and one
-optimizer steps that prefix in place. Every later row has zero moments,
-so skipping it changes no bit (unlike "lazy" Adam, which also skips the
-moment decay of rows without a gradient). Once that prefix is large and
-a second CPU is usable, the optimizer steps it as two row ranges, one in
-a worker thread that `train` stops before it returns; each range runs
-the same operations on its own rows, so the bytes are those of one pass.
-At the end the buffer goes back into the model's own arrays, in bucket
-order.
+moments (`_Adam`) and a linear-warmup-then-constant schedule. All
+randomness flows from the config seed, so runs are bit-reproducible.
 `DURPIPE_LOG=INFO` logs each epoch's steps, mean loss and learning rate.
 """
 
@@ -397,7 +368,7 @@ def _labels(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]], los
 
 
 def loss_and_grads(model: DualHeadModel,
-                   batch: Sequence[tuple[ModelInput, object]] | _Windows | _Batch,
+                   batch: Sequence[tuple[ModelInput, object]] | _Batch,
                    loss: str) -> tuple[float, dict]:
     """Mean batch loss and its analytic gradients.
 
@@ -426,13 +397,12 @@ def loss_and_grads(model: DualHeadModel,
     row's gradient is zero. For (input, label) pairs it is the dense
     (buckets, dim) table.
     """
-    compiled = isinstance(batch, (_Windows, _Batch))
+    compiled = isinstance(batch, _Batch)
     embeddings = model.encoder.embeddings
-    if not isinstance(batch, _Batch):
-        if not compiled:
-            batch = _compile(model, [mi for mi, _ in batch], _labels(model, batch, loss))
-        n = len(batch.counts)
-        batch = _epoch(batch, np.arange(n), n, len(embeddings))[0]
+    if not compiled:
+        windows = _compile(model, [mi for mi, _ in batch], _labels(model, batch, loss))
+        n = len(windows.counts)
+        batch = _epoch(windows, np.arange(n), n, len(embeddings))[0]
     n, dim = len(batch.labels), embeddings.shape[1]
     sums = np.empty((n, dim))
     for k, (matrix, cols, _) in enumerate(batch.blocks):
@@ -486,17 +456,17 @@ class _Adam:
     With the rows of `param` numbered in the order of their first
     gradient, the rows that have had one are a prefix [:k], and each step
     runs on that prefix alone. Every later row has m = v = 0, so the full
-    update would leave it exactly as it is.
+    update would leave it exactly as it is (unlike "lazy" Adam, which
+    also skips the moment decay of rows without a gradient).
 
     Once the prefix holds `_SPLIT_CELLS` values and the process may run
     on more than one CPU, a step runs as two row ranges: the lower half
-    of the prefix, head rows included, in the calling thread and the
-    upper half in a worker thread, which runs while numpy's loops
-    release the interpreter lock. Each range runs the whole update on
-    its own rows, so every value goes through the same operations in the
-    same order as in one pass, and the bytes do not depend on the split
-    or on thread timing. The worker starts at the first split step;
-    `close` stops it.
+    of the prefix in the calling thread and the upper half in a worker
+    thread, which runs while numpy's loops release the interpreter lock.
+    Each range runs the whole update on its own rows, so every value goes
+    through the same operations in the same order as in one pass, and the
+    bytes do not depend on the split or on thread timing. The worker
+    starts at the first split step; `close` stops it.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -510,45 +480,40 @@ class _Adam:
         self.split = math.ceil(_SPLIT_CELLS / math.prod(param.shape[1:])) if cpus > 1 else math.inf
         self.worker: threading.Thread | None = None
 
-    def step(self, lr: float, head: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-        """Step with a gradient that is `head` on the first len(head) rows,
-        `values` on the distinct ascending `rows` (the prefix grows to take
-        them in) and zero elsewhere: param -= lr * (m / (1 - beta1^t)) /
-        (sqrt(v / (1 - beta2^t)) + eps) after the moment updates."""
-        k = self.k = max(self.k, len(head), int(rows[-1]) + 1 if len(rows) else 0)
+    def step(self, lr: float, rows: np.ndarray, values: np.ndarray) -> None:
+        """Step with a gradient that is `values` on the distinct ascending
+        `rows` (the prefix grows to take them in) and zero elsewhere:
+        param -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+        after the moment updates."""
+        k = self.k = max(self.k, int(rows[-1]) + 1 if len(rows) else 0)
         self.t += 1
         c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
         if k < self.split:
-            self._range(0, k, head, rows, values, lr, c1, c2)
+            self._range(0, k, rows, values, lr, c1, c2)
             return
         if self.worker is None:
             self.tasks, self.done = queue.SimpleQueue(), queue.SimpleQueue()
             self.worker = threading.Thread(target=self._serve, name="durpipe-adam", daemon=True)
             self.worker.start()
-        mid = max(len(head), k // 2)
+        mid = k // 2
         j = int(np.searchsorted(rows, mid))
-        self.tasks.put((mid, k, head[:0], rows[j:], values[j:], lr, c1, c2))
+        self.tasks.put((mid, k, rows[j:], values[j:], lr, c1, c2))
         try:
-            self._range(0, mid, head, rows[:j], values[:j], lr, c1, c2)
+            self._range(0, mid, rows[:j], values[:j], lr, c1, c2)
         finally:
             error = self.done.get()
         if error is not None:
             raise error
 
-    def _range(self, a: int, b: int, head: np.ndarray, rows: np.ndarray, values: np.ndarray,
+    def _range(self, a: int, b: int, rows: np.ndarray, values: np.ndarray,
                lr: float, c1: float, c2: float) -> None:
-        """The step on rows [a, b), which hold the first len(head) rows and
-        all of `rows`; c1 and c2 are the bias corrections 1 - beta^t."""
-        h = len(head)
+        """The step on rows [a, b), which hold all of `rows`; c1 and c2 are
+        the bias corrections 1 - beta^t."""
         m, v = self.m[a:b], self.v[a:b]
         step, denom = (s[a:b] for s in self.scratch)
         m *= self.beta1
-        if h:
-            self.m[:h] += head * (1.0 - self.beta1)
         self.m[rows] += values * (1.0 - self.beta1)
         v *= self.beta2
-        if h:
-            self.v[:h] += head * (1.0 - self.beta2) * head
         self.v[rows] += values * (1.0 - self.beta2) * values
         # 1 - beta1^t rounds to 1.0 from t = 356 on, and x / 1.0 is x bit for
         # bit, so that division is skipped.
@@ -623,7 +588,8 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
 
     # Every item is in the first epoch, so its shuffle fixes each row's
     # first step. The rows, in (first step, bucket id) order, follow the
-    # head in `buffer`; a row that never has a gradient stays out of it.
+    # head's h rows in `buffer`; a row that never has a gradient stays out
+    # of it. Each step's gradient is on the head's rows, then the batch's.
     head_key = "w_e" if cfg.loss == "mse" else "w_r"
     table, head = model.encoder.embeddings, getattr(model, head_key)
     h = head.size // model.dim
@@ -637,7 +603,7 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
     buffer = np.concatenate((head.reshape(h, -1), table[seen]))
     work = replace(model, encoder=BaselineEncoder(buffer, model.encoder.radius),
                    **{head_key: buffer[:h].reshape(head.shape)})
-    optimizer = _Adam(buffer)
+    optimizer, head_rows = _Adam(buffer), np.arange(h)
     curve: list[float] = []
     try:
         for epoch in range(1, cfg.epochs + 1):
@@ -650,7 +616,9 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
                     raise ValueError(f"training diverged at step {len(curve) + 1} (epoch {epoch}): "
                                      f"loss {loss:.6g} is not at most {_DIVERGED_LOSS:g}")
                 lr = _warmup_lr(cfg.learning_rate, len(curve) + 1, warmup_steps)
-                optimizer.step(lr, grads[head_key].reshape(h, -1), *grads["embeddings"])
+                rows, values = grads["embeddings"]
+                optimizer.step(lr, np.concatenate((head_rows, rows)),
+                               np.concatenate((grads[head_key].reshape(h, -1), values)))
                 curve.append(loss)
             mean = sum(curve[-steps:]) / steps
             logger.info("epoch %d: %d steps, mean loss %.6g, learning rate %.6g",

@@ -231,6 +231,18 @@ def test_timebank_tsv_reorders_swapped_bounds():
     assert rows[0].max_duration == (2.0, WEEK)
 
 
+def test_timebank_tsv_header_is_the_first_nonblank_row():
+    rows = [_row("The siege dragged on.", "siege", (3.0, DAY), (2.0, WEEK))]
+    text = "\n\t\n" + write_timebank_tsv(rows)
+    assert read_timebank_tsv(io.StringIO(text)) == rows
+    # A header row after a data row, or after the header, is a data row.
+    header = text.splitlines(keepends=True)[2]
+    with pytest.raises(MalformedRowError, match="^row 4: "):
+        read_timebank_tsv(io.StringIO(text + header))
+    with pytest.raises(MalformedRowError, match="^row 3: "):
+        read_timebank_tsv(io.StringIO("\n\n" + header + header))
+
+
 def test_timebank_tsv_bad_column_count():
     with pytest.raises(MalformedRowError):
         read_timebank_tsv(io.StringIO("only\tthree\tcolumns\n"))

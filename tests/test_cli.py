@@ -994,6 +994,15 @@ def test_timebank_row_that_cannot_be_read_names_the_row(
     assert message in capsys.readouterr().err
 
 
+@_TSV_COMMANDS
+def test_timebank_header_after_blank_lines_is_a_header(small_pipeline, tmp_path, argv):
+    row = TimeBankRow("They met.", (5, 8), (1.0, TemporalUnit.HOUR), (2.0, TemporalUnit.HOUR))
+    data = tmp_path / "data.tsv"
+    data.write_text("\n\t\n" + write_timebank_tsv([row]), encoding="utf-8")
+    argv = [a.format(data=data, te=small_pipeline / "te" / "model.ckpt") for a in argv]
+    assert run(*argv, "--out", tmp_path / "out") == 0
+
+
 @pytest.mark.parametrize("line_end", ["\r", "\r\n"], ids=["cr", "crlf"])
 @_TSV_COMMANDS
 def test_timebank_sentence_with_a_line_end_reads_back(small_pipeline, tmp_path, argv, line_end):

@@ -4,7 +4,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from durpipe.adapters import McTacoRow, MalformedRowError, read_mctaco_jsonl
 from durpipe.extraction import (
@@ -15,7 +15,6 @@ from durpipe.extraction import (
     _UNIT_OLD_RE,
     _WORD_FILTER_RE,
     _holds_digit,
-    DurationExpression,
     LabeledInstance,
     MaskedTextError,
     MatchResult,
@@ -38,9 +37,9 @@ def test_match_figure_example():
     m = match_sentence("He was jailed for 23 years.")
     assert m is not None
     assert m.trigger == "for"
-    assert m.expression.quantity == 23
-    assert m.expression.unit is TemporalUnit.YEAR
-    assert "He was jailed for 23 years."[slice(*m.expression.span)] == "23 years"
+    assert m.quantity == 23
+    assert m.unit is TemporalUnit.YEAR
+    assert "He was jailed for 23 years."[slice(*m.span)] == "23 years"
 
 
 def test_no_match_without_trigger_or_numeral():
@@ -52,15 +51,15 @@ def test_no_match_without_trigger_or_numeral():
 def test_leftmost_match_only():
     m = match_sentence("It took 3 hours, then 2 days.")
     assert m.trigger == "took"
-    assert m.expression.quantity == 3
-    assert m.expression.unit is TemporalUnit.HOUR
+    assert m.quantity == 3
+    assert m.unit is TemporalUnit.HOUR
 
 
 def test_greedy_gap_takes_furthest_value_in_clause():
     # mirrors the source pattern: the unpunctuated gap is greedy
     m = match_sentence("He ran for 2 hours and 3 days")
-    assert m.expression.quantity == 3
-    assert m.expression.unit is TemporalUnit.DAY
+    assert m.quantity == 3
+    assert m.unit is TemporalUnit.DAY
 
 
 def test_clause_punctuation_blocks_the_gap():
@@ -74,7 +73,7 @@ def test_unit_case_insensitive_trigger_case_sensitive():
 
 def test_numeral_not_split_by_greedy_gap():
     m = match_sentence("jailed for 115 years total")
-    assert m.expression.quantity == 115
+    assert m.quantity == 115
 
 
 def test_trigger_substring_inside_word_matches():
@@ -82,7 +81,7 @@ def test_trigger_substring_inside_word_matches():
     m = match_sentence("He performed 2 hours of surgery.")
     assert m is not None
     assert m.trigger == "for"
-    assert m.expression.quantity == 2
+    assert m.quantity == 2
 
 
 @pytest.mark.parametrize(
@@ -142,11 +141,8 @@ def test_label_sentence_one_hour():
 def test_label_sentence_expression_at_start():
     # label_sentence only needs a consistent MatchResult, wherever it came from
     sentence = "3 days of work remained."
-    m = MatchResult(
-        trigger="", trigger_family="",
-        expression=DurationExpression(3.0, TemporalUnit.DAY, (0, 6)),
-        matched_text="3 days",
-    )
+    m = MatchResult(trigger="", trigger_family="", quantity=3.0, unit=TemporalUnit.DAY,
+                    span=(0, 6), matched_text="3 days")
     inst = label_sentence(sentence, m)
     assert inst.masked_text == "[MASK] [MASK] of work remained."
     assert inst.mask_positions == (0, 1)
@@ -207,7 +203,7 @@ def test_segment_sentences():
 def test_digits_of_other_scripts_match():
     for sentence, quantity in [("The strike lasted for \u0663 days.", 3),
                                ("Repairs took \uff12\uff14 hours.", 24)]:
-        assert match_sentence(sentence).expression.quantity == quantity
+        assert match_sentence(sentence).quantity == quantity
         instances, _ = extract_corpus([("d", sentence)])
         assert [i.source_id for i in instances] == ["d#0"]
 
@@ -255,7 +251,7 @@ def test_gated_match_equals_the_ungated_search(text):
                          TemporalUnit.from_string(want["unit"]))
     except ValueError:
         want = None
-    assert (m and (m.trigger, m.expression.span, m.matched_text, m.expression.unit)) == want
+    assert (m and (m.trigger, m.span, m.matched_text, m.unit)) == want
 
 
 def _ungated_filters(matched_text, sentence):
@@ -270,8 +266,8 @@ def _ungated_filters(matched_text, sentence):
 def test_gated_filters_equal_the_ungated_patterns(matched_text, rest):
     # failed_filters reads only the matched text and the sentence, so any
     # text may stand in for either.
-    m = MatchResult(trigger="", trigger_family="", matched_text=matched_text,
-                    expression=DurationExpression(1.0, TemporalUnit.DAY, (0, 0)))
+    m = MatchResult(trigger="", trigger_family="", quantity=1.0, unit=TemporalUnit.DAY,
+                    span=(0, 0), matched_text=matched_text)
     for sentence in (matched_text + rest, rest):
         assert failed_filters(m, sentence) == _ungated_filters(matched_text, sentence)
 
@@ -280,7 +276,7 @@ def test_filter_gates_fold_case_as_their_patterns_do():
     sentence = "It took 3 days, said the FIRST T\u0130ME, 2 \u017fecondary and 4 years OLD."
     m = match_sentence(sentence)
     # the ordinal rule reads the matched text: let it span the sentence
-    m = MatchResult(m.trigger, m.trigger_family, m.expression, sentence)
+    m = MatchResult(m.trigger, m.trigger_family, m.quantity, m.unit, m.span, sentence)
     assert failed_filters(m, sentence) == ["ordinal_time", "numeric_secondary", "unit_old"]
 
 
@@ -377,6 +373,16 @@ def test_read_documents_jsonl():
     assert stats.skipped_documents == 3
 
 
+def test_read_documents_gives_a_null_id_the_line_index():
+    # Two null ids used to read as "None" and give both instances "None#0".
+    lines = ['{"id": null, "text": "It took 2 days."}', '{"id": null, "text": "It took 3 days."}',
+             '{"id": 0, "text": "It took 4 days."}']
+    docs = list(read_documents(lines, "docs.jsonl"))
+    assert [doc_id for doc_id, _ in docs] == ["docs.jsonl:0", "docs.jsonl:1", "0"]
+    instances, _ = extract_corpus(docs)
+    assert [inst.source_id for inst in instances] == ["docs.jsonl:0#0", "docs.jsonl:1#0", "0#0"]
+
+
 def _json_loads_documents(lines, source):
     # read_documents as it was written on json.loads.
     for i, line in enumerate(lines):
@@ -385,7 +391,8 @@ def _json_loads_documents(lines, source):
             continue
         try:
             obj = json.loads(line)
-            yield str(obj.get("id", f"{source}:{i}")), obj["text"]
+            doc_id = obj.get("id")
+            yield f"{source}:{i}" if doc_id is None else str(doc_id), obj["text"]
         except (json.JSONDecodeError, AttributeError, KeyError, TypeError):
             yield f"{source}:{i}", None
 
@@ -422,6 +429,7 @@ _lines = _jsonl_lines(_records)
 
 
 @given(st.lists(_lines, max_size=6))
+@example(['{"id": null, "text": "a"}', '{"text": "b", "id": null}'])
 def test_read_documents_equals_json_loads(lines):
     assert list(read_documents(lines, "c")) == list(_json_loads_documents(lines, "c"))
 

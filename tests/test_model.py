@@ -623,6 +623,12 @@ def test_loss_and_grads_match_item_loop_within_rounding(dim, loss):
             _assert_within_rounding(grads[key], ref_grads[key])
 
 
+def _one_batch(windows, buckets):
+    """All of `windows` as one compiled batch, as `train` passes it."""
+    n = len(windows.counts)
+    return model_mod._epoch(windows, np.arange(n), n, buckets)[0]
+
+
 @pytest.mark.parametrize("dim", [1, 5, 32])
 @pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
 def test_compact_embedding_gradient_scatters_to_the_dense_one(dim, loss):
@@ -633,7 +639,7 @@ def test_compact_embedding_gradient_scatters_to_the_dense_one(dim, loss):
         batch = _vocabulary_batch(rng, model, int(rng.integers(1, 41)), 100, loss, max_words=12)
         compiled = model_mod._compile(model, [mi for mi, _ in batch],
                                       model_mod._labels(model, batch, loss))
-        value, grads = loss_and_grads(model, compiled, loss)
+        value, grads = loss_and_grads(model, _one_batch(compiled, 64), loss)
         rows, d_rows = grads["embeddings"]
         assert rows.tolist() == sorted(set(compiled.rows.tolist()))
         assert d_rows.shape == (len(rows), dim)
@@ -775,8 +781,9 @@ def test_loss_and_grads_do_not_change_when_the_rows_are_renumbered(dim, loss):
         number = rng.permutation(30)
         renumbered = replace(model, encoder=BaselineEncoder(
             model.encoder.embeddings[np.argsort(number)], model.encoder.radius))
-        value, grads = loss_and_grads(model, batch, loss)
-        new_value, new_grads = loss_and_grads(renumbered, replace(batch, rows=number[batch.rows]), loss)
+        value, grads = loss_and_grads(model, _one_batch(batch, 30), loss)
+        new_value, new_grads = loss_and_grads(
+            renumbered, _one_batch(replace(batch, rows=number[batch.rows]), 30), loss)
         assert new_value == value
         assert new_grads[head].tobytes() == grads[head].tobytes()
         rows, values = grads["embeddings"]
@@ -816,11 +823,11 @@ def test_row_restricted_adam_step_matches_dense_reference():
     touched = np.zeros(48, dtype=bool)
     shares = []
     for batch, c in zip(batches, compiled):
-        _, grads = loss_and_grads(work, replace(c, rows=label[c.rows]), "mse")
+        _, grads = loss_and_grads(work, _one_batch(replace(c, rows=label[c.rows]), 49), "mse")
         _, ref_grads = loss_and_grads(reference, batch, "mse")
         rows, values = grads["embeddings"]
         touched[order[rows - 1]] = True
-        optimizer.step(0.1, grads["w_e"][None], rows, values)
+        optimizer.step(0.1, np.concatenate(([0], rows)), np.concatenate((grads["w_e"][None], values)))
         dense.step({"embeddings": reference.encoder.embeddings, "w_e": reference.w_e}, ref_grads, 0.1)
         assert optimizer.k == 1 + touched.sum()
         assert np.array_equal(buffer[0], reference.w_e)
@@ -872,7 +879,7 @@ def test_packed_moment_adam_matches_dense_adam(run, seed):
     try:
         for rows, values, lr in steps:
             relabelled = np.argsort(label[rows])
-            optimizer.step(lr, np.empty((0, *shape[1:])), label[rows][relabelled], values[relabelled])
+            optimizer.step(lr, label[rows][relabelled], values[relabelled])
             grad = np.zeros(shape)
             grad[rows] = values
             dense.step(reference, {"p": grad}, lr)
@@ -917,9 +924,12 @@ def test_train_steps_a_prefix_of_first_gradient_rows_and_equals_the_reference(ru
     seen, prefixes = set(), []
     original = model_mod._Adam.step
 
-    def step(optimizer, lr, head, rows, values):
-        original(optimizer, lr, head, rows, values)
-        seen.update(range(len(head)), rows.tolist())
+    h = 1 if cfg.loss == "mse" else len(model.inventory)
+
+    def step(optimizer, lr, rows, values):
+        assert rows[:h].tolist() == list(range(h)) and np.all(np.diff(rows) > 0)
+        original(optimizer, lr, rows, values)
+        seen.update(rows.tolist())
         prefixes.append(seen == set(range(optimizer.k)))
 
     model_mod._Adam.step = step

@@ -39,18 +39,17 @@ def test_per_row_records_have_no_instance_dict_and_checked_rows_cannot_change():
     import numpy as np
 
     from durpipe.adapters import McTacoQuestion, McTacoRow, ModelInput, TimeBankRow
-    from durpipe.extraction import DurationExpression, LabeledInstance, MatchResult
+    from durpipe.extraction import LabeledInstance, MatchResult
     from durpipe.model import _Windows
     from durpipe.units import TemporalUnit
 
     day = TemporalUnit.DAY
     model_input = ModelInput("It took [MASK] .", (2,))
-    expression = DurationExpression(3.0, day, (8, 14))
     timebank = TimeBankRow("They met.", (5, 8), (1.0, day), (2.0, day))
     qa = McTacoRow("c", "q", "2 days", True)
     instance = LabeledInstance("It took [MASK] [MASK].", (2, 3), 1.0, day, "s")
     records = [model_input, McTacoQuestion("q0", model_input, ((1.0, True),), 0), timebank, qa,
-               expression, MatchResult("took", "take", expression, "took 3 days"), instance,
+               MatchResult("took", "take", 3.0, day, (8, 14), "took 3 days"), instance,
                _Windows(*(np.zeros(1, dtype=np.intp) for _ in range(4)))]
     assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
     for row, field, value in ((timebank, "sentence", "They ate."), (qa, "gold", False),
