@@ -5,20 +5,16 @@ positions, of the mean embedding of the tokens in a window around each
 one (BaselineEncoder hashes tokens into a fixed embedding table). The
 exact head is a bias-free linear regression to a log-second value, the
 range head a bias-free linear layer plus softmax over the unit
-inventory. `_compile` hashes the mask windows of its inputs once, and
-both heads and the softmax run on a whole batch at once. The heads are
-`np.einsum` products, which give each item's row the same bits whatever
-rows surround it (a BLAS matrix product need not).
+inventory. Both run on a whole batch at once as `np.einsum` products,
+which give each item's row the same bits whatever rows surround it.
+Prediction (`predict_many`) sums each item's window means; training
+(`loss_and_grads`) takes the sums as matrix products, equal to rounding.
 
-Prediction (`predict_many`) sums each item's window means. Training and
-loss evaluation (`loss_and_grads`) take an item's vector as a row of a
-matrix product with the table rows of its block; the two forwards agree
-to rounding.
-
-Training is minibatch gradient descent with adaptive per-parameter
-moments (`_Adam`) and a linear-warmup-then-constant schedule. All
-randomness flows from the config seed, so runs are bit-reproducible.
-`DURPIPE_LOG=INFO` logs each epoch's steps, mean loss and learning rate.
+Training is minibatch gradient descent with row-sparse adaptive moments
+(`_Adam`) and a linear-warmup-then-constant schedule. All randomness
+flows from the config seed, so runs are bit-reproducible.
+`DURPIPE_LOG=INFO` logs each epoch's steps, mean loss and learning rate;
+a run that ends no better than a constant prediction warns.
 """
 
 from __future__ import annotations
@@ -28,11 +24,8 @@ import hashlib
 import json
 import logging
 import math
-import os
-import queue
 import struct
 import sys
-import threading
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -381,11 +374,10 @@ def loss_and_grads(model: DualHeadModel,
     with the item sums.
 
     A block's columns follow the first appearance of its rows in its
-    tokens, which does not change when `train` renumbers the table's rows,
-    so `train` and the (input, label) path compute the same products in the
-    same order and get the same bits. The blocks bound a matrix at
-    `_BLOCK` rows, where one matrix per batch would grow with the batch
-    size. The sums agree with prediction's window means to rounding only
+    tokens, so `train`, which relabels the rows, and the (input, label)
+    path get the same bits. The blocks bound a matrix at `_BLOCK` rows,
+    where one matrix per batch would grow with the batch size. The sums
+    agree with prediction's window means to rounding only
     (`test_loss_and_grads_match_item_loop_within_rounding`). Prediction
     keeps those means: a product over shared columns could make one
     item's prediction depend on its neighbours.
@@ -440,111 +432,33 @@ def evaluate_loss(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]
     return loss_and_grads(model, data, loss)[0]
 
 
-# The fewest prefix values (rows times values per row) at which
-# `_Adam.step` runs as two row ranges on two threads. Below it the
-# threads' hand-offs of the interpreter lock cost more than the second
-# core saves: on a two-core Xeon host, with 32 values per row, the split
-# step measured slower than one pass at 1,536 rows and faster from 2,048
-# on.
-_SPLIT_CELLS = 65536
-
-
 class _Adam:
-    """Adaptive-moment updates of one parameter, in place, at a learning
-    rate supplied per step.
-
-    With the rows of `param` numbered in the order of their first
-    gradient, the rows that have had one are a prefix [:k], and each step
-    runs on that prefix alone. Every later row has m = v = 0, so the full
-    update would leave it exactly as it is (unlike "lazy" Adam, which
-    also skips the moment decay of rows without a gradient).
-
-    Once the prefix holds `_SPLIT_CELLS` values and the process may run
-    on more than one CPU, a step runs as two row ranges: the lower half
-    of the prefix in the calling thread and the upper half in a worker
-    thread, which runs while numpy's loops release the interpreter lock.
-    Each range runs the whole update on its own rows, so every value goes
-    through the same operations in the same order as in one pass, and the
-    bytes do not depend on the split or on thread timing. The worker
-    starts at the first split step; `close` stops it.
-    """
+    """Row-sparse ("lazy") adaptive-moment updates of one parameter, in
+    place, at a learning rate supplied per step, as TensorFlow Addons'
+    `LazyAdam` and PyTorch's `SparseAdam` update embedding tables. A step
+    decays and updates the moments of the rows with a gradient and moves
+    those rows, with the bias corrections of the global step count; every
+    other row keeps its value and moments bit for bit."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, param: np.ndarray):
         self.param = param
         self.m, self.v = np.zeros_like(param), np.zeros_like(param)
-        self.scratch = (np.empty_like(param), np.empty_like(param))
-        self.k = self.t = 0
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        self.split = math.ceil(_SPLIT_CELLS / math.prod(param.shape[1:])) if cpus > 1 else math.inf
-        self.worker: threading.Thread | None = None
+        self.t = 0
 
     def step(self, lr: float, rows: np.ndarray, values: np.ndarray) -> None:
-        """Step with a gradient that is `values` on the distinct ascending
-        `rows` (the prefix grows to take them in) and zero elsewhere:
-        param -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
-        after the moment updates."""
-        k = self.k = max(self.k, int(rows[-1]) + 1 if len(rows) else 0)
+        """Step with a gradient that is `values` on the distinct `rows`:
+        after their moment updates,
+        param[rows] -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)."""
         self.t += 1
-        c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
-        if k < self.split:
-            self._range(0, k, rows, values, lr, c1, c2)
-            return
-        if self.worker is None:
-            self.tasks, self.done = queue.SimpleQueue(), queue.SimpleQueue()
-            self.worker = threading.Thread(target=self._serve, name="durpipe-adam", daemon=True)
-            self.worker.start()
-        mid = k // 2
-        j = int(np.searchsorted(rows, mid))
-        self.tasks.put((mid, k, rows[j:], values[j:], lr, c1, c2))
-        try:
-            self._range(0, mid, rows[:j], values[:j], lr, c1, c2)
-        finally:
-            error = self.done.get()
-        if error is not None:
-            raise error
-
-    def _range(self, a: int, b: int, rows: np.ndarray, values: np.ndarray,
-               lr: float, c1: float, c2: float) -> None:
-        """The step on rows [a, b), which hold all of `rows`; c1 and c2 are
-        the bias corrections 1 - beta^t."""
-        m, v = self.m[a:b], self.v[a:b]
-        step, denom = (s[a:b] for s in self.scratch)
-        m *= self.beta1
-        self.m[rows] += values * (1.0 - self.beta1)
-        v *= self.beta2
-        self.v[rows] += values * (1.0 - self.beta2) * values
-        # 1 - beta1^t rounds to 1.0 from t = 356 on, and x / 1.0 is x bit for
-        # bit, so that division is skipped.
-        if c1 == 1.0:
-            np.multiply(m, lr, out=step)
-        else:
-            np.divide(m, c1, out=step)
-            step *= lr
-        np.divide(v, c2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        step /= denom
-        self.param[a:b] -= step
-
-    def _serve(self) -> None:
-        """The worker: steps each range it is given until it is given None,
-        and answers each with None or the exception the range raised."""
-        for task in iter(self.tasks.get, None):
-            try:
-                self._range(*task)
-            except BaseException as exc:  # step raises it in the calling thread
-                self.done.put(exc)
-            else:
-                self.done.put(None)
-
-    def close(self) -> None:
-        """Stop the worker thread, if one was started."""
-        if self.worker is not None:
-            self.tasks.put(None)
-            self.worker.join()
-            self.worker = None
+        m = self.m[rows] * self.beta1
+        m += values * (1.0 - self.beta1)
+        v = self.v[rows] * self.beta2
+        v += values * (1.0 - self.beta2) * values
+        self.m[rows], self.v[rows] = m, v
+        self.param[rows] -= (m / (1.0 - self.beta1 ** self.t) * lr
+                             / (np.sqrt(v / (1.0 - self.beta2 ** self.t)) + self.eps))
 
 
 # A step loss above this has diverged: as a squared error it is a mean
@@ -574,7 +488,9 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
     is not finite or is above `_DIVERGED_LOSS` raises ValueError, and
     leaves the model as the steps before it made it. A "cross_entropy"
     run whose last epoch's mean step loss is above
-    `_DIVERGED_CROSS_ENTROPY` raises ValueError after its last step.
+    `_DIVERGED_CROSS_ENTROPY` raises ValueError after its last step. A
+    run whose last epoch's mean step loss is not below that of the best
+    constant prediction logs a WARNING naming both and the learning rate.
     """
     data = list(data)
     if not data:
@@ -586,20 +502,13 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(data))
 
-    # Every item is in the first epoch, so its shuffle fixes each row's
-    # first step. The rows, in (first step, bucket id) order, follow the
-    # head's h rows in `buffer`; a row that never has a gradient stays out
-    # of it. Each step's gradient is on the head's rows, then the batch's.
+    # The head's h rows, then the table rows the data uses, ascending, in
+    # one buffer; each step's gradient is on the head's rows, then the batch's.
     head_key = "w_e" if cfg.loss == "mse" else "w_r"
     table, head = model.encoder.embeddings, getattr(model, head_key)
     h = head.size // model.dim
-    first = np.full(len(table), steps)
-    np.minimum.at(first, compiled.rows, np.repeat(
-        np.repeat(np.argsort(order) // cfg.batch_size, compiled.counts), compiled.lengths))
-    seen = np.argsort(first, kind="stable")[:np.count_nonzero(first < steps)]
-    label = np.empty(len(table), dtype=np.intp)
-    label[seen] = np.arange(h, h + len(seen))
-    compiled = replace(compiled, rows=label[compiled.rows])
+    seen, inverse = np.unique(compiled.rows, return_inverse=True)
+    compiled = replace(compiled, rows=inverse + h)
     buffer = np.concatenate((head.reshape(h, -1), table[seen]))
     work = replace(model, encoder=BaselineEncoder(buffer, model.encoder.radius),
                    **{head_key: buffer[:h].reshape(head.shape)})
@@ -624,12 +533,21 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
             logger.info("epoch %d: %d steps, mean loss %.6g, learning rate %.6g",
                         epoch, steps, mean, lr)
     finally:
-        optimizer.close()
         table[seen] = buffer[h:]
         head[...] = getattr(work, head_key)
     if cfg.loss == "cross_entropy" and curve and mean > _DIVERGED_CROSS_ENTROPY:
         raise ValueError(f"training diverged in epoch {cfg.epochs}: mean loss {mean:.6g} "
                          f"is not at most {_DIVERGED_CROSS_ENTROPY:.6g}")
+    # The best constant prediction's loss: the labels' variance, or their entropy.
+    if cfg.loss == "mse":
+        constant = float(np.var(compiled.labels))
+    else:
+        p = np.unique(compiled.labels, return_counts=True)[1] / len(data)
+        constant = float(-(p * np.log(p)).sum())
+    if curve and not mean < constant:
+        logger.warning("training learned nothing: the last epoch's mean loss %.6g is not below "
+                       "%.6g, that of a constant prediction, at learning rate %.6g",
+                       mean, constant, cfg.learning_rate)
     return model, curve
 
 

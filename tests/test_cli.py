@@ -17,7 +17,7 @@ from durpipe import cli, model
 from durpipe.adapters import TIMEBANK_COLUMNS, TimeBankRow, read_timebank_tsv, write_timebank_tsv
 from durpipe.synth import SynthOutput, SynthSpec, _draws_below, generate
 from durpipe.text import tokenize
-from durpipe.units import ConfigError, TemporalUnit
+from durpipe.units import ConfigError, TemporalUnit, closest_unit
 
 
 def run(*argv):
@@ -326,26 +326,26 @@ def test_train_determinism(tmp_path, small_pipeline):
 
 # Checkpoint bytes of a small fixed recipe. A faster training path must
 # reproduce them exactly; a deliberate change to training updates them
-# and says why. Training through per-block averaging matrices re-recorded
-# them and the dense-step pins below: the item sums and the embedding
-# gradient are matrix products now, which round in another order.
+# and says why. The row-sparse optimizer step re-recorded them, the
+# report pins that moved, and the 64-row pins below: a row without a
+# gradient in a step keeps its value and moments.
 PINNED_CHECKPOINTS = {
-    "exact": "8b7d0e69d0e2a05483f57d2458b154d224720ce7d300488232d78cec640e3728",
-    "range": "a6f37045e22e2799f18ef5fa692e00870a5fa0812dced1b8cb3707b8b745d230",
+    "exact": "105d54c679706db96118e100af4d06a9c90cdbcc5cd2b93e168ae3ea3e9c320f",
+    "range": "194113f8a821e268af0816320c53f5c1a0a99078acc359803124614ed76e11f3",
 }
 # Bytes of the fine-protocol report of each of those checkpoints on the
 # recipe's 40 held-out rows, under the same rule.
 PINNED_REPORTS = {
-    "exact": "27a6dea8e56265d99874caf63a8a52dcaa09f9381b79941d16cbfbe356d3e87f",
-    "range": "dac17ba2f97cde05764c637e5ca5c9f18d8eb500c8e17bbf4bdfe4cad1379e06",
+    "exact": "1d98c16eec73d936d675174993980f56a3dbff16308a75e9e8fe49f09934e535",
+    "range": "c3b4f33cc38f5988cebbfdaa4d4b8636a0395386f5b8cd6b25c7ba60614e1a69",
 }
 # Bytes of the coarse report on the same rows and of the mctaco report on
 # PINNED_QA (band 3.0) of each of those checkpoints.
 PINNED_OTHER_REPORTS = {
-    ("coarse", "exact"): "0a712b3008b20c1528ee0e02d2f8337d5bfdc734012db75c3596d5e9ed906cf4",
+    ("coarse", "exact"): "348bae3a1900254e285c7bf6f32c655afe5efb8e3ecb6d8e6b53b7d633b2493d",
     ("coarse", "range"): "ca816d3375b6953e5cfe7bdbe515b8e838e2c1c3d490c5cdc3a2b25e4544e5ac",
-    ("mctaco", "exact"): "5526f7f6b09463a4cbd64b03663e823bcda4591538ab86c2baa9d309bebaaea8",
-    ("mctaco", "range"): "49d03bd49122299dd617d36d1542d97874d0495fb09481ed457b12b732d87096",
+    ("mctaco", "exact"): "b7b2d13b0e613096a3e8b10cd77921da4c0ff37079ad5e01ea2ee59022ecf891",
+    ("mctaco", "range"): "c959207196d16460a1c3a81fce813b3575c80776fe545e1a5acfbd9c1e8036cc",
 }
 # Questions with one to four answers; "a while" and "soonish" do not
 # parse, so the last question has no answer left and is skipped.
@@ -364,12 +364,12 @@ PINNED_QA = [
 # Bytes of the items.tsv of each eval pinned above, and of the report of
 # `baseline` (coarse and fine, inventory 7) on the recipe's 40 held-out rows.
 PINNED_ITEMS = {
-    ("fine", "exact"): "8e7696ebc0e402490a9d5fe21cd01c546e2e17c34530ae089c79af9daf9e581d",
-    ("coarse", "exact"): "c8a36bb20b255418610ddfe13c65545221e19fb0893a10d260f5de3af90f343a",
-    ("mctaco", "exact"): "1eff6aba58f2b725254a20b6dc32e6d5c34f417f2a61e99fc65c5abdb033cc12",
-    ("fine", "range"): "595d0f754f0784576b18e120bfeeee2c3f4930f6c78cf0d3897c5de58fc7b957",
+    ("fine", "exact"): "150aff678220e0c8cf2cec9e7b636e9869cc7f900f6af306723c856782061cfd",
+    ("coarse", "exact"): "c3a7780d6ff94cbea883cf86f52e7f920f143530010a418ebc7cfad2b018a996",
+    ("mctaco", "exact"): "5525f891ffc69cdf06e07275d67d0e7f12330182478a53f05dae14c14f7a9898",
+    ("fine", "range"): "71bf3ee1e8676277af467abcf72f0debaff88ff76c714e0ef90ff91a3ab5b169",
     ("coarse", "range"): "c71d0cc68f94a55a862c5046e5a5c06cf823ec2bd5ab5011c1c553b57da7661a",
-    ("mctaco", "range"): "9a81be9a971b51c3647b2e9ec67877f6291aaecdcd3a641ada7a201d9dd0e17f",
+    ("mctaco", "range"): "fc0781faad8a105040f5bdfa4fd7cd9caa592ad940b99bf180a4325d25ccbf30",
 }
 PINNED_BASELINE_REPORTS = {
     "coarse": "558328ecbf79c41dd48ef6dd90889a371ad7ac269ca414d31623949fe08cc52b",
@@ -407,24 +407,12 @@ def test_train_checkpoint_bytes_are_pinned(tmp_path):
                 == report_digest), protocol
 
 
-def test_train_checkpoint_bytes_are_pinned_with_the_optimizer_split_in_two(tmp_path,
-                                                                           split_every_step):
-    assert run("synth", "--out", tmp_path / "synth", "--size", 200, "--holdout", 40, "--seed", 3) == 0
-    assert run("extract", tmp_path / "synth" / "corpus.jsonl", "--out", tmp_path / "ex") == 0
-    for head, digest in PINNED_CHECKPOINTS.items():
-        out = tmp_path / f"train-{head}"
-        assert run("train", tmp_path / "ex" / "instances.jsonl", "--head", head,
-                   "--learning-rate", 0.05, "--epochs", 3, "--seed", 3, "--out", out) == 0
-        assert hashlib.sha256((out / "model.ckpt").read_bytes()).hexdigest() == digest, head
-
-
-# Checkpoint bytes of the same recipe on a 64-row table. More than half
-# the rows have had a gradient from the fourth step on, so the optimizer
-# crosses from row-indexed steps to stepping the whole table, which the
-# recipe above never does.
+# Checkpoint bytes of the same recipe on a 64-row table, where words
+# share rows and more than half the rows move, while the recipe above
+# leaves most of its 4,096 rows as they were.
 PINNED_DENSE_STEP_CHECKPOINTS = {
-    "exact": "9ef6290103444d70930fc5365dbc12ea362a3e5fcc742ac0d145d4cdec9a0034",
-    "range": "161007e1c5902f771c090a68f844474dfbb147f1a38cc3c11849949cea14f37c",
+    "exact": "f338d8814872f87d98ccaffb7411310baf690a02118eb1b4572f301bc37feb0e",
+    "range": "6bd64b90f281a1da1b08b3d25938754274234824c0a05b2531a6ff1737dc347f",
 }
 
 
@@ -1322,6 +1310,35 @@ def test_train_logs_one_info_line_per_epoch(small_pipeline, tmp_path):
         f"INFO durpipe.model: epoch {e}: {steps} steps, "
         f"mean loss {sum(curve[(e - 1) * steps:e * steps]) / steps:.6g}, learning rate 0.05"
         for e in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("head", ["exact", "range"])
+def test_train_warns_when_it_ends_no_better_than_a_constant_prediction(small_pipeline, tmp_path,
+                                                                       head):
+    # At the default rate 5e-5, one epoch leaves the mean loss above that of
+    # the best constant prediction; at rate 0.05 it falls far below it.
+    instances = small_pipeline / "ex" / "instances.jsonl"
+    labels = [json.loads(line)["exact_label"] for line in instances.read_text().splitlines()]
+    if head == "exact":
+        constant = float(np.var(labels))
+    else:
+        units = [closest_unit(label) for label in labels]
+        p = np.array([units.count(u) for u in set(units)]) / len(units)
+        constant = float(-(p * np.log(p)).sum())
+    default = _run_child("train", instances, "--head", head, "--seed", 11,
+                         "--out", tmp_path / "default")
+    fast = _run_child("train", instances, "--head", head, "--learning-rate", 0.05,
+                      "--epochs", 3, "--seed", 11, "--out", tmp_path / "fast")
+    assert default.returncode == fast.returncode == 0
+    assert fast.stderr == ""
+    curve = json.loads((tmp_path / "default" / "loss_curve.json").read_text())["loss"]
+    [line] = default.stderr.splitlines()
+    found = re.fullmatch(r"WARNING durpipe\.model: training learned nothing: the last epoch's mean "
+                         r"loss (\S+) is not below (\S+), that of a constant prediction, at "
+                         r"learning rate 5e-05", line)
+    assert found, line
+    assert float(found[1]) == pytest.approx(sum(curve) / len(curve), rel=1e-5)
+    assert float(found[2]) == pytest.approx(constant, rel=1e-5) and float(found[1]) >= constant
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -492,7 +493,7 @@ def test_train_hashes_each_window_once(monkeypatch, epochs):
     assert len(calls) == sum(len(mi.mask_positions) for mi, _ in data)
 
 
-# --- reference implementations: a loop over items and a dense Adam step ------
+# --- reference implementations: a loop over items and a row-sparse Adam step -
 
 
 def _reference_loss_and_grads(model, batch, loss):
@@ -529,32 +530,44 @@ def _reference_loss_and_grads(model, batch, loss):
     return total / n, {"embeddings": d_emb, **head}
 
 
-class _DenseAdam:
+class _LazyAdam:
+    """Row-sparse Adam as a loop over rows: a step updates the moments and
+    the value of each row with a gradient, with the bias corrections of the
+    global step count, and leaves every other row as it is."""
+
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(p) for k, p in params.items()}
         self.v = {k: np.zeros_like(p) for k, p in params.items()}
         self.t = 0
 
-    def step(self, params, grads, lr):
+    def step(self, params, grads, rows, lr):
+        """`rows` are the embedding rows with a gradient; every other
+        parameter has one on all its values."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for key, grad in grads.items():
-            m, v = self.m[key], self.v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            params[key] -= lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m, v, param = self.m[key], self.v[key], params[key]
+            for r in (rows if key == "embeddings" else [...]):
+                m[r] = m[r] * self.beta1 + (1.0 - self.beta1) * grad[r]
+                v[r] = v[r] * self.beta2 + (1.0 - self.beta2) * grad[r] * grad[r]
+                param[r] = param[r] - lr * (m[r] / b1t) / (np.sqrt(v[r] / b2t) + self.eps)
+
+
+def _batch_rows(model, batch):
+    """The table rows of the window tokens of `batch`'s items, ascending."""
+    encoder = model.encoder
+    return sorted({r for model_input, _ in batch for p in model_input.mask_positions
+                   for r in encoder.window_buckets(model_input.text.split(), p)})
 
 
 def _reference_train(model, data, cfg, stop=None):
-    """Dense-Adam training over (input, label) pairs, stopped after
+    """Row-sparse Adam training over (input, label) pairs, stopped after
     `stop` steps when given."""
     head = "w_e" if cfg.loss == "mse" else "w_r"
     params = {"embeddings": model.encoder.embeddings, head: getattr(model, head)}
-    optimizer = _DenseAdam(params)
+    optimizer = _LazyAdam(params)
     steps = math.ceil(len(data) / cfg.batch_size)
     warmup = math.ceil(cfg.warmup_proportion * (steps * cfg.epochs))
     rng = np.random.default_rng(cfg.seed)
@@ -564,10 +577,11 @@ def _reference_train(model, data, cfg, stop=None):
         for start in range(0, len(data), cfg.batch_size):
             if step == stop:
                 return curve
-            loss, grads = loss_and_grads(
-                model, [data[i] for i in order[start:start + cfg.batch_size]], cfg.loss)
+            batch = [data[i] for i in order[start:start + cfg.batch_size]]
+            loss, grads = loss_and_grads(model, batch, cfg.loss)
             step += 1
-            optimizer.step(params, grads, cfg.learning_rate * min(1.0, step / warmup))
+            optimizer.step(params, grads, _batch_rows(model, batch),
+                           cfg.learning_rate * min(1.0, step / warmup))
             curve.append(loss)
     return curve
 
@@ -721,8 +735,8 @@ def test_train_bit_identical_to_dense_reference(vocabulary, buckets, under_half,
 
 @pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
 def test_long_training_equals_the_dense_reference_past_the_unit_bias_correction(loss):
-    # From step 356 on, 1 - beta1^t rounds to 1.0 and the optimizer skips
-    # that division; 410 steps reach well past it.
+    # From step 356 on, 1 - beta1^t rounds to 1.0; 410 steps reach well
+    # past it.
     rng = np.random.default_rng(7)
     model = DualHeadModel.create(dim=4, seed=5, buckets=64, radius=2)
     reference = DualHeadModel.create(dim=4, seed=5, buckets=64, radius=2)
@@ -772,7 +786,8 @@ def _random_windows(rng, n, buckets, loss):
 def test_loss_and_grads_do_not_change_when_the_rows_are_renumbered(dim, loss):
     # `train` renumbers the table's rows. A block's columns follow the first
     # appearance of its rows, so the products, and their bits, stay the
-    # same; this is what keeps `train` equal to the dense reference.
+    # same; this is what keeps `train` equal to the reference, which
+    # trains on the whole table.
     rng = np.random.default_rng(40 + dim)
     model = DualHeadModel.create(dim=dim, seed=6, buckets=30, radius=5)
     head = "w_e" if loss == "mse" else "w_r"
@@ -793,18 +808,11 @@ def test_loss_and_grads_do_not_change_when_the_rows_are_renumbered(dim, loss):
         assert new_values[np.argsort(back)].tobytes() == values.tobytes()
 
 
-def _first_seen(row_sets, size):
-    """Every row in `range(size)`, those in `row_sets` first, in the order
-    of their first appearance there; this is how `train` numbers rows."""
-    seen = list(dict.fromkeys(r for rows in row_sets for r in rows))
-    return np.array(seen + sorted(set(range(size)) - set(seen)), dtype=np.intp)
-
-
 def test_row_restricted_adam_step_matches_dense_reference():
     # Few words first, so fewer than half the rows have had a gradient,
     # then many, so most of the table has. As in `train`, the head is the
-    # first row of one buffer, and the table rows follow it in the order
-    # of their first gradient.
+    # first row of one buffer, and the table rows that the batches use
+    # follow it, ascending.
     rng = np.random.default_rng(8)
     model = DualHeadModel.create(dim=4, seed=6, buckets=48, radius=1)
     reference = DualHeadModel.create(dim=4, seed=6, buckets=48, radius=1)
@@ -813,28 +821,29 @@ def test_row_restricted_adam_step_matches_dense_reference():
                for vocabulary in [4] * 6 + [300] * 6]
     compiled = [model_mod._compile(model, [mi for mi, _ in b], [label for _, label in b])
                 for b in batches]
-    order = _first_seen([np.unique(c.rows).tolist() for c in compiled], 48)
+    seen = np.unique(np.concatenate([c.rows for c in compiled]))
     label = np.empty(48, dtype=np.intp)
-    label[order] = np.arange(1, 49)
-    buffer = np.concatenate([model.w_e[None], initial[order]])
+    label[seen] = np.arange(1, len(seen) + 1)
+    buffer = np.concatenate([model.w_e[None], initial[seen]])
     work = replace(model, encoder=BaselineEncoder(buffer, 1), w_e=buffer[0])
     optimizer = model_mod._Adam(buffer)
-    dense = _DenseAdam({"embeddings": reference.encoder.embeddings, "w_e": reference.w_e})
+    params = {"embeddings": reference.encoder.embeddings, "w_e": reference.w_e}
+    lazy = _LazyAdam(params)
     touched = np.zeros(48, dtype=bool)
     shares = []
     for batch, c in zip(batches, compiled):
-        _, grads = loss_and_grads(work, _one_batch(replace(c, rows=label[c.rows]), 49), "mse")
+        _, grads = loss_and_grads(work, _one_batch(replace(c, rows=label[c.rows]), len(buffer)), "mse")
         _, ref_grads = loss_and_grads(reference, batch, "mse")
         rows, values = grads["embeddings"]
-        touched[order[rows - 1]] = True
+        assert seen[rows - 1].tolist() == _batch_rows(reference, batch)
+        touched[seen[rows - 1]] = True
         optimizer.step(0.1, np.concatenate(([0], rows)), np.concatenate((grads["w_e"][None], values)))
-        dense.step({"embeddings": reference.encoder.embeddings, "w_e": reference.w_e}, ref_grads, 0.1)
-        assert optimizer.k == 1 + touched.sum()
+        lazy.step(params, ref_grads, seen[rows - 1], 0.1)
         assert np.array_equal(buffer[0], reference.w_e)
-        assert np.array_equal(buffer[1:], reference.encoder.embeddings[order])
-        for moment, ref in ((optimizer.m, dense.m), (optimizer.v, dense.v)):
+        assert np.array_equal(buffer[1:], reference.encoder.embeddings[seen])
+        for moment, ref in ((optimizer.m, lazy.m), (optimizer.v, lazy.v)):
             assert np.array_equal(moment[0], ref["w_e"])
-            assert np.array_equal(moment[1:], ref["embeddings"][order])
+            assert np.array_equal(moment[1:], ref["embeddings"][seen])
         assert np.array_equal(reference.encoder.embeddings[~touched], initial[~touched])
         shares.append(touched.mean())
     assert min(shares) < 0.5 < max(shares)
@@ -865,35 +874,34 @@ def _adam_runs(draw):
     (np.array([2]), -np.ones((1, 2)), 0.1),
     (np.arange(_ADAM_ROWS)[::-1].copy(), np.full((_ADAM_ROWS, 2), 0.5), 0.1)]), seed=0)
 def test_packed_moment_adam_matches_dense_adam(run, seed):
-    # The optimizer sees the rows renumbered in first-seen order, as
-    # `train` renumbers the table; in that frame its parameter and moments
-    # equal the dense reference's, and the rows seen so far are a prefix.
+    # Each step's rows, in any order, move as the row loop moves them.
     shape, steps = run
-    initial = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
-    order = _first_seen([rows.tolist() for rows, _, _ in steps], _ADAM_ROWS)
-    label = np.empty(_ADAM_ROWS, dtype=np.intp)
-    label[order] = np.arange(_ADAM_ROWS)
-    param, reference = initial[order], {"p": initial.copy()}
-    optimizer, dense = model_mod._Adam(param), _DenseAdam(reference)
-    seen = set()
-    try:
-        for rows, values, lr in steps:
-            relabelled = np.argsort(label[rows])
-            optimizer.step(lr, label[rows][relabelled], values[relabelled])
-            grad = np.zeros(shape)
-            grad[rows] = values
-            dense.step(reference, {"p": grad}, lr)
-            seen.update(rows.tolist())
-            assert optimizer.k == len(seen)
-            assert param.tobytes() == reference["p"][order].tobytes()
-            assert optimizer.m.tobytes() == dense.m["p"][order].tobytes()
-            assert optimizer.v.tobytes() == dense.v["p"][order].tobytes()
-    finally:
-        optimizer.close()
+    param = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+    reference = {"embeddings": param.copy()}
+    optimizer, lazy = model_mod._Adam(param), _LazyAdam(reference)
+    for rows, values, lr in steps:
+        optimizer.step(lr, rows, values)
+        grad = np.zeros(shape)
+        grad[rows] = values
+        lazy.step(reference, {"embeddings": grad}, rows.tolist(), lr)
+        assert param.tobytes() == reference["embeddings"].tobytes()
+        assert optimizer.m.tobytes() == lazy.m["embeddings"].tobytes()
+        assert optimizer.v.tobytes() == lazy.v["embeddings"].tobytes()
 
 
-def test_adam_split_in_two_row_ranges_matches_dense_adam(split_every_step):
-    test_packed_moment_adam_matches_dense_adam()
+@settings(max_examples=200, deadline=None)
+@given(run=_adam_runs(), seed=st.integers(0, 3))
+@example(run=((_ADAM_ROWS, 2), [  # every row, then two of them
+    (np.arange(_ADAM_ROWS), np.ones((_ADAM_ROWS, 2)), 0.1),
+    (np.array([2, 5]), -np.ones((2, 2)), 0.1)]), seed=0)
+def test_adam_step_leaves_every_row_without_a_gradient_as_it_was(run, seed):
+    shape, steps = run
+    optimizer = model_mod._Adam(np.random.default_rng(seed).uniform(-1.0, 1.0, shape))
+    for rows, values, lr in steps:
+        others = np.setdiff1d(np.arange(_ADAM_ROWS), rows)
+        before = [a[others].tobytes() for a in (optimizer.param, optimizer.m, optimizer.v)]
+        optimizer.step(lr, rows, values)
+        assert [a[others].tobytes() for a in (optimizer.param, optimizer.m, optimizer.v)] == before
 
 
 @st.composite
@@ -917,71 +925,56 @@ def _training_runs(draw):
 @settings(max_examples=60, deadline=None)
 @given(run=_training_runs())
 def test_train_steps_a_prefix_of_first_gradient_rows_and_equals_the_reference(run):
+    # Each step's rows are the head's, then the batch's, ascending, and no
+    # other row of the buffer, or its moments, moves.
     model, data, cfg = run
     arrays_before = model.encoder.embeddings, model.w_e, model.w_r
     reference = replace(model, w_e=model.w_e.copy(), w_r=model.w_r.copy(), encoder=BaselineEncoder(
         model.encoder.embeddings.copy(), model.encoder.radius))
-    seen, prefixes = set(), []
-    original = model_mod._Adam.step
-
+    original, steps = model_mod._Adam.step, []
     h = 1 if cfg.loss == "mse" else len(model.inventory)
 
     def step(optimizer, lr, rows, values):
         assert rows[:h].tolist() == list(range(h)) and np.all(np.diff(rows) > 0)
+        others = np.setdiff1d(np.arange(len(optimizer.param)), rows)
+        before = [a[others].tobytes() for a in (optimizer.param, optimizer.m, optimizer.v)]
         original(optimizer, lr, rows, values)
-        seen.update(rows.tolist())
-        prefixes.append(seen == set(range(optimizer.k)))
+        steps.append([a[others].tobytes() for a in (optimizer.param, optimizer.m, optimizer.v)] == before)
 
     model_mod._Adam.step = step
     try:
         _, curve = train(model, data, cfg)
     finally:
         model_mod._Adam.step = original
-    assert len(prefixes) == len(curve) and all(prefixes)
+    assert len(steps) == len(curve) and all(steps)
     assert all(a is b for a, b in zip((model.encoder.embeddings, model.w_e, model.w_r), arrays_before))
     assert curve == _reference_train(reference, data, cfg)
     assert save(model) == save(reference)
 
 
-def test_train_split_in_two_row_ranges_steps_the_prefix_and_equals_the_reference(split_every_step):
-    test_train_steps_a_prefix_of_first_gradient_rows_and_equals_the_reference()
-
-
-@pytest.mark.parametrize("rate,step", [(60.0, 10), (1e150, 2)])
+@pytest.mark.parametrize("rate,step", [(60.0, 13), (1e150, 2)])
 def test_diverged_training_writes_back_the_steps_before_it(rate, step):
-    # The loss passes the limit at step 10, in the second epoch, or is
+    # The loss passes the limit at step 13, in the second epoch, or is
     # infinite at step 2. The model keeps its arrays, in bucket order,
-    # holding what the steps before that one made, and no thread that
-    # training started outlives it.
+    # holding what the steps before that one made.
     rng = np.random.default_rng(11)
     model = DualHeadModel.create(dim=4, seed=1, buckets=64, radius=2)
     reference = DualHeadModel.create(dim=4, seed=1, buckets=64, radius=2)
     arrays_before = model.encoder.embeddings, model.w_e, model.w_r
     data = _vocabulary_batch(rng, model, 40, 30, "mse")
     cfg = TrainConfig(learning_rate=rate, batch_size=6, warmup_proportion=1.0, epochs=3, seed=2)
-    threads = threading.active_count()
     with pytest.raises(ValueError, match=rf"training diverged at step {step} "):
         train(model, data, cfg)
-    assert threading.active_count() == threads
     assert all(a is b for a, b in zip((model.encoder.embeddings, model.w_e, model.w_r), arrays_before))
     assert len(_reference_train(reference, data, cfg, stop=step - 1)) == step - 1
     assert save(model) == save(reference)
 
 
-@pytest.mark.parametrize("rate,step", [(60.0, 10), (1e150, 2)])
-def test_diverged_training_split_in_two_row_ranges_stops_the_worker(rate, step, split_every_step):
-    test_diverged_training_writes_back_the_steps_before_it(rate, step)
-
-
-def _small_training_run():
-    rng = np.random.default_rng(12)
-    model = DualHeadModel.create(dim=4, seed=1, buckets=64, radius=2)
-    data = _vocabulary_batch(rng, model, 40, 30, "mse")
-    return model, data, TrainConfig(learning_rate=0.05, batch_size=6, epochs=2, seed=2)
-
-
-def _threads_after_each_step(monkeypatch) -> list[int]:
-    counts = []
+def test_train_starts_no_thread_on_two_cpus_and_a_large_table(monkeypatch):
+    # Two usable CPUs, and more than 65,536 values in the rows that have a
+    # gradient: training runs in the calling thread alone.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    threads, counts = threading.active_count(), []
     original = model_mod._Adam.step
 
     def step(optimizer, *args):
@@ -989,44 +982,26 @@ def _threads_after_each_step(monkeypatch) -> list[int]:
         counts.append(threading.active_count())
 
     monkeypatch.setattr(model_mod._Adam, "step", step)
-    return counts
-
-
-def test_one_usable_cpu_starts_no_thread_and_writes_the_same_checkpoint(split_every_step,
-                                                                         monkeypatch):
-    threads = threading.active_count()
-    counts = _threads_after_each_step(monkeypatch)
-    checkpoints = []
-    for cpus, worker in (({0, 1}, 1), ({0}, 0)):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        counts.clear()
-        model, data, cfg = _small_training_run()
-        _, curve = train(model, data, cfg)
-        assert counts == [threads + worker] * len(curve) and len(curve) == 14
-        assert threading.active_count() == threads
-        checkpoints.append(save(model))
-    assert checkpoints[0] == checkpoints[1]
-
-
-def test_an_error_in_the_workers_range_reaches_the_caller_of_train(split_every_step, monkeypatch):
-    original = model_mod._Adam._range
-
-    def fail_in_the_worker(optimizer, *args):
-        if threading.current_thread() is not caller:
-            raise RuntimeError("the worker's range failed")
-        original(optimizer, *args)
-
-    def run():
-        try:
-            train(*_small_training_run())
-        except RuntimeError as exc:
-            raised.append(exc)
-
-    monkeypatch.setattr(model_mod._Adam, "_range", fail_in_the_worker)
-    threads, raised = threading.active_count(), []
-    caller = threading.Thread(target=run)
-    caller.start()
-    caller.join(timeout=60)
-    assert not caller.is_alive()
-    assert [str(exc) for exc in raised] == ["the worker's range failed"]
+    rng = np.random.default_rng(13)
+    model = DualHeadModel.create(dim=64, seed=0, buckets=4096, radius=12)
+    data = _vocabulary_batch(rng, model, 300, 100_000, "mse", max_words=12)
+    rows = np.unique(model_mod._compile(model, [mi for mi, _ in data]).rows)
+    assert rows.size * model.dim > 65_536
+    _, curve = train(model, data, TrainConfig(learning_rate=0.05, seed=0))
+    assert counts == [threads] * len(curve) and len(curve) == 19
     assert threading.active_count() == threads
+
+
+def test_train_allocates_less_than_the_table_for_a_few_items():
+    # The buffer and the moments hold only the rows that the items use, so
+    # ten items on a 65,536-row table take less than one value per row.
+    rng = np.random.default_rng(14)
+    model = DualHeadModel.create(dim=1, seed=0, buckets=65_536, radius=2)
+    data = _vocabulary_batch(rng, model, 10, 50, "mse")
+    tracemalloc.start()
+    try:
+        train(model, data, TrainConfig(learning_rate=0.05, batch_size=4, epochs=2, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.encoder.embeddings.nbytes
