@@ -32,7 +32,7 @@ __all__ = [
     "TimeBankRow",
     "McTacoRow",
     "ModelInput",
-    "timebank_labels",
+    "timebank_label",
     "timebank_to_input",
     "question_to_statement",
     "McTacoQuestion",
@@ -175,18 +175,19 @@ class McTacoQuestion:
     dropped: int
 
 
-def timebank_labels(row: TimeBankRow, inventory: UnitInventory = UNITS_7) -> tuple[float, TemporalUnit]:
-    """The row's exact label, the log of the arithmetic mean of its two
-    durations taken in linear seconds, and that label's closest unit."""
-    exact = normalize((row.seconds[0] + row.seconds[1]) / 2.0, TemporalUnit.SECOND)
-    return exact, closest_unit(exact, inventory)
+def timebank_label(row: TimeBankRow) -> float:
+    """The row's exact label: the log of the arithmetic mean of its two
+    durations taken in linear seconds."""
+    return normalize((row.seconds[0] + row.seconds[1]) / 2.0, TemporalUnit.SECOND)
 
 
 def timebank_to_input(row: TimeBankRow, inventory: UnitInventory = UNITS_7) -> ModelInput:
-    """Insert the duration pattern after the event word and label the row."""
+    """Insert the duration pattern after the event word and label the row
+    with its exact label and that label's closest inventory unit."""
     end = row.event_span[1]
     text, positions = splice_masks(row.sentence[:end], MASK_PATTERN_MID, row.sentence[end:])
-    return ModelInput(text, positions, *timebank_labels(row, inventory))
+    exact = timebank_label(row)
+    return ModelInput(text, positions, exact, closest_unit(exact, inventory))
 
 
 _AUXILIARIES = (
@@ -371,13 +372,13 @@ def read_mctaco_jsonl(lines: Iterable[str]) -> list[McTacoRow]:
                                                    obj["gold"]), "a QA row")
 
 
-def read_mctaco_questions(lines: Iterable[str], inventory: UnitInventory) -> list[McTacoQuestion]:
+def read_mctaco_questions(lines: Iterable[str]) -> list[McTacoQuestion]:
     """Every question of a McTACO-style JSONL file, in first-seen order.
 
-    A question's input is labelled when at least one correct answer
-    parses: with the mean of those answers' log-second values in row
+    A question's input gets an exact label when at least one correct
+    answer parses: the mean of those answers' log-second values in row
     order (the geometric mean of the durations, which keeps one outlier
-    answer from dominating) and its closest inventory unit.
+    answer from dominating).
     """
     questions = []
     for qid, group in group_mctaco_rows(read_mctaco_jsonl(lines)):
@@ -386,8 +387,6 @@ def read_mctaco_questions(lines: Iterable[str], inventory: UnitInventory) -> lis
         model_input = mctaco_to_input(group[0])
         correct = [v for v, gold in answers if gold]
         if correct:
-            mean = sum(correct) / len(correct)
-            model_input = ModelInput(model_input.text, model_input.mask_positions, mean,
-                                     closest_unit(mean, inventory))
+            model_input.exact_label = sum(correct) / len(correct)
         questions.append(McTacoQuestion(qid, model_input, answers, len(parsed) - len(answers)))
     return questions

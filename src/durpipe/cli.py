@@ -133,7 +133,7 @@ def _read_training_inputs(path: Path, fmt: str, inventory) -> list[adapters.Mode
         if fmt == "timebank":
             return [adapters.timebank_to_input(row, inventory)
                     for row in adapters.read_timebank_tsv(fh)]
-        return [q.input for q in adapters.read_mctaco_questions(fh, inventory)
+        return [q.input for q in adapters.read_mctaco_questions(fh)
                 if q.input.exact_label is not None]
 
 
@@ -213,7 +213,7 @@ def cmd_eval(settings: dict, out: Path) -> None:
     data_path = Path(settings["data"])
     if protocol == "mctaco":
         with open(data_path, encoding="utf-8-sig") as fh:
-            questions = adapters.read_mctaco_questions(fh, inventory)
+            questions = adapters.read_mctaco_questions(fh)
         answered = [q for q in questions if q.answers]
         if not answered:
             raise MalformedRowError(f"no answer in {data_path} parses as a duration")
@@ -246,9 +246,8 @@ def cmd_baseline(settings: dict, out: Path) -> None:
     # placing masks in them.
     protocol = settings["protocol"]
     inventory = inventory_of_size(settings["inventory"])
-    exacts, units = zip(*(adapters.timebank_labels(row, inventory)
-                          for row in _timebank_rows(Path(settings["data"]))))
-    golds = _golds(protocol, exacts, units)
+    exacts = [adapters.timebank_label(row) for row in _timebank_rows(Path(settings["data"]))]
+    golds = _golds(protocol, exacts, (closest_unit(exact, inventory) for exact in exacts))
     _write_report(out, evaluation.majority_baseline(golds, protocol, inventory))
 
 

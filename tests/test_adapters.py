@@ -21,6 +21,7 @@ from durpipe.adapters import (
     read_mctaco_jsonl,
     read_mctaco_questions,
     read_timebank_tsv,
+    timebank_label,
     timebank_to_input,
     write_timebank_tsv,
 )
@@ -33,7 +34,7 @@ from durpipe.text import (
     splice_masks,
     tokenize,
 )
-from durpipe.units import UNITS_7, UNITS_8, TemporalUnit, format_duration, normalize
+from durpipe.units import UNITS_7, UNITS_8, TemporalUnit, closest_unit, format_duration, normalize
 
 HOUR = TemporalUnit.HOUR
 DAY = TemporalUnit.DAY
@@ -78,6 +79,18 @@ def test_timebank_inventory_parameter():
     row = _row("The dynasty endured somehow.", "dynasty", (23.0, TemporalUnit.YEAR), (23.0, TemporalUnit.YEAR))
     assert timebank_to_input(row, UNITS_7).range_label is TemporalUnit.YEAR
     assert timebank_to_input(row, UNITS_8).range_label is TemporalUnit.DECADE
+
+
+_UNIT_AMOUNTS = st.tuples(st.floats(min_value=1e-3, max_value=1e3), st.sampled_from(list(TemporalUnit)))
+
+
+@given(min_d=_UNIT_AMOUNTS, max_d=_UNIT_AMOUNTS)
+def test_timebank_to_input_labels_are_the_exact_label_and_its_closest_unit(min_d, max_d):
+    row = _row("They adopted a measure.", "adopted", min_d, max_d)
+    for n in range(1, 9):
+        out = timebank_to_input(row, UNITS_8[:n])
+        assert out.exact_label == timebank_label(row)
+        assert out.range_label is closest_unit(timebank_label(row), UNITS_8[:n]), n
 
 
 def test_timebank_output_wraps_original_sentence():
@@ -163,7 +176,7 @@ def _training_label(rows):
     """The exact label read_mctaco_questions gives the one question of `rows`."""
     lines = [json.dumps({"context": r.context, "question": r.question, "answer": r.answer,
                          "gold": r.gold}) for r in rows]
-    [question] = read_mctaco_questions(lines, UNITS_8)
+    [question] = read_mctaco_questions(lines)
     return question.input.exact_label
 
 
@@ -188,13 +201,12 @@ def test_read_mctaco_questions_keeps_every_question_and_its_dropped_answers():
     rows = [("q1", "2 hours", True), ("q2", "soonish", True), ("q1", "a while", False),
             ("q1", "3 days", False), ("q2", "never", False)]
     lines = [json.dumps({"context": "c", "question": q, "answer": a, "gold": g}) for q, a, g in rows]
-    first, second = read_mctaco_questions(lines, UNITS_7)
+    first, second = read_mctaco_questions(lines)
     assert (first.qid, first.answers, first.dropped) == ("q0", ((math.log(7200), True),
                                                                 (math.log(3 * 86400), False)), 1)
-    assert first.input.range_label == HOUR
     # a question with no parseable answer is still returned, with its drops counted
     assert (second.qid, second.answers, second.dropped) == ("q1", (), 2)
-    assert second.input.exact_label is None and second.input.range_label is None
+    assert second.input.exact_label is None
 
 
 def test_group_mctaco_rows_stable_order():

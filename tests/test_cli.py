@@ -462,10 +462,35 @@ QUALITY_TASK_FINE_ACCURACY = {
 }
 
 
+# Coarse accuracy of the same checkpoints on the same rows, recorded
+# under the row-sparse optimizer step, with the same 0.02 rule.
+QUALITY_COARSE_ACCURACY = {
+    ("exact", 17): 0.9500, ("exact", 18): 0.9525, ("exact", 19): 0.9475,
+    ("range", 17): 0.9050, ("range", 18): 0.9400, ("range", 19): 0.9325,
+}
+
+QUALITY_TASK_COARSE_ACCURACY = {
+    ("fresh", 0.05): {
+        ("exact", 17): 0.8475, ("exact", 18): 0.8750, ("exact", 19): 0.8525,
+        ("range", 17): 0.9550, ("range", 18): 0.9500, ("range", 19): 0.9525},
+    ("pretrained", 0.05): {
+        ("exact", 17): 0.9050, ("exact", 18): 0.9225, ("exact", 19): 0.8975,
+        ("range", 17): 0.9525, ("range", 18): 0.9525, ("range", 19): 0.9500},
+    ("pretrained", 0.005): {
+        ("exact", 17): 0.9425, ("exact", 18): 0.9300, ("exact", 19): 0.9050,
+        ("range", 17): 0.9350, ("range", 18): 0.9450, ("range", 19): 0.9450},
+    ("pretrained", None): {
+        ("exact", 17): 0.9500, ("exact", 18): 0.9525, ("exact", 19): 0.9475,
+        ("range", 17): 0.9050, ("range", 18): 0.9400, ("range", 19): 0.9325},
+}
+
+
 @pytest.fixture(scope="module")
 def noisy_recipe(tmp_path_factory):
     """The sigma-2.0 recipe with each head pre-trained at each seed of
-    QUALITY_FINE_ACCURACY into pre-<head>-<seed>, and the task rows."""
+    QUALITY_FINE_ACCURACY into pre-<head>-<seed>, the task rows, and each
+    task row of QUALITY_TASK_FINE_ACCURACY trained into
+    <init>-<rate>-<head>-<seed>."""
     root = tmp_path_factory.mktemp("noisy-recipe")
     assert run("synth", "--out", root / "synth", "--size", 2000, "--holdout", 400,
                "--seed", 17, "--sigma", 2.0) == 0
@@ -476,31 +501,49 @@ def noisy_recipe(tmp_path_factory):
         assert run("train", root / "ex" / "instances.jsonl", "--head", head,
                    "--learning-rate", 0.05, "--epochs", 20, "--seed", seed,
                    "--out", root / f"pre-{head}-{seed}") == 0
+    for (init, rate), pins in QUALITY_TASK_FINE_ACCURACY.items():
+        for head, seed in pins:
+            start = root / f"pre-{head}-{seed}" / "model.ckpt" if init == "pretrained" else init
+            rates = [] if rate is None else ["--learning-rate", rate, "--epochs", 20]
+            assert run("train", root / "task" / "holdout.tsv", "--format", "timebank",
+                       "--head", head, "--init", start, *rates, "--seed", seed,
+                       "--out", root / f"{init}-{rate}-{head}-{seed}") == 0
     return root
 
 
-def _fine_accuracy(recipe, trained, head):
-    """Fine accuracy of the checkpoint in `trained` on the recipe's holdout."""
+def _accuracy(recipe, trained, head, protocol):
+    """Accuracy under `protocol` of the checkpoint in `trained` on the
+    recipe's holdout."""
+    out = trained / f"eval-{protocol}"
     assert run("eval", trained / "model.ckpt", recipe / "synth" / "holdout.tsv",
-               "--protocol", "fine", "--head", head, "--out", trained / "eval") == 0
-    return json.loads((trained / "eval" / "report.json").read_text(encoding="utf-8"))["accuracy"]
+               "--protocol", protocol, "--head", head, "--out", out) == 0
+    return json.loads((out / "report.json").read_text(encoding="utf-8"))["accuracy"]
 
 
 def test_fine_accuracy_per_seed_holds_on_the_noisy_recipe(noisy_recipe):
     for (head, seed), floor in QUALITY_FINE_ACCURACY.items():
-        accuracy = _fine_accuracy(noisy_recipe, noisy_recipe / f"pre-{head}-{seed}", head)
+        accuracy = _accuracy(noisy_recipe, noisy_recipe / f"pre-{head}-{seed}", head, "fine")
+        assert accuracy >= floor - 0.02, (head, seed)
+
+
+def test_coarse_accuracy_per_seed_holds_on_the_noisy_recipe(noisy_recipe):
+    for (head, seed), floor in QUALITY_COARSE_ACCURACY.items():
+        accuracy = _accuracy(noisy_recipe, noisy_recipe / f"pre-{head}-{seed}", head, "coarse")
         assert accuracy >= floor - 0.02, (head, seed)
 
 
 @pytest.mark.parametrize("init,rate", list(QUALITY_TASK_FINE_ACCURACY))
-def test_fine_accuracy_per_seed_holds_after_task_rows(noisy_recipe, tmp_path, init, rate):
+def test_fine_accuracy_per_seed_holds_after_task_rows(noisy_recipe, init, rate):
     for (head, seed), floor in QUALITY_TASK_FINE_ACCURACY[init, rate].items():
-        start = noisy_recipe / f"pre-{head}-{seed}" / "model.ckpt" if init == "pretrained" else init
-        rates = [] if rate is None else ["--learning-rate", rate, "--epochs", 20]
-        out = tmp_path / f"{head}-{seed}"
-        assert run("train", noisy_recipe / "task" / "holdout.tsv", "--format", "timebank",
-                   "--head", head, "--init", start, *rates, "--seed", seed, "--out", out) == 0
-        assert _fine_accuracy(noisy_recipe, out, head) >= floor - 0.02, (head, seed)
+        trained = noisy_recipe / f"{init}-{rate}-{head}-{seed}"
+        assert _accuracy(noisy_recipe, trained, head, "fine") >= floor - 0.02, (head, seed)
+
+
+@pytest.mark.parametrize("init,rate", list(QUALITY_TASK_COARSE_ACCURACY))
+def test_coarse_accuracy_per_seed_holds_after_task_rows(noisy_recipe, init, rate):
+    for (head, seed), floor in QUALITY_TASK_COARSE_ACCURACY[init, rate].items():
+        trained = noisy_recipe / f"{init}-{rate}-{head}-{seed}"
+        assert _accuracy(noisy_recipe, trained, head, "coarse") >= floor - 0.02, (head, seed)
 
 
 def test_train_rejects_out_of_range_mask_position(tmp_path):
@@ -649,6 +692,19 @@ def test_baseline_cli(small_pipeline, tmp_path):
     out2 = tmp_path / "base2"
     assert run("baseline", small_pipeline / "synth" / "holdout.tsv",
                "--protocol", "coarse", "--out", out2) == 0
+
+
+def test_baseline_fine_gold_is_the_closest_unit_of_the_inventory(tmp_path):
+    data = tmp_path / "decade.tsv"
+    years = (23.0, TemporalUnit.YEAR)
+    data.write_text(write_timebank_tsv([TimeBankRow("The dynasty endured.", (4, 11), years, years)]),
+                    encoding="utf-8")
+    for inventory, gold in ((7, "year"), (8, "decade")):
+        out = tmp_path / f"base{inventory}"
+        assert run("baseline", data, "--protocol", "fine", "--inventory", inventory,
+                   "--out", out) == 0
+        [item] = json.loads((out / "report.json").read_text(encoding="utf-8"))["items"]
+        assert item["gold"] == gold, inventory
 
 
 def test_seed_is_an_option_only_where_it_is_read(small_pipeline, tmp_path, corpus_file):
