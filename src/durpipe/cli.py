@@ -357,7 +357,7 @@ COMMANDS = {
     "baseline": Command("eval", cmd_baseline, "majority-class baseline on gold data",
                         (("data", "dataset path (TSV)", None),), (
         Setting("protocol", default="fine", choices=("coarse", "fine")),
-        Setting("inventory", int, 7, _INVENTORY),
+        Setting("inventory", int, 8, _INVENTORY),
         Setting("out", default="baseline-out", help=_OUT),
     )),
     "synth": Command("synth", cmd_synth, "generate the synthetic benchmark", (), (

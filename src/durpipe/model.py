@@ -150,13 +150,27 @@ class _Windows:
 
 
 @dataclass(slots=True)
+class _Entries:
+    """Items as the entries of their averaging-matrix rows: each item's
+    distinct table rows, in order of first appearance in its window
+    tokens, and on each the sum of 1 / len(window) over the item's tokens
+    on that row, added in token order; items keep their order."""
+
+    rows: np.ndarray
+    weights: np.ndarray
+    counts: np.ndarray  # entries per item
+    labels: np.ndarray
+
+
+@dataclass(slots=True)
 class _Batch:
     """A training batch as averaging matrices, one per block of at most
     `_BLOCK` items. A block is (matrix, cols, slots): the block's distinct
-    table rows `cols`, in order of first appearance in its tokens, and the
-    (items, len(cols)) matrix whose entry (i, c) is the sum of
-    1 / len(window) over item i's window tokens on row cols[c]; `slots`
-    places cols in `rows`, the batch's distinct rows, ascending."""
+    table rows `cols`, in order of first appearance in its items' entries
+    (so in its tokens), and the (items, len(cols)) matrix whose entry
+    (i, c) is item i's weight on row cols[c] (see `_Entries`), or 0;
+    `slots` places cols in `rows`: the head's `h` rows, then h plus each
+    of the batch's distinct table rows, ascending (head and table stacked)."""
 
     labels: np.ndarray
     rows: np.ndarray
@@ -191,49 +205,66 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _epoch(data: _Windows, order: np.ndarray, size: int, span: int) -> list[_Batch]:
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A mask of the first appearance of each distinct value of `keys`,
+    and each key's value numbered in order of first appearance."""
+    order = np.argsort(keys)  # each value's keys together, in any order
+    ordered = keys[order]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))  # where a value's run starts
+    firsts = np.minimum.reduceat(order, np.flatnonzero(new))
+    first = np.zeros(len(keys), dtype=bool)
+    first[firsts] = True
+    numbers = np.empty_like(order)
+    numbers[order] = (np.cumsum(first)[firsts] - 1)[np.cumsum(new) - 1]
+    return first, numbers
+
+
+def _entries(data: _Windows, span: int) -> _Entries:
+    """The entries of `data`'s items (see `_Entries`), whose rows are below
+    `span`: one weighted `np.bincount` adds each entry's weights in token
+    order."""
+    keys = np.repeat(np.repeat(np.arange(len(data.counts)) * span, data.counts), data.lengths)
+    keys += data.rows
+    first, cells = _first_seen(keys)
+    weights = np.bincount(cells, weights=np.repeat(1.0 / data.lengths, data.lengths))
+    counts = np.bincount(keys[first] // span, minlength=len(data.counts))
+    return _Entries(data.rows[first], weights, counts, data.labels)
+
+
+def _epoch(data: _Entries, order: np.ndarray, size: int, span: int, h: int) -> list[_Batch]:
     """The items of `data` in `order` as batches of `size` items, cut into
-    blocks of `_BLOCK`; one weighted `np.bincount` builds every block's
-    matrix. Every row is below `span`."""
+    blocks of `_BLOCK`, whose matrices are filled from the items' entries
+    by one assignment. Every table row is below `span`, and `h` rows of
+    the head go in front of each batch's rows."""
     n = len(order)
     counts = data.counts[order]
-    windows = _ranges((np.cumsum(data.counts) - data.counts)[order], counts)
-    lengths = data.lengths[windows]
-    rows = data.rows[_ranges((np.cumsum(data.lengths) - data.lengths)[windows], lengths)]
+    entries = _ranges((np.cumsum(data.counts) - data.counts)[order], counts)
+    rows = data.rows[entries]
     # A block starts at every _BLOCK-th item of a batch.
     starts = np.flatnonzero(np.arange(n) % size % _BLOCK == 0)
     items = np.diff(starts, append=n)
     block = np.repeat(np.arange(len(starts)), items)  # of every item
     # A block's columns are its distinct rows, numbered in the order of
-    # their first token; `cells` is each token's column, then its entry.
-    keys = np.repeat(np.repeat(block * span, counts), lengths)
+    # their first entry; `cells` is each entry's column, then its place.
+    keys = np.repeat(block * span, counts)
     keys += rows
-    tokens = np.argsort(keys)  # grouped by (block, row), each group in any order
-    keys = keys[tokens]
-    groups = np.flatnonzero(np.diff(keys, prepend=-1))
-    first = np.minimum.reduceat(tokens, groups)
-    is_first = np.zeros(len(rows), dtype=bool)
-    is_first[first] = True
-    cells = np.empty_like(tokens)
-    cells[tokens] = np.repeat(np.cumsum(is_first)[first] - 1, np.diff(groups, append=len(rows)))
-    cols = rows[is_first]
-    widths = np.bincount(keys[groups] // span, minlength=len(starts))
-    # Token-sized arrays go before the matrices are made, which keeps the
-    # epoch's peak memory near that of the token arrays alone.
-    del rows, keys, tokens, is_first, first
+    first, cells = _first_seen(keys)
+    cols = rows[first]
+    widths = np.bincount(keys[first] // span, minlength=len(starts))
     sizes = items * widths
     col_ends, ends = np.cumsum(widths), np.cumsum(sizes)
     base = ((ends - sizes) - (col_ends - widths))[block] + (np.arange(n) - starts[block]) * widths[block]
-    cells += np.repeat(np.repeat(base, counts), lengths)
-    matrices = np.bincount(cells, weights=np.repeat(1.0 / lengths, lengths), minlength=ends[-1])
-    del cells
-    # Each batch's distinct rows, ascending, and where each block's columns are in them.
-    firsts = np.arange(0, n + size, size)
+    cells += np.repeat(base, counts)
+    matrices = np.zeros(ends[-1])
+    matrices[cells] = data.weights[entries]
+    # Each batch's rows, the head's first, and where each block's columns are in them.
+    firsts, stride = np.arange(0, n + size, size), h + span
     batch = np.repeat(starts // size, widths)
-    distinct, slots = np.unique(batch * span + cols, return_inverse=True)
-    u = np.searchsorted(distinct, np.arange(len(firsts)) * span)
-    slots -= u[batch]
-    distinct %= span
+    heads = np.add.outer(np.arange(len(firsts) - 1) * stride, np.arange(h)).ravel()
+    distinct, slots = np.unique(np.concatenate((batch * stride + h + cols, heads)), return_inverse=True)
+    u = np.searchsorted(distinct, np.arange(len(firsts)) * stride)
+    slots = slots[:len(cols)] - u[batch]
+    distinct %= stride
     blocks = [(matrices[e - s:e].reshape(k, w), cols[c - w:c], slots[c - w:c]) for k, w, s, e, c
               in zip(items.tolist(), widths.tolist(), sizes.tolist(), ends.tolist(), col_ends.tolist())]
     labels, u = data.labels[order], u.tolist()
@@ -369,9 +400,10 @@ def loss_and_grads(model: DualHeadModel,
     compiled and cut into blocks, so that each dataset is hashed once.
     Each block's item sums are one matrix product, `matrix @ E[cols]`
     (see `_Batch`), and the block's share of the embedding gradient is its
-    transpose, `matrix.T @ d_sums`; the blocks' shares are added into the
-    batch's rows in block order. The head gradient is one matrix product
-    with the item sums.
+    transpose, `matrix.T @ d_sums`. One array on the batch's rows holds the
+    gradient: the head's, one matrix product with the item sums, in its
+    first h rows, then the first block's share, assigned, and the other
+    blocks' shares, added in block order.
 
     A block's columns follow the first appearance of its rows in its
     tokens, so `train`, which relabels the rows, and the (input, label)
@@ -384,26 +416,29 @@ def loss_and_grads(model: DualHeadModel,
 
     Returns gradients for the active head ("w_e" for mse, "w_r" for
     cross_entropy) and for the encoder embeddings. For a compiled batch
-    "embeddings" is a (rows, values) pair: the batch's distinct table
-    rows, ascending, and their (len(rows), dim) gradient; every other
-    row's gradient is zero. For (input, label) pairs it is the dense
-    (buckets, dim) table.
+    "embeddings" is a (rows, values) pair: `batch.rows` and the
+    (len(rows), dim) gradient on them, whose first h rows are the head's
+    (a view of them is the head's entry); every other row's gradient is
+    zero. For (input, label) pairs it is the dense (buckets, dim) table.
     """
     compiled = isinstance(batch, _Batch)
-    embeddings = model.encoder.embeddings
+    embeddings, h = model.encoder.embeddings, 1 if loss == "mse" else len(model.w_r)
     if not compiled:
         windows = _compile(model, [mi for mi, _ in batch], _labels(model, batch, loss))
         n = len(windows.counts)
-        batch = _epoch(windows, np.arange(n), n, len(embeddings))[0]
+        batch = _epoch(_entries(windows, len(embeddings)), np.arange(n), n, len(embeddings), h)[0]
     n, dim = len(batch.labels), embeddings.shape[1]
     sums = np.empty((n, dim))
     for k, (matrix, cols, _) in enumerate(batch.blocks):
         np.matmul(matrix, embeddings[cols], out=sums[k * _BLOCK:(k + 1) * _BLOCK])
+    # Zeros under the rows that the first block does not assign, if any.
+    grad = (np.zeros if len(batch.blocks) > 1 else np.empty)((len(batch.rows), dim))
     if loss == "mse":
         errs = np.einsum("id,d->i", sums, model.w_e) - batch.labels
         item_losses = errs * errs
         dv = 2.0 * errs / n
-        grads = {"w_e": dv @ sums}
+        grad[0] = dv @ sums
+        grads = {"w_e": grad[0]}
         d_sums = np.outer(dv, model.w_e)
     else:
         dz = _softmax(np.einsum("id,ud->iu", sums, model.w_r))
@@ -411,17 +446,19 @@ def loss_and_grads(model: DualHeadModel,
         item_losses = -np.log(np.maximum(dz[picked], 1e-300))
         dz[picked] -= 1.0
         dz /= n
-        grads = {"w_r": dz.T @ sums}
+        grad[:h] = dz.T @ sums
+        grads = {"w_r": grad[:h]}
         d_sums = dz @ model.w_r
 
-    d_rows = np.zeros((len(batch.rows), dim))
-    for k, (matrix, _, slots) in enumerate(batch.blocks):
-        d_rows[slots] += matrix.T @ d_sums[k * _BLOCK:(k + 1) * _BLOCK]
+    matrix, _, slots = batch.blocks[0]
+    grad[slots] = matrix.T @ d_sums[:_BLOCK]
+    for k, (matrix, _, slots) in enumerate(batch.blocks[1:], 1):
+        grad[slots] += matrix.T @ d_sums[k * _BLOCK:(k + 1) * _BLOCK]
     if compiled:
-        grads["embeddings"] = (batch.rows, d_rows)
+        grads["embeddings"] = (batch.rows, grad)
     else:
         grads["embeddings"] = np.zeros_like(embeddings)
-        grads["embeddings"][batch.rows] = d_rows
+        grads["embeddings"][batch.rows[h:] - h] = grad[h:]
     return float(item_losses.sum()) / n, grads
 
 
@@ -433,18 +470,19 @@ def evaluate_loss(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]
 
 
 class _Adam:
-    """Row-sparse ("lazy") adaptive-moment updates of one parameter, in
-    place, at a learning rate supplied per step, as TensorFlow Addons'
+    """Row-sparse ("lazy") adaptive-moment updates of a copy of one
+    parameter, at a learning rate supplied per step, as TensorFlow Addons'
     `LazyAdam` and PyTorch's `SparseAdam` update embedding tables. A step
     decays and updates the moments of the rows with a gradient and moves
     those rows, with the bias corrections of the global step count; every
-    other row keeps its value and moments bit for bit."""
+    other row keeps its value and moments bit for bit. `state` stacks m, v
+    and the parameter, so that a step gathers and scatters its rows once."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, param: np.ndarray):
-        self.param = param
-        self.m, self.v = np.zeros_like(param), np.zeros_like(param)
+        self.state = np.stack((np.zeros_like(param), np.zeros_like(param), param))
+        self.m, self.v, self.param = self.state
         self.t = 0
 
     def step(self, lr: float, rows: np.ndarray, values: np.ndarray) -> None:
@@ -452,13 +490,14 @@ class _Adam:
         after their moment updates,
         param[rows] -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)."""
         self.t += 1
-        m = self.m[rows] * self.beta1
+        m, v, param = state = self.state.take(rows, axis=1)
+        m *= self.beta1
         m += values * (1.0 - self.beta1)
-        v = self.v[rows] * self.beta2
+        v *= self.beta2
         v += values * (1.0 - self.beta2) * values
-        self.m[rows], self.v[rows] = m, v
-        self.param[rows] -= (m / (1.0 - self.beta1 ** self.t) * lr
-                             / (np.sqrt(v / (1.0 - self.beta2 ** self.t)) + self.eps))
+        param -= (m / (1.0 - self.beta1 ** self.t) * lr
+                  / (np.sqrt(v / (1.0 - self.beta2 ** self.t)) + self.eps))
+        self.state[:, rows] = state
 
 
 # A step loss above this has diverged: as a squared error it is a mean
@@ -482,15 +521,17 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
           cfg: TrainConfig) -> tuple[DualHeadModel, list[float]]:
     """Train the head selected by cfg.loss (plus the encoder) in place.
 
-    Labels must be log-second floats for "mse" and TemporalUnit members
-    of the model inventory for "cross_entropy". Returns the model and the
-    per-step loss curve. Empty data is a warned no-op. A step loss that
-    is not finite or is above `_DIVERGED_LOSS` raises ValueError, and
-    leaves the model as the steps before it made it. A "cross_entropy"
-    run whose last epoch's mean step loss is above
-    `_DIVERGED_CROSS_ENTROPY` raises ValueError after its last step. A
-    run whose last epoch's mean step loss is not below that of the best
-    constant prediction logs a WARNING naming both and the learning rate.
+    The data is hashed and reduced to its items' entries once (`_Entries`),
+    and each epoch's batches are built from them. Labels must be
+    log-second floats for "mse" and TemporalUnit members of the model
+    inventory for "cross_entropy". Returns the model and the per-step
+    loss curve. Empty data is a warned no-op. A step loss that is not
+    finite or is above `_DIVERGED_LOSS` raises ValueError, and leaves the
+    model as the steps before it made it. A "cross_entropy" run whose last
+    epoch's mean step loss is above `_DIVERGED_CROSS_ENTROPY` raises
+    ValueError after its last step. A run whose last epoch's mean step
+    loss is not below that of the best constant prediction logs a WARNING
+    naming both and the learning rate.
     """
     data = list(data)
     if not data:
@@ -502,47 +543,45 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(data))
 
-    # The head's h rows, then the table rows the data uses, ascending, in
-    # one buffer; each step's gradient is on the head's rows, then the batch's.
+    # The optimizer's copy of the head's h rows, then of the table rows the
+    # data uses, ascending (entries number them from 0); each step's rows.
     head_key = "w_e" if cfg.loss == "mse" else "w_r"
     table, head = model.encoder.embeddings, getattr(model, head_key)
     h = head.size // model.dim
     seen, inverse = np.unique(compiled.rows, return_inverse=True)
-    compiled = replace(compiled, rows=inverse + h)
-    buffer = np.concatenate((head.reshape(h, -1), table[seen]))
-    work = replace(model, encoder=BaselineEncoder(buffer, model.encoder.radius),
+    entries = _entries(replace(compiled, rows=inverse), len(seen))
+    optimizer = _Adam(np.concatenate((head.reshape(h, -1), table[seen])))
+    buffer = optimizer.param
+    work = replace(model, encoder=BaselineEncoder(buffer[h:], model.encoder.radius),
                    **{head_key: buffer[:h].reshape(head.shape)})
-    optimizer, head_rows = _Adam(buffer), np.arange(h)
     curve: list[float] = []
-    try:
-        for epoch in range(1, cfg.epochs + 1):
-            if epoch > 1:
-                order = rng.permutation(len(data))
-            for batch in _epoch(compiled, order, cfg.batch_size, len(buffer)):
-                with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        try:
+            for epoch in range(1, cfg.epochs + 1):
+                if epoch > 1:
+                    order = rng.permutation(len(data))
+                for batch in _epoch(entries, order, cfg.batch_size, len(seen), h):
                     loss, grads = loss_and_grads(work, batch, cfg.loss)
-                if not math.isfinite(loss) or loss > _DIVERGED_LOSS:
-                    raise ValueError(f"training diverged at step {len(curve) + 1} (epoch {epoch}): "
-                                     f"loss {loss:.6g} is not at most {_DIVERGED_LOSS:g}")
-                lr = _warmup_lr(cfg.learning_rate, len(curve) + 1, warmup_steps)
-                rows, values = grads["embeddings"]
-                optimizer.step(lr, np.concatenate((head_rows, rows)),
-                               np.concatenate((grads[head_key].reshape(h, -1), values)))
-                curve.append(loss)
-            mean = sum(curve[-steps:]) / steps
-            logger.info("epoch %d: %d steps, mean loss %.6g, learning rate %.6g",
-                        epoch, steps, mean, lr)
-    finally:
-        table[seen] = buffer[h:]
-        head[...] = getattr(work, head_key)
+                    if not math.isfinite(loss) or loss > _DIVERGED_LOSS:
+                        raise ValueError(f"training diverged at step {len(curve) + 1} (epoch {epoch}): "
+                                         f"loss {loss:.6g} is not at most {_DIVERGED_LOSS:g}")
+                    lr = _warmup_lr(cfg.learning_rate, len(curve) + 1, warmup_steps)
+                    optimizer.step(lr, *grads["embeddings"])
+                    curve.append(loss)
+                mean = sum(curve[-steps:]) / steps
+                logger.info("epoch %d: %d steps, mean loss %.6g, learning rate %.6g",
+                            epoch, steps, mean, lr)
+        finally:
+            table[seen] = buffer[h:]
+            head[...] = getattr(work, head_key)
     if cfg.loss == "cross_entropy" and curve and mean > _DIVERGED_CROSS_ENTROPY:
         raise ValueError(f"training diverged in epoch {cfg.epochs}: mean loss {mean:.6g} "
                          f"is not at most {_DIVERGED_CROSS_ENTROPY:.6g}")
     # The best constant prediction's loss: the labels' variance, or their entropy.
     if cfg.loss == "mse":
-        constant = float(np.var(compiled.labels))
+        constant = float(np.var(entries.labels))
     else:
-        p = np.unique(compiled.labels, return_counts=True)[1] / len(data)
+        p = np.unique(entries.labels, return_counts=True)[1] / len(data)
         constant = float(-(p * np.log(p)).sum())
     if curve and not mean < constant:
         logger.warning("training learned nothing: the last epoch's mean loss %.6g is not below "

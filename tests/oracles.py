@@ -3,13 +3,17 @@
 Everything here is deliberately written from the published rules rather
 than from the package code: literal second-value tables, boundary-based
 unit bucketing, and a per-trigger-word scanner that applies the raw
-extraction pattern and filter rules one at a time.
+extraction pattern and filter rules one at a time. The one exception is
+`token_epoch`, training's block matrices built from every window token
+of an epoch, which checks the build from each item's entries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Literal canonical table (30-day month, 365-day year, 10-year decade).
 ORACLE_SECONDS = {
@@ -229,3 +233,59 @@ def scan_corpus(sentences: list[str]):
             continue
         instances.append(inst)
     return instances, matched, filtered, skipped
+
+
+def _ranges(starts, lengths):
+    """The ranges [starts[i], starts[i] + lengths[i]), concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+
+
+def token_epoch(rows, lengths, counts, labels, order, size, span, h, block_items):
+    """An epoch's batches from the window tokens of its items: `rows` holds
+    every window token's table row (below `span`), `lengths` the tokens per
+    window and `counts` the windows per item. Returns one (labels, rows,
+    blocks) triple per batch of `size` items in `order`; each batch is cut
+    into blocks of `block_items` items, and a block is (matrix, cols, slots)
+    as `durpipe.model._Batch` documents, with the head's `h` rows in front
+    of each batch's rows. One weighted `np.bincount` over every token of
+    the epoch, in token order, builds every matrix."""
+    n = len(order)
+    windows = _ranges((np.cumsum(counts) - counts)[order], counts[order])
+    counts = counts[order]
+    rows = rows[_ranges((np.cumsum(lengths) - lengths)[windows], lengths[windows])]
+    lengths = lengths[windows]
+    starts = np.flatnonzero(np.arange(n) % size % block_items == 0)
+    items = np.diff(starts, append=n)
+    block = np.repeat(np.arange(len(starts)), items)
+    # A block's columns are its distinct rows, numbered in the order of
+    # their first token; `cells` is each token's column, then its entry.
+    keys = np.repeat(np.repeat(block * span, counts), lengths) + rows
+    tokens = np.argsort(keys)
+    keys = keys[tokens]
+    groups = np.flatnonzero(np.diff(keys, prepend=-1))
+    first = np.minimum.reduceat(tokens, groups)
+    is_first = np.zeros(len(rows), dtype=bool)
+    is_first[first] = True
+    cells = np.empty_like(tokens)
+    cells[tokens] = np.repeat(np.cumsum(is_first)[first] - 1, np.diff(groups, append=len(rows)))
+    cols = rows[is_first]
+    widths = np.bincount(keys[groups] // span, minlength=len(starts))
+    sizes = items * widths
+    col_ends, ends = np.cumsum(widths), np.cumsum(sizes)
+    base = ((ends - sizes) - (col_ends - widths))[block] + (np.arange(n) - starts[block]) * widths[block]
+    cells += np.repeat(np.repeat(base, counts), lengths)
+    matrices = np.bincount(cells, weights=np.repeat(1.0 / lengths, lengths), minlength=ends[-1])
+    # Each batch's distinct rows, ascending, and where each block's columns are in them.
+    firsts = np.arange(0, n + size, size)
+    batch = np.repeat(starts // size, widths)
+    distinct, slots = np.unique(batch * span + cols, return_inverse=True)
+    u = np.searchsorted(distinct, np.arange(len(firsts)) * span)
+    slots -= u[batch]
+    distinct %= span
+    blocks = [(matrices[e - s:e].reshape(k, w), cols[c - w:c], slots[c - w:c] + h) for k, w, s, e, c
+              in zip(items.tolist(), widths.tolist(), sizes.tolist(), ends.tolist(), col_ends.tolist())]
+    labels = labels[order]
+    b = np.searchsorted(starts, firsts.clip(max=n))
+    return [(labels[i:i + size], np.concatenate((np.arange(h), distinct[u[j]:u[j + 1]] + h)),
+             blocks[b[j]:b[j + 1]]) for j, i in enumerate(firsts[:-1].tolist())]

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import oracles
 from checkpoint_fuzz import damaged
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -637,10 +638,11 @@ def test_loss_and_grads_match_item_loop_within_rounding(dim, loss):
             _assert_within_rounding(grads[key], ref_grads[key])
 
 
-def _one_batch(windows, buckets):
-    """All of `windows` as one compiled batch, as `train` passes it."""
+def _one_batch(windows, buckets, h):
+    """All of `windows` as one compiled batch, as `train` passes it, with
+    the head's `h` rows in front of its rows."""
     n = len(windows.counts)
-    return model_mod._epoch(windows, np.arange(n), n, buckets)[0]
+    return model_mod._epoch(model_mod._entries(windows, buckets), np.arange(n), n, buckets, h)[0]
 
 
 @pytest.mark.parametrize("dim", [1, 5, 32])
@@ -649,16 +651,18 @@ def test_compact_embedding_gradient_scatters_to_the_dense_one(dim, loss):
     rng = np.random.default_rng(20 + dim)
     model = DualHeadModel.create(dim=dim, seed=4, buckets=64, radius=4)
     head = "w_e" if loss == "mse" else "w_r"
+    h = 1 if loss == "mse" else len(model.inventory)
     for _ in range(20):
         batch = _vocabulary_batch(rng, model, int(rng.integers(1, 41)), 100, loss, max_words=12)
         compiled = model_mod._compile(model, [mi for mi, _ in batch],
                                       model_mod._labels(model, batch, loss))
-        value, grads = loss_and_grads(model, _one_batch(compiled, 64), loss)
-        rows, d_rows = grads["embeddings"]
-        assert rows.tolist() == sorted(set(compiled.rows.tolist()))
-        assert d_rows.shape == (len(rows), dim)
+        value, grads = loss_and_grads(model, _one_batch(compiled, 64, h), loss)
+        rows, values = grads["embeddings"]
+        assert rows.tolist() == [*range(h), *(h + r for r in sorted(set(compiled.rows.tolist())))]
+        assert values.shape == (len(rows), dim)
+        assert values[:h].tobytes() == grads[head].tobytes()
         scattered = np.zeros_like(model.encoder.embeddings)
-        scattered[rows] = d_rows
+        scattered[rows[h:] - h] = values[h:]
         dense_value, dense = loss_and_grads(model, batch, loss)
         assert value == dense_value
         assert scattered.tobytes() == dense["embeddings"].tobytes()
@@ -760,11 +764,12 @@ def test_train_through_block_matrices_equals_the_dense_reference(batch_size, los
     reference = DualHeadModel.create(dim=4, seed=2, buckets=64, radius=3)
     data = _vocabulary_batch(rng, model, 50, 40, loss, max_words=12)
     cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, epochs=2, seed=4, loss=loss)
-    batches = model_mod._epoch(model_mod._compile(model, [mi for mi, _ in data], [0.0] * 50),
-                               np.arange(50), batch_size, 64)
+    entries = model_mod._entries(model_mod._compile(model, [mi for mi, _ in data], [0.0] * 50), 64)
+    batches = model_mod._epoch(entries, np.arange(50), batch_size, 64, 1)
     heights = [len(matrix) for batch in batches for matrix, _, _ in batch.blocks]
     assert max(heights) == min(batch_size, model_mod._BLOCK) and sum(heights) == 50
-    shared = [sum(len(cols) for _, cols, _ in batch.blocks) > len(batch.rows) for batch in batches]
+    shared = [sum(len(cols) for _, cols, _ in batch.blocks) > len(batch.rows) - 1
+              for batch in batches]
     assert any(shared) == (batch_size > model_mod._BLOCK)
     _, curve = train(model, data, cfg)
     assert curve == _reference_train(reference, data, cfg)
@@ -791,28 +796,72 @@ def test_loss_and_grads_do_not_change_when_the_rows_are_renumbered(dim, loss):
     rng = np.random.default_rng(40 + dim)
     model = DualHeadModel.create(dim=dim, seed=6, buckets=30, radius=5)
     head = "w_e" if loss == "mse" else "w_r"
+    h = 1 if loss == "mse" else len(model.inventory)
     for n in [1, 16, 17, 40] + rng.integers(1, 50, size=8).tolist():
         batch = _random_windows(rng, n, 30, loss)
         number = rng.permutation(30)
         renumbered = replace(model, encoder=BaselineEncoder(
             model.encoder.embeddings[np.argsort(number)], model.encoder.radius))
-        value, grads = loss_and_grads(model, _one_batch(batch, 30), loss)
+        value, grads = loss_and_grads(model, _one_batch(batch, 30, h), loss)
         new_value, new_grads = loss_and_grads(
-            renumbered, _one_batch(replace(batch, rows=number[batch.rows]), 30), loss)
+            renumbered, _one_batch(replace(batch, rows=number[batch.rows]), 30, h), loss)
         assert new_value == value
         assert new_grads[head].tobytes() == grads[head].tobytes()
         rows, values = grads["embeddings"]
         new_rows, new_values = new_grads["embeddings"]
-        back = np.argsort(number)[new_rows]
-        assert back[np.argsort(back)].tolist() == rows.tolist()
-        assert new_values[np.argsort(back)].tobytes() == values.tobytes()
+        back = np.argsort(number)[new_rows[h:] - h]
+        assert (h + back[np.argsort(back)]).tolist() == rows[h:].tolist()
+        assert new_values[h:][np.argsort(back)].tobytes() == values[h:].tobytes()
+
+
+@st.composite
+def _epoch_runs(draw):
+    """Items of 1 to 3 windows of 1 to 11 tokens on a table of at most 40
+    rows, so that rows repeat in windows, items and blocks; an order of
+    them, a batch size and a loss."""
+    buckets = draw(st.integers(1, 40))
+    window = st.lists(st.integers(0, buckets - 1), min_size=1, max_size=11)
+    items = draw(st.lists(st.lists(window, min_size=1, max_size=3), min_size=1, max_size=60))
+    windows = [w for item in items for w in item]
+    loss = draw(st.sampled_from(["mse", "cross_entropy"]))
+    labels = (draw(arrays(np.float64, len(items), elements=st.floats(0.0, 6.0))) if loss == "mse"
+              else draw(arrays(np.intp, len(items), elements=st.integers(0, 7))))
+    data = model_mod._Windows(np.array([r for w in windows for r in w], dtype=np.intp),
+                              np.array([len(w) for w in windows]), np.array([len(i) for i in items]),
+                              labels)
+    order = np.array(draw(st.permutations(range(len(items)))), dtype=np.intp)
+    return data, order, buckets, draw(st.sampled_from([1, 16, 17, 33, 50])), loss
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_epoch_runs())
+@example(run=(model_mod._Windows(np.array([0, 0, 0, 1, 2]), np.array([1, 1, 3]), np.array([3]),
+                                 np.array([1.0])), np.array([0]), 3, 1, "mse"))
+def test_epoch_from_entries_equals_the_token_level_build(run):
+    # Block for block, the same matrix, cols and slots bytes, and the same
+    # step rows, as the build from every window token (tests/oracles.py).
+    # The example's item has row 0 in windows of 1, 1 and 3 tokens: its
+    # weights 1 + 1 + 1/3, added in the reverse order, differ in the last bit.
+    data, order, buckets, size, loss = run
+    h = 1 if loss == "mse" else len(UNITS_8)
+    batches = model_mod._epoch(model_mod._entries(data, buckets), order, size, buckets, h)
+    want = oracles.token_epoch(data.rows, data.lengths, data.counts, data.labels, order, size,
+                               buckets, h, model_mod._BLOCK)
+    assert len(batches) == len(want)
+    for batch, (labels, rows, blocks) in zip(batches, want):
+        assert batch.labels.tobytes() == labels.tobytes()
+        assert batch.rows.dtype == rows.dtype and batch.rows.tobytes() == rows.tobytes()
+        assert len(batch.blocks) == len(blocks)
+        for got, expected in zip(batch.blocks, blocks):
+            for a, b in zip(got, expected):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
 
 
 def test_row_restricted_adam_step_matches_dense_reference():
     # Few words first, so fewer than half the rows have had a gradient,
     # then many, so most of the table has. As in `train`, the head is the
     # first row of one buffer, and the table rows that the batches use
-    # follow it, ascending.
+    # follow it, ascending; each step's gradient is on rows of the buffer.
     rng = np.random.default_rng(8)
     model = DualHeadModel.create(dim=4, seed=6, buckets=48, radius=1)
     reference = DualHeadModel.create(dim=4, seed=6, buckets=48, radius=1)
@@ -823,22 +872,22 @@ def test_row_restricted_adam_step_matches_dense_reference():
                 for b in batches]
     seen = np.unique(np.concatenate([c.rows for c in compiled]))
     label = np.empty(48, dtype=np.intp)
-    label[seen] = np.arange(1, len(seen) + 1)
-    buffer = np.concatenate([model.w_e[None], initial[seen]])
-    work = replace(model, encoder=BaselineEncoder(buffer, 1), w_e=buffer[0])
-    optimizer = model_mod._Adam(buffer)
+    label[seen] = np.arange(len(seen))
+    optimizer = model_mod._Adam(np.concatenate([model.w_e[None], initial[seen]]))
+    buffer = optimizer.param
+    work = replace(model, encoder=BaselineEncoder(buffer[1:], 1), w_e=buffer[0])
     params = {"embeddings": reference.encoder.embeddings, "w_e": reference.w_e}
     lazy = _LazyAdam(params)
     touched = np.zeros(48, dtype=bool)
     shares = []
     for batch, c in zip(batches, compiled):
-        _, grads = loss_and_grads(work, _one_batch(replace(c, rows=label[c.rows]), len(buffer)), "mse")
+        _, grads = loss_and_grads(work, _one_batch(replace(c, rows=label[c.rows]), len(seen), 1), "mse")
         _, ref_grads = loss_and_grads(reference, batch, "mse")
         rows, values = grads["embeddings"]
-        assert seen[rows - 1].tolist() == _batch_rows(reference, batch)
-        touched[seen[rows - 1]] = True
-        optimizer.step(0.1, np.concatenate(([0], rows)), np.concatenate((grads["w_e"][None], values)))
-        lazy.step(params, ref_grads, seen[rows - 1], 0.1)
+        assert rows[0] == 0 and seen[rows[1:] - 1].tolist() == _batch_rows(reference, batch)
+        touched[seen[rows[1:] - 1]] = True
+        optimizer.step(0.1, rows, values)
+        lazy.step(params, ref_grads, seen[rows[1:] - 1], 0.1)
         assert np.array_equal(buffer[0], reference.w_e)
         assert np.array_equal(buffer[1:], reference.encoder.embeddings[seen])
         for moment, ref in ((optimizer.m, lazy.m), (optimizer.v, lazy.v)):
@@ -884,7 +933,7 @@ def test_packed_moment_adam_matches_dense_adam(run, seed):
         grad = np.zeros(shape)
         grad[rows] = values
         lazy.step(reference, {"embeddings": grad}, rows.tolist(), lr)
-        assert param.tobytes() == reference["embeddings"].tobytes()
+        assert optimizer.param.tobytes() == reference["embeddings"].tobytes()
         assert optimizer.m.tobytes() == lazy.m["embeddings"].tobytes()
         assert optimizer.v.tobytes() == lazy.v["embeddings"].tobytes()
 

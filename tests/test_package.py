@@ -40,7 +40,7 @@ def test_per_row_records_have_no_instance_dict_and_checked_rows_cannot_change():
 
     from durpipe.adapters import McTacoQuestion, McTacoRow, ModelInput, TimeBankRow
     from durpipe.extraction import LabeledInstance, MatchResult
-    from durpipe.model import _Windows
+    from durpipe.model import _Entries, _Windows
     from durpipe.units import TemporalUnit
 
     day = TemporalUnit.DAY
@@ -50,7 +50,8 @@ def test_per_row_records_have_no_instance_dict_and_checked_rows_cannot_change():
     instance = LabeledInstance("It took [MASK] [MASK].", (2, 3), 1.0, day, "s")
     records = [model_input, McTacoQuestion("q0", model_input, ((1.0, True),), 0), timebank, qa,
                MatchResult("took", "take", 3.0, day, (8, 14), "took 3 days"), instance,
-               _Windows(*(np.zeros(1, dtype=np.intp) for _ in range(4)))]
+               _Windows(*(np.zeros(1, dtype=np.intp) for _ in range(4))),
+               _Entries(*(np.zeros(1, dtype=np.intp) for _ in range(4)))]
     assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
     for row, field, value in ((timebank, "sentence", "They ate."), (qa, "gold", False),
                               (instance, "exact_label", 2.0)):
