@@ -152,9 +152,9 @@ class _Windows:
 @dataclass(slots=True)
 class _Entries:
     """Items as the entries of their averaging-matrix rows: each item's
-    distinct table rows, in order of first appearance in its window
-    tokens, and on each the sum of 1 / len(window) over the item's tokens
-    on that row, added in token order; items keep their order."""
+    distinct table rows, ascending, and on each the sum of 1 / len(window)
+    over the item's tokens on that row, added in token order; items keep
+    their order."""
 
     rows: np.ndarray
     weights: np.ndarray
@@ -166,9 +166,8 @@ class _Entries:
 class _Batch:
     """A training batch as averaging matrices, one per block of at most
     `_BLOCK` items. A block is (matrix, cols, slots): the block's distinct
-    table rows `cols`, in order of first appearance in its items' entries
-    (so in its tokens), and the (items, len(cols)) matrix whose entry
-    (i, c) is item i's weight on row cols[c] (see `_Entries`), or 0;
+    table rows `cols`, ascending, and the (items, len(cols)) matrix whose
+    entry (i, c) is item i's weight on row cols[c] (see `_Entries`), or 0;
     `slots` places cols in `rows`: the head's `h` rows, then h plus each
     of the batch's distinct table rows, ascending (head and table stacked)."""
 
@@ -205,30 +204,16 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A mask of the first appearance of each distinct value of `keys`,
-    and each key's value numbered in order of first appearance."""
-    order = np.argsort(keys)  # each value's keys together, in any order
-    ordered = keys[order]
-    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))  # where a value's run starts
-    firsts = np.minimum.reduceat(order, np.flatnonzero(new))
-    first = np.zeros(len(keys), dtype=bool)
-    first[firsts] = True
-    numbers = np.empty_like(order)
-    numbers[order] = (np.cumsum(first)[firsts] - 1)[np.cumsum(new) - 1]
-    return first, numbers
-
-
 def _entries(data: _Windows, span: int) -> _Entries:
     """The entries of `data`'s items (see `_Entries`), whose rows are below
     `span`: one weighted `np.bincount` adds each entry's weights in token
     order."""
     keys = np.repeat(np.repeat(np.arange(len(data.counts)) * span, data.counts), data.lengths)
     keys += data.rows
-    first, cells = _first_seen(keys)
+    keys, cells = np.unique(keys, return_inverse=True)
     weights = np.bincount(cells, weights=np.repeat(1.0 / data.lengths, data.lengths))
-    counts = np.bincount(keys[first] // span, minlength=len(data.counts))
-    return _Entries(data.rows[first], weights, counts, data.labels)
+    counts = np.bincount(keys // span, minlength=len(data.counts))
+    return _Entries(keys % span, weights, counts, data.labels)
 
 
 def _epoch(data: _Entries, order: np.ndarray, size: int, span: int, h: int) -> list[_Batch]:
@@ -239,18 +224,17 @@ def _epoch(data: _Entries, order: np.ndarray, size: int, span: int, h: int) -> l
     n = len(order)
     counts = data.counts[order]
     entries = _ranges((np.cumsum(data.counts) - data.counts)[order], counts)
-    rows = data.rows[entries]
     # A block starts at every _BLOCK-th item of a batch.
     starts = np.flatnonzero(np.arange(n) % size % _BLOCK == 0)
     items = np.diff(starts, append=n)
     block = np.repeat(np.arange(len(starts)), items)  # of every item
-    # A block's columns are its distinct rows, numbered in the order of
-    # their first entry; `cells` is each entry's column, then its place.
+    # A block's columns are its distinct rows, ascending; `cells` is each
+    # entry's column, then its place.
     keys = np.repeat(block * span, counts)
-    keys += rows
-    first, cells = _first_seen(keys)
-    cols = rows[first]
-    widths = np.bincount(keys[first] // span, minlength=len(starts))
+    keys += data.rows[entries]
+    keys, cells = np.unique(keys, return_inverse=True)
+    cols = keys % span
+    widths = np.bincount(keys // span, minlength=len(starts))
     sizes = items * widths
     col_ends, ends = np.cumsum(widths), np.cumsum(sizes)
     base = ((ends - sizes) - (col_ends - widths))[block] + (np.arange(n) - starts[block]) * widths[block]
@@ -405,8 +389,8 @@ def loss_and_grads(model: DualHeadModel,
     first h rows, then the first block's share, assigned, and the other
     blocks' shares, added in block order.
 
-    A block's columns follow the first appearance of its rows in its
-    tokens, so `train`, which relabels the rows, and the (input, label)
+    A block's columns are its rows ascending, so `train`, whose
+    renumbering of the rows keeps their order, and the (input, label)
     path get the same bits. The blocks bound a matrix at `_BLOCK` rows,
     where one matrix per batch would grow with the batch size. The sums
     agree with prediction's window means to rounding only
@@ -419,11 +403,14 @@ def loss_and_grads(model: DualHeadModel,
     "embeddings" is a (rows, values) pair: `batch.rows` and the
     (len(rows), dim) gradient on them, whose first h rows are the head's
     (a view of them is the head's entry); every other row's gradient is
-    zero. For (input, label) pairs it is the dense (buckets, dim) table.
+    zero. For (input, label) pairs it is the dense (buckets, dim) table;
+    no pairs at all is a ConfigError.
     """
     compiled = isinstance(batch, _Batch)
     embeddings, h = model.encoder.embeddings, 1 if loss == "mse" else len(model.w_r)
     if not compiled:
+        if not batch:
+            raise ConfigError("cannot evaluate loss on empty data")
         windows = _compile(model, [mi for mi, _ in batch], _labels(model, batch, loss))
         n = len(windows.counts)
         batch = _epoch(_entries(windows, len(embeddings)), np.arange(n), n, len(embeddings), h)[0]
@@ -464,8 +451,6 @@ def loss_and_grads(model: DualHeadModel,
 
 def evaluate_loss(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]], loss: str) -> float:
     """Mean loss over `data` without touching any parameter."""
-    if not data:
-        raise ConfigError("cannot evaluate loss on empty data")
     return loss_and_grads(model, data, loss)[0]
 
 

@@ -258,19 +258,12 @@ def token_epoch(rows, lengths, counts, labels, order, size, span, h, block_items
     starts = np.flatnonzero(np.arange(n) % size % block_items == 0)
     items = np.diff(starts, append=n)
     block = np.repeat(np.arange(len(starts)), items)
-    # A block's columns are its distinct rows, numbered in the order of
-    # their first token; `cells` is each token's column, then its entry.
-    keys = np.repeat(np.repeat(block * span, counts), lengths) + rows
-    tokens = np.argsort(keys)
-    keys = keys[tokens]
-    groups = np.flatnonzero(np.diff(keys, prepend=-1))
-    first = np.minimum.reduceat(tokens, groups)
-    is_first = np.zeros(len(rows), dtype=bool)
-    is_first[first] = True
-    cells = np.empty_like(tokens)
-    cells[tokens] = np.repeat(np.cumsum(is_first)[first] - 1, np.diff(groups, append=len(rows)))
-    cols = rows[is_first]
-    widths = np.bincount(keys[groups] // span, minlength=len(starts))
+    # A block's columns are its distinct rows, ascending; `cells` is each
+    # token's column, then its entry.
+    keys, cells = np.unique(np.repeat(np.repeat(block * span, counts), lengths) + rows,
+                            return_inverse=True)
+    cols = keys % span
+    widths = np.bincount(keys // span, minlength=len(starts))
     sizes = items * widths
     col_ends, ends = np.cumsum(widths), np.cumsum(sizes)
     base = ((ends - sizes) - (col_ends - widths))[block] + (np.arange(n) - starts[block]) * widths[block]

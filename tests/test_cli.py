@@ -328,10 +328,12 @@ def test_train_determinism(tmp_path, small_pipeline):
 # reproduce them exactly; a deliberate change to training updates them
 # and says why. The row-sparse optimizer step re-recorded them, the
 # report pins that moved, and the 64-row pins below: a row without a
-# gradient in a step keeps its value and moments.
+# gradient in a step keeps its value and moments. Block columns in
+# ascending row order re-recorded them and the 64-row pins, and no
+# report pin: the forward product adds a block's columns in that order.
 PINNED_CHECKPOINTS = {
-    "exact": "105d54c679706db96118e100af4d06a9c90cdbcc5cd2b93e168ae3ea3e9c320f",
-    "range": "194113f8a821e268af0816320c53f5c1a0a99078acc359803124614ed76e11f3",
+    "exact": "9e2259750d86a48e630e0d1d73ef33e6e8a58c04034c72eebcbf0eb177b2c61b",
+    "range": "0b2dce39e2b04b33780e0a0e4c692b9342d7b0614146b5fd1bdb26ce9187b1b8",
 }
 # Bytes of the fine-protocol report of each of those checkpoints on the
 # recipe's 40 held-out rows, under the same rule.
@@ -420,8 +422,8 @@ def test_train_checkpoint_bytes_are_pinned(tmp_path):
 # share rows and more than half the rows move, while the recipe above
 # leaves most of its 4,096 rows as they were.
 PINNED_DENSE_STEP_CHECKPOINTS = {
-    "exact": "f338d8814872f87d98ccaffb7411310baf690a02118eb1b4572f301bc37feb0e",
-    "range": "6bd64b90f281a1da1b08b3d25938754274234824c0a05b2531a6ff1737dc347f",
+    "exact": "33d8786eccf8fc12e120c5aedce5c87081866942a69af9b477cd69b981233890",
+    "range": "7f218044b11dcedf1e5fcd22160a15d30f5e3e4b0256b93553be18cc02339c96",
 }
 
 

@@ -456,6 +456,14 @@ def test_evaluate_loss_matches_definitions():
     assert evaluate_loss(model, [(SAMPLE, TemporalUnit.DAY)], "cross_entropy") == pytest.approx(math.log(8))
 
 
+@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+def test_loss_of_no_data_is_a_config_error(loss):
+    model = DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2)
+    for call in (loss_and_grads, evaluate_loss):
+        with pytest.raises(ConfigError, match="^cannot evaluate loss on empty data$"):
+            call(model, [], loss)
+
+
 def test_train_rejects_no_or_out_of_range_mask_positions():
     good = (ModelInput(text="It took [MASK] [MASK] today.", mask_positions=(2, 3)), 3.0)
     model = DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2)
@@ -789,29 +797,30 @@ def _random_windows(rng, n, buckets, loss):
 @pytest.mark.parametrize("dim", [1, 5, 32])
 @pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
 def test_loss_and_grads_do_not_change_when_the_rows_are_renumbered(dim, loss):
-    # `train` renumbers the table's rows. A block's columns follow the first
-    # appearance of its rows, so the products, and their bits, stay the
-    # same; this is what keeps `train` equal to the reference, which
-    # trains on the whole table.
+    # `train` renumbers the table's rows with `np.unique`, which keeps their
+    # order. A block's columns are its rows ascending, so under a map of the
+    # 30 rows into a larger table that keeps their order the products, and
+    # their bits, stay the same; this is what keeps `train` equal to the
+    # reference, which trains on the whole table.
     rng = np.random.default_rng(40 + dim)
     model = DualHeadModel.create(dim=dim, seed=6, buckets=30, radius=5)
     head = "w_e" if loss == "mse" else "w_r"
     h = 1 if loss == "mse" else len(model.inventory)
     for n in [1, 16, 17, 40] + rng.integers(1, 50, size=8).tolist():
         batch = _random_windows(rng, n, 30, loss)
-        number = rng.permutation(30)
-        renumbered = replace(model, encoder=BaselineEncoder(
-            model.encoder.embeddings[np.argsort(number)], model.encoder.radius))
+        number = np.sort(rng.choice(100, 30, replace=False))
+        table = rng.uniform(-0.05, 0.05, size=(100, dim))
+        table[number] = model.encoder.embeddings
+        renumbered = replace(model, encoder=BaselineEncoder(table, model.encoder.radius))
         value, grads = loss_and_grads(model, _one_batch(batch, 30, h), loss)
         new_value, new_grads = loss_and_grads(
-            renumbered, _one_batch(replace(batch, rows=number[batch.rows]), 30, h), loss)
+            renumbered, _one_batch(replace(batch, rows=number[batch.rows]), 100, h), loss)
         assert new_value == value
         assert new_grads[head].tobytes() == grads[head].tobytes()
         rows, values = grads["embeddings"]
         new_rows, new_values = new_grads["embeddings"]
-        back = np.argsort(number)[new_rows[h:] - h]
-        assert (h + back[np.argsort(back)]).tolist() == rows[h:].tolist()
-        assert new_values[h:][np.argsort(back)].tobytes() == values[h:].tobytes()
+        assert new_rows.tolist() == [*range(h), *(h + number[rows[h:] - h]).tolist()]
+        assert new_values.tobytes() == values.tobytes()
 
 
 @st.composite
@@ -840,6 +849,8 @@ def _epoch_runs(draw):
 def test_epoch_from_entries_equals_the_token_level_build(run):
     # Block for block, the same matrix, cols and slots bytes, and the same
     # step rows, as the build from every window token (tests/oracles.py).
+    # A block's cols ascend, so a batch of one block takes the step rows
+    # after the head's in order.
     # The example's item has row 0 in windows of 1, 1 and 3 tokens: its
     # weights 1 + 1 + 1/3, added in the reverse order, differ in the last bit.
     data, order, buckets, size, loss = run
@@ -855,6 +866,10 @@ def test_epoch_from_entries_equals_the_token_level_build(run):
         for got, expected in zip(batch.blocks, blocks):
             for a, b in zip(got, expected):
                 assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+            assert (np.diff(got[1]) > 0).all()
+        if len(batch.blocks) == 1:
+            _, cols, slots = batch.blocks[0]
+            assert slots.tolist() == list(range(h, h + len(cols)))
 
 
 def test_row_restricted_adam_step_matches_dense_reference():
