@@ -114,10 +114,7 @@ _COARSE = (LESS_THAN_DAY, MORE_THAN_DAY)
 
 def _unit_or_value(pred: object) -> TemporalUnit | float:
     """A head's raw prediction as the protocols read it: the range head's
-    unit, bare or in predict_many's (unit, probabilities) pair, or the
-    exact head's log-second value."""
-    if isinstance(pred, tuple):
-        pred = pred[0]
+    unit or the exact head's log-second value."""
     return pred if isinstance(pred, TemporalUnit) else float(pred)
 
 

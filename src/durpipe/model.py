@@ -266,7 +266,7 @@ def _item_sums(embeddings: np.ndarray, batch: _Windows) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of an (items, units) array."""
+    """Row-wise softmax of an (items, units) array, for the training loss."""
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
@@ -284,12 +284,11 @@ def predict_many(model: DualHeadModel, inputs: Sequence[ModelInput], head: str) 
     """Predictions of one head for every input, in order.
 
     The "exact" head gives the dot product of the regression weights
-    with the summed mask embeddings, in log-seconds; the "range" head a
-    (unit, probabilities) pair from a softmax over the inventory, where
-    ties go to the smaller unit. A prediction does not depend on the
-    items around it. A head output that is not finite, which parameters
-    too large for float64 arithmetic give, raises a ValueError naming
-    the item and the head.
+    with the summed mask embeddings, in log-seconds; the "range" head the
+    inventory unit of the largest logit, where ties go to the smaller
+    unit. A prediction does not depend on the items around it. A value
+    or logit that is not finite, which parameters too large for float64
+    arithmetic give, raises a ValueError naming the item and the head.
     """
     if head not in ("exact", "range"):
         raise ConfigError(f"head must be 'exact' or 'range', got {head!r}")
@@ -302,7 +301,7 @@ def predict_many(model: DualHeadModel, inputs: Sequence[ModelInput], head: str) 
             if head == "exact":
                 outputs = np.einsum("id,d->i", sums, model.w_e)
             else:
-                outputs = _softmax(np.einsum("id,ud->iu", sums, model.w_r))
+                outputs = np.einsum("id,ud->iu", sums, model.w_r)
         bad = np.nonzero(~np.isfinite(outputs))[0]
         if len(bad):
             raise ValueError(f"item {first + int(bad[0])}: the {head} head's output is not "
@@ -310,8 +309,7 @@ def predict_many(model: DualHeadModel, inputs: Sequence[ModelInput], head: str) 
         if head == "exact":
             out.extend(outputs.tolist())
         else:
-            units = [model.inventory[u] for u in np.argmax(outputs, axis=1).tolist()]
-            out.extend(zip(units, outputs))
+            out.extend([model.inventory[u] for u in np.argmax(outputs, axis=1).tolist()])
     return out
 
 
@@ -320,7 +318,7 @@ def predict_exact(model: DualHeadModel, model_input: ModelInput) -> float:
     return predict_many(model, [model_input], "exact")[0]
 
 
-def predict_range(model: DualHeadModel, model_input: ModelInput) -> tuple[TemporalUnit, np.ndarray]:
+def predict_range(model: DualHeadModel, model_input: ModelInput) -> TemporalUnit:
     """Range head on one input; see predict_many."""
     return predict_many(model, [model_input], "range")[0]
 

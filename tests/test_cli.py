@@ -441,6 +441,61 @@ def test_train_dense_step_checkpoint_bytes_are_pinned(tmp_path):
         assert hashlib.sha256(blob).hexdigest() == digest, head
 
 
+def _write_short_qa(path):
+    """Three questions of four answers each, two of which ("a while") do
+    not parse; returns `path`."""
+    path.write_text("".join(json.dumps({"context": f"They met {i}.", "question": "How long did they meet?",
+                                        "answer": answer, "gold": gold}) + "\n"
+                            for i in range(3) for answer, gold in [("2 hours", True), ("a while", False),
+                                                                   ("3 days", False), ("a while", True)]),
+                    encoding="utf-8")
+    return path
+
+
+# Scores the evals of argv[1] (a JSON list of argument lists) with
+# durpipe.cli.main, then prints, on its last line, their exit codes and
+# which of the targets named after argv[2] (numpy's module that lists
+# them) numpy runs.
+_EVAL_CHILD = """
+import importlib, json, sys
+from durpipe import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+features = importlib.import_module(sys.argv[2]).__cpu_features__
+print(json.dumps({"codes": codes, "on": [t for t in sys.argv[3:] if features[t]]}))
+"""
+
+
+def test_scores_do_not_depend_on_numpys_cpu_dispatch(small_pipeline, tmp_path):
+    # numpy picks some loops per CPU when it loads (np.exp and np.log change
+    # bits without AVX-512); prediction calls none of them, so a process
+    # that runs only numpy's baseline loops writes the same reports.
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    targets = list(umath.__cpu_dispatch__)
+    if not targets:
+        pytest.skip("this numpy build dispatches to no CPU target")
+    holdout = small_pipeline / "synth" / "holdout.tsv"
+    qa = _write_short_qa(tmp_path / "qa.jsonl")
+    runs = [[str(small_pipeline / ckpt / "model.ckpt"), str(data), "--protocol", protocol, "--head", head]
+            for ckpt, head in [("te", "exact"), ("tr", "range")]
+            for protocol, data in [("fine", holdout), ("coarse", holdout), ("mctaco", qa)]]
+    for i, argv in enumerate(runs):
+        assert run("eval", *argv, "--out", tmp_path / f"usual-{i}") == 0
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets), PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    evals = [["eval", *argv, "--out", str(tmp_path / f"baseline-{i}")] for i, argv in enumerate(runs)]
+    proc = subprocess.run([sys.executable, "-c", _EVAL_CHILD, json.dumps(evals), umath.__name__, *targets],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0] * len(runs), "on": []}
+    for i, argv in enumerate(runs):
+        for name in ("report.json", "items.tsv"):
+            assert ((tmp_path / f"usual-{i}" / name).read_bytes()
+                    == (tmp_path / f"baseline-{i}" / name).read_bytes()), (argv, name)
+
+
 # Fine accuracy of both heads on the README recipe with a noisier synth
 # (`--sigma 2.0`; at the default 0.25 both heads score above 0.97), per
 # training seed, recorded under the per-item float order that the
@@ -1290,12 +1345,7 @@ def test_traced_eval_spans_each_row_and_counts_each_dropped_answer(small_pipelin
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
     holdout = small_pipeline / "synth" / "holdout.tsv"
-    qa = tmp_path / "qa.jsonl"
-    qa.write_text("".join(json.dumps({"context": f"They met {i}.", "question": "How long did they meet?",
-                                      "answer": answer, "gold": gold}) + "\n"
-                          for i in range(3) for answer, gold in [("2 hours", True), ("a while", False),
-                                                                 ("3 days", False), ("a while", True)]),
-                  encoding="utf-8")
+    qa = _write_short_qa(tmp_path / "qa.jsonl")
     for protocol, data in [("fine", holdout), ("mctaco", qa)]:
         spans, out = tmp_path / f"{protocol}.npz", tmp_path / protocol
         proc = subprocess.run([sys.executable, *map(str, [

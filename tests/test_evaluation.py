@@ -22,6 +22,7 @@ from durpipe.units import (
     UNITS_7,
     UNITS_8,
     TemporalUnit,
+    approx_match,
     closest_unit,
     normalize,
 )
@@ -112,18 +113,24 @@ def test_fine_scores_a_value_as_its_closest_unit():
         assert by_value.to_json() == by_unit.to_json()
 
 
-def test_protocols_read_the_range_heads_unit_probability_pair():
-    probs = [0.1] * 8
+def test_protocols_read_the_range_heads_units():
+    # The range head predicts a bare unit; a (unit, probabilities) pair
+    # is no prediction.
     units = [U.MINUTE, U.DAY, U.YEAR]
     golds = [U.HOUR, U.DAY, U.MONTH]
-    pairs = [(u, probs) for u in units]
-    assert (eval_fine(pairs, golds, UNITS_8).to_json()
-            == eval_fine(units, golds, UNITS_8).to_json())
-    assert (eval_coarse(pairs, [LT, LT, GT]).to_json()
-            == eval_coarse(units, [LT, LT, GT]).to_json())
+    fine = eval_fine(units, golds, UNITS_8)
+    assert [(rec.prediction, rec.correct) for rec in fine.items] == [
+        (u.word, approx_match(u, g)) for u, g in zip(units, golds)]
+    coarse = eval_coarse(units, [LT, LT, GT])
+    assert [rec.prediction for rec in coarse.items] == [LT, GT, GT]
     answers = [("q0", normalize(2, U.HOUR), True), ("q0", normalize(2, U.WEEK), False)]
-    assert (eval_mctaco({"q0": (U.HOUR, probs)}, answers).to_json()
-            == eval_mctaco({"q0": U.HOUR}, answers).to_json())
+    mctaco = eval_mctaco({"q0": U.HOUR}, answers)
+    assert [rec.prediction for rec in mctaco.items] == ["hour:correct", "hour:incorrect"]
+    pair = (U.HOUR, [0.1] * 8)
+    for score in (lambda: eval_fine([pair], [U.HOUR], UNITS_8), lambda: eval_coarse([pair], [LT]),
+                  lambda: eval_mctaco({"q0": pair}, answers)):
+        with pytest.raises(TypeError):
+            score()
 
 
 def test_fine_rejects_units_outside_inventory():

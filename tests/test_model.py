@@ -63,32 +63,47 @@ def test_predict_exact_hand_computed():
     assert predict_exact(model, SAMPLE) == pytest.approx(3.0)
 
 
+def _item_sum(model, model_input):
+    """The sum of the input's window means, one window at a time."""
+    tokens, encoder = model_input.text.split(), model.encoder
+    return np.sum([encoder.embeddings[encoder.window_buckets(tokens, p)].mean(axis=0)
+                   for p in model_input.mask_positions], axis=0)
+
+
 def test_predict_range_uniform_for_zero_weights():
     model = DualHeadModel.create(dim=8, seed=0, buckets=32, radius=2)
     model.w_r[:] = 0.0
-    unit, probs = predict_range(model, SAMPLE)
-    assert unit is TemporalUnit.SECOND  # tie broken toward the smaller unit
-    assert probs == pytest.approx(np.full(8, 1 / 8))
+    logits = model.w_r @ _item_sum(model, SAMPLE)
+    assert logits.tolist() == [0.0] * 8
+    # tie broken toward the smaller unit
+    assert predict_range(model, SAMPLE) is TemporalUnit.SECOND is model.inventory[np.argmax(logits)]
 
 
-def test_predict_range_hand_computed_softmax():
-    # one-dimensional, two units, summed embedding (2.0)
+def test_predict_range_hand_computed_logits():
+    # one-dimensional, two units, summed embedding (2.0): logits (2, -2)
     model = _one_row_model((1.0,), w_e=(0.0,), w_r=[[1.0], [-1.0]], inventory=UNITS_8[:2])
-    unit, probs = predict_range(model, SAMPLE)
-    z = np.array([2.0, -2.0])
-    expected = np.exp(z) / np.exp(z).sum()
-    assert probs == pytest.approx(expected, abs=1e-12)
-    assert probs[0] == pytest.approx(0.9820137900379085, abs=1e-12)
-    assert unit is TemporalUnit.SECOND
+    assert predict_range(model, SAMPLE) is TemporalUnit.SECOND
+    model.w_r[:] = [[-1.0], [1.0]]
+    assert predict_range(model, SAMPLE) is TemporalUnit.MINUTE
+    # Logits (0, 2**-1073): a softmax rounds both to probability 1/2,
+    # but the larger logit still picks the unit.
+    model.w_r[:] = [[0.0], [2.0 ** -1074]]
+    z = np.array([0.0, 2.0 ** -1073])
+    assert (np.exp(z - z.max()) == 1.0).all()
+    assert predict_range(model, SAMPLE) is TemporalUnit.MINUTE
 
 
-def test_predict_range_probabilities_sum_to_one():
+def test_predict_range_is_the_argmax_of_the_logits():
     model = DualHeadModel.create(dim=16, seed=5, buckets=64, radius=3)
     for text in ["A voyage lasting [MASK] [MASK] began.", "It was [MASK] [MASK] then."]:
         mi = ModelInput(text=text, mask_positions=(2, 3))
-        _, probs = predict_range(model, mi)
-        assert abs(probs.sum() - 1.0) <= 1e-9
-        assert (probs >= 0).all()
+        s = _item_sum(model, mi)
+        assert predict_range(model, mi) is model.inventory[np.argmax(model.w_r @ s)]
+        # A head whose only nonzero row is s gives that row's unit.
+        for u, unit in enumerate(model.inventory):
+            picked = replace(model, w_r=np.zeros_like(model.w_r))
+            picked.w_r[u] = s
+            assert predict_range(picked, mi) is unit
 
 
 def test_predict_requires_mask_positions():
@@ -134,8 +149,10 @@ def test_permuting_tokens_outside_window_is_invisible():
     a = ModelInput(text=base, mask_positions=(4, 5))
     b = ModelInput(text=swapped, mask_positions=(4, 5))
     assert predict_exact(model, a) == predict_exact(model, b)
-    pa, pb = predict_range(model, a)[1], predict_range(model, b)[1]
-    assert np.array_equal(pa, pb)
+    assert predict_range(model, a) is predict_range(model, b)
+    sa, sb = (model_mod._item_sums(model.encoder.embeddings, model_mod._compile(model, [mi]))
+              for mi in (a, b))
+    assert sa.tobytes() == sb.tobytes()
 
 
 def _random_batch(rng, model, n, loss):
@@ -632,9 +649,7 @@ def test_loss_and_grads_match_item_loop_within_rounding(dim, loss):
             s = ref_grads["w_r"][1] * len(model.inventory)
             assert predict_exact(model, model_input) == pytest.approx(float(model.w_e @ s),
                                                                       rel=1e-12, abs=1e-15)
-            z = model.w_r @ s
-            probs = np.exp(z - np.max(z))
-            _assert_within_rounding(predict_range(model, model_input)[1], probs / probs.sum())
+            assert predict_range(model, model_input) is model.inventory[np.argmax(model.w_r @ s)]
     # Many batch sizes and long windows.
     for size in [1, 7, 16] + rng.integers(1, 41, size=50).tolist():
         batch = _vocabulary_batch(rng, model, size, 200, loss, max_words=12)
@@ -690,11 +705,10 @@ def test_predict_many_bit_identical_to_one_item_predict(dim):
     exact = predict_many(model, inputs, "exact")
     ranged = predict_many(model, inputs, "range")
     assert len(exact) == len(ranged) == len(inputs)
-    for mi, value, (unit, probs) in zip(inputs, exact, ranged):
+    for mi, value, unit in zip(inputs, exact, ranged):
         assert value == predict_exact(single, mi)
-        one_unit, one_probs = predict_range(single, mi)
-        assert unit == one_unit
-        assert np.array_equal(probs, one_probs)
+        assert unit is predict_range(single, mi)
+        assert unit is model.inventory[np.argmax(model.w_r @ _item_sum(model, mi))]
     assert predict_many(model, [], "exact") == []
 
     bad = list(inputs)
