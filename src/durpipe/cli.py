@@ -53,12 +53,14 @@ _DATA_ERRORS = ValueError
 
 def _setup_logging() -> None:
     """Log at the level DURPIPE_LOG names, in any case (WARNING when it is
-    unset or empty); a name logging does not know is a ConfigError."""
+    unset or empty); a name logging does not know is a ConfigError. Each
+    run sets the level: basicConfig does only while the root has no handler."""
     value = os.environ.get("DURPIPE_LOG") or "WARNING"
     level = logging.getLevelName(value.upper())
     if not isinstance(level, int):
         raise ConfigError(f"DURPIPE_LOG={value!r} is not a log level")
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(level)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +119,8 @@ def cmd_extract(settings: dict, out: Path) -> None:
 # train
 # ---------------------------------------------------------------------------
 
-# Settings left unset take the TrainConfig default of the run's kind
-# (pre-training or fine-tuning); the echo records the values used.
+# Settings left unset take TrainConfig's defaults, for fresh and --init
+# runs alike; the echo records the values used.
 _OPTIMIZER_KEYS = ("learning_rate", "batch_size", "warmup_proportion", "epochs")
 
 
@@ -141,8 +143,7 @@ def cmd_train(settings: dict, out: Path) -> None:
     from . import model as model_lib
     head, init, seed = settings["head"], settings["init"], settings["seed"]
     given = {key: settings[key] for key in _OPTIMIZER_KEYS if settings[key] is not None}
-    make_config = model_lib.TrainConfig if init == "fresh" else model_lib.TrainConfig.finetuning
-    cfg = make_config(**given, seed=seed, loss="mse" if head == "exact" else "cross_entropy")
+    cfg = model_lib.TrainConfig(**given, seed=seed, loss="mse" if head == "exact" else "cross_entropy")
     settings.update({key: getattr(cfg, key) for key in _OPTIMIZER_KEYS})
 
     inventory = inventory_of_size(settings["inventory"])

@@ -325,7 +325,7 @@ def predict_range(model: DualHeadModel, model_input: ModelInput) -> TemporalUnit
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings. The bare defaults are the pre-training ones."""
+    """Optimization settings. One set of defaults serves fresh and fine-tuning runs."""
 
     learning_rate: float = 5e-5
     batch_size: int = 16
@@ -347,10 +347,6 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be a finite int or float >= 0, got {rate!r}")
         if type(warmup) not in (int, float) or not 0 <= warmup <= 1:
             raise ConfigError(f"warmup_proportion must be an int or float in [0, 1], got {warmup!r}")
-
-    @classmethod
-    def finetuning(cls, **overrides) -> "TrainConfig":
-        return cls(**{"learning_rate": 2e-5, "batch_size": 32, "epochs": 3, **overrides})
 
 
 def _labels(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]], loss: str) -> list:

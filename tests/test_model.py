@@ -259,14 +259,14 @@ def test_label_loss_mismatch_is_config_error():
     ("learning_rate", "0.1"), ("learning_rate", 10**400), ("warmup_proportion", "0.1")],
     ids=["batch_size-2.5", "batch_size-True", "epochs-1.5", "seed-1.5", "learning_rate-str",
          "learning_rate-10**400", "warmup_proportion-str"])
-@pytest.mark.parametrize("make", [TrainConfig, TrainConfig.finetuning], ids=["bare", "finetuning"])
+@pytest.mark.parametrize("make", [TrainConfig], ids=["bare"])
 def test_train_config_of_the_wrong_type_is_config_error_naming_it(make, field, value):
     with pytest.raises(ConfigError, match=rf"^{field} must be "):
         make(**{field: value})
 
 
 def test_train_config_takes_an_int_learning_rate_and_warmup_proportion():
-    cfg = TrainConfig.finetuning(learning_rate=0, warmup_proportion=1)
+    cfg = TrainConfig(learning_rate=0, warmup_proportion=1, epochs=3)
     model, curve = train(DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2),
                          [(SAMPLE, 2.0)], cfg)
     assert len(curve) == 3
@@ -284,8 +284,6 @@ def test_train_config_validation():
             TrainConfig(learning_rate=rate)
     assert TrainConfig().learning_rate == 5e-5
     assert TrainConfig().batch_size == 16
-    assert TrainConfig.finetuning().learning_rate == 2e-5
-    assert TrainConfig.finetuning().batch_size == 32
     assert TrainConfig().warmup_proportion == 0.1
 
 

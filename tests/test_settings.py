@@ -101,6 +101,18 @@ def test_config_value_the_run_does_not_read_is_ignored(pipe, tmp_path):
     assert model.load((out / "model.ckpt").read_bytes()).encoder.embeddings.shape == (7, 64)
 
 
+def test_fresh_and_init_runs_take_the_same_optimizer_defaults(pipe, tmp_path):
+    runs = {"fresh": [pipe / "ex" / "instances.jsonl", "--init", "fresh"],
+            "init": [pipe / "synth" / "holdout.tsv", "--format", "timebank",
+                     "--init", pipe / "te" / "model.ckpt"]}
+    defaults = {"learning_rate": "5e-05", "batch_size": "16", "warmup_proportion": "0.1",
+                "epochs": "1"}
+    for name, argv in runs.items():
+        assert run("train", *argv, "--out", tmp_path / name) == 0
+        echo = echoed(tmp_path / name)
+        assert {key: echo[key] for key in defaults} == defaults, name
+
+
 @pytest.mark.parametrize("argv,flag,rule", [
     (["eval", "{te}/model.ckpt", "{synth}/holdout.tsv", "--protocol", "fine", "--range", 5],
      "--range", "protocol = mctaco"),
