@@ -16,11 +16,12 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Any, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .text import MASK_TOKEN, splice_masks, starts_word
 from .units import (
-    UNITS_7,
+    UNITS_8,
     TemporalUnit,
     UnitInventory,
     closest_unit,
@@ -40,6 +41,7 @@ __all__ = [
     "parse_answer_value",
     "group_mctaco_rows",
     "read_timebank_tsv",
+    "write_tsv",
     "write_timebank_tsv",
     "loads_stripped",
     "read_jsonl",
@@ -181,7 +183,7 @@ def timebank_label(row: TimeBankRow) -> float:
     return normalize((row.seconds[0] + row.seconds[1]) / 2.0, TemporalUnit.SECOND)
 
 
-def timebank_to_input(row: TimeBankRow, inventory: UnitInventory = UNITS_7) -> ModelInput:
+def timebank_to_input(row: TimeBankRow, inventory: UnitInventory = UNITS_8) -> ModelInput:
     """Insert the duration pattern after the event word and label the row
     with its exact label and that label's closest inventory unit."""
     end = row.event_span[1]
@@ -306,25 +308,28 @@ def read_timebank_tsv(lines: Iterable[str]) -> list[TimeBankRow]:
     return out
 
 
-def write_timebank_tsv(rows: Sequence[TimeBankRow]) -> str:
+def write_tsv(rows: Iterable[Sequence[str]]) -> str:
+    r"""Tab-separated lines ending in "\n", quoted by csv's minimal quoting.
+    csv quotes a cell that holds "\n" but not one that holds a lone "\r",
+    which a reader takes for a line end; a row with one is quoted whole."""
     buf = io.StringIO()
-    # csv quotes a cell that holds "\n" but not one that holds a lone "\r",
-    # which a reader takes for a line end; a row whose sentence has one is
-    # quoted whole.
     plain, quoted = (csv.writer(buf, delimiter="\t", lineterminator="\n", quoting=quoting)
                      for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL))
-    plain.writerow(TIMEBANK_COLUMNS)
     for row in rows:
-        (quoted if "\r" in row.sentence else plain).writerow([
-            row.sentence,
-            row.event_span[0],
-            row.event_span[1],
-            _format_quantity(row.min_duration[0]),
-            row.min_duration[1].word,
-            _format_quantity(row.max_duration[0]),
-            row.max_duration[1].word,
-        ])
+        (quoted if "\r" in "".join(row) else plain).writerow(row)
     return buf.getvalue()
+
+
+def write_timebank_tsv(rows: Sequence[TimeBankRow]) -> str:
+    return write_tsv(chain([TIMEBANK_COLUMNS], ((
+        row.sentence,
+        str(row.event_span[0]),
+        str(row.event_span[1]),
+        _format_quantity(row.min_duration[0]),
+        row.min_duration[1].word,
+        _format_quantity(row.max_duration[0]),
+        row.max_duration[1].word,
+    ) for row in rows)))
 
 
 def _format_quantity(q: float) -> str:

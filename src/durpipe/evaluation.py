@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
+from .adapters import write_tsv
 from .units import (
     LESS_THAN_DAY,
     MORE_THAN_DAY,
-    UNITS_7,
     UNITS_8,
     ConfigError,
     TemporalUnit,
@@ -93,12 +94,11 @@ class EvalReport:
         }
 
     def to_item_tsv(self) -> str:
-        lines = ["id\tprediction\tgold\tcorrect\tkey"]
-        for rec in self.items:
-            lines.append(
-                f"{rec.item_id}\t{rec.prediction}\t{rec.gold}\t{int(rec.correct)}\t{rec.key}"
-            )
-        return "\n".join(lines) + "\n"
+        """One tab-separated line per item under a header, quoted as
+        adapters.write_tsv quotes a cell."""
+        return write_tsv(chain([("id", "prediction", "gold", "correct", "key")], (
+            (rec.item_id, rec.prediction, rec.gold, "1" if rec.correct else "0", rec.key)
+            for rec in self.items)))
 
 
 def f1_from_counts(tp: int, fp: int, fn: int) -> float | None:
@@ -176,7 +176,7 @@ def eval_coarse(
 def eval_fine(
     preds: Sequence[object],
     golds: Sequence[TemporalUnit],
-    inventory: UnitInventory = UNITS_7,
+    inventory: UnitInventory = UNITS_8,
     keys: Sequence[str] | None = None,
 ) -> EvalReport:
     """Fine-grained unit task under approximate agreement. A log-second
@@ -255,7 +255,7 @@ def eval_mctaco(
 def majority_baseline(
     golds: Sequence[object],
     protocol: str,
-    inventory: UnitInventory = UNITS_7,
+    inventory: UnitInventory = UNITS_8,
 ) -> EvalReport:
     """Constant predictor: "month" for the fine task (it approximately
     matches week, month and year), the majority label for the coarse task."""

@@ -7,8 +7,9 @@ exact head is a bias-free linear regression to a log-second value, the
 range head a bias-free linear layer plus softmax over the unit
 inventory. Both run on a whole batch at once as `np.einsum` products,
 which give each item's row the same bits whatever rows surround it.
-Prediction (`predict_many`) sums each item's window means; training
-(`loss_and_grads`) takes the sums as matrix products, equal to rounding.
+Prediction (`predict_many`) adds each item's weighted table rows (its
+`_Entries`) on its own; training (`loss_and_grads`) takes the sums as
+matrix products, equal to rounding.
 
 Training is minibatch gradient descent with row-sparse adaptive moments
 (`_Adam`) and a linear-warmup-then-constant schedule. All randomness
@@ -139,19 +140,8 @@ class DualHeadModel:
 
 
 @dataclass(slots=True)
-class _Windows:
-    """Items compiled to the table rows of their mask windows' tokens; the
-    windows of one item are adjacent and items keep their order."""
-
-    rows: np.ndarray  # table row of every window token
-    lengths: np.ndarray  # tokens per window
-    counts: np.ndarray  # windows per item
-    labels: np.ndarray  # log-seconds for mse, inventory index for cross_entropy
-
-
-@dataclass(slots=True)
 class _Entries:
-    """Items as the entries of their averaging-matrix rows: each item's
+    """Items compiled, as prediction and training read them: each item's
     distinct table rows, ascending, and on each the sum of 1 / len(window)
     over the item's tokens on that row, added in token order; items keep
     their order."""
@@ -159,7 +149,7 @@ class _Entries:
     rows: np.ndarray
     weights: np.ndarray
     counts: np.ndarray  # entries per item
-    labels: np.ndarray
+    labels: np.ndarray  # log-seconds for mse, inventory index for cross_entropy
 
 
 @dataclass(slots=True)
@@ -177,9 +167,10 @@ class _Batch:
 
 
 def _compile(model: DualHeadModel, inputs: Sequence[ModelInput], labels: Sequence = (),
-             first: int = 0) -> _Windows:
-    """Tokenize every input and hash each of its mask windows once; an
-    error names the item by its index plus `first`."""
+             first: int = 0) -> _Entries:
+    """Tokenize every input, hash each of its mask windows once and reduce
+    the items to their entries on the whole table; an error names the
+    item by its index plus `first`."""
     encoder = model.encoder
     rows, lengths, counts = [], [], []
     for i, model_input in enumerate(inputs, first):
@@ -194,8 +185,8 @@ def _compile(model: DualHeadModel, inputs: Sequence[ModelInput], labels: Sequenc
             rows += window
             lengths.append(len(window))
         counts.append(len(model_input.mask_positions))
-    return _Windows(rows=np.array(rows, dtype=np.intp), lengths=np.array(lengths),
-                    counts=np.array(counts), labels=np.array(labels))
+    return _entries(np.array(rows, dtype=np.intp), np.array(lengths), np.array(counts),
+                    np.array(labels), encoder.buckets)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -204,16 +195,16 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _entries(data: _Windows, span: int) -> _Entries:
-    """The entries of `data`'s items (see `_Entries`), whose rows are below
-    `span`: one weighted `np.bincount` adds each entry's weights in token
-    order."""
-    keys = np.repeat(np.repeat(np.arange(len(data.counts)) * span, data.counts), data.lengths)
-    keys += data.rows
+def _entries(rows: np.ndarray, lengths: np.ndarray, counts: np.ndarray, labels: np.ndarray,
+             span: int) -> _Entries:
+    """The entries (see `_Entries`) of items of `counts` windows each, of
+    `lengths` tokens each, whose tokens are on `rows`, all below `span`:
+    one weighted `np.bincount` adds each entry's weights in token order."""
+    keys = np.repeat(np.repeat(np.arange(len(counts)) * span, counts), lengths)
+    keys += rows
     keys, cells = np.unique(keys, return_inverse=True)
-    weights = np.bincount(cells, weights=np.repeat(1.0 / data.lengths, data.lengths))
-    counts = np.bincount(keys // span, minlength=len(data.counts))
-    return _Entries(keys % span, weights, counts, data.labels)
+    weights = np.bincount(cells, weights=np.repeat(1.0 / lengths, lengths))
+    return _Entries(keys % span, weights, np.bincount(keys // span, minlength=len(counts)), labels)
 
 
 def _epoch(data: _Entries, order: np.ndarray, size: int, span: int, h: int) -> list[_Batch]:
@@ -257,14 +248,6 @@ def _epoch(data: _Entries, order: np.ndarray, size: int, span: int, h: int) -> l
             for j, i in enumerate(firsts[:-1].tolist())]
 
 
-def _item_sums(embeddings: np.ndarray, batch: _Windows) -> np.ndarray:
-    """For each item, the sum of its windows' mean token embeddings, as
-    an (items, dim) array."""
-    means = np.add.reduceat(embeddings[batch.rows], np.cumsum(batch.lengths) - batch.lengths)
-    means /= batch.lengths[:, None]
-    return np.add.reduceat(means, np.cumsum(batch.counts) - batch.counts)
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax of an (items, units) array, for the training loss."""
     e = np.exp(z - z.max(axis=1, keepdims=True))
@@ -297,7 +280,8 @@ def predict_many(model: DualHeadModel, inputs: Sequence[ModelInput], head: str) 
     for first in range(0, len(inputs), _PREDICT_CHUNK):
         chunk = _compile(model, inputs[first:first + _PREDICT_CHUNK], first=first)
         with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-            sums = _item_sums(embeddings, chunk)
+            sums = np.add.reduceat(embeddings[chunk.rows] * chunk.weights[:, None],
+                                   np.cumsum(chunk.counts) - chunk.counts)
             if head == "exact":
                 outputs = np.einsum("id,d->i", sums, model.w_e)
             else:
@@ -387,10 +371,10 @@ def loss_and_grads(model: DualHeadModel,
     renumbering of the rows keeps their order, and the (input, label)
     path get the same bits. The blocks bound a matrix at `_BLOCK` rows,
     where one matrix per batch would grow with the batch size. The sums
-    agree with prediction's window means to rounding only
-    (`test_loss_and_grads_match_item_loop_within_rounding`). Prediction
-    keeps those means: a product over shared columns could make one
-    item's prediction depend on its neighbours.
+    agree with prediction's, which adds each item's weighted rows on its
+    own, to rounding only (`test_loss_and_grads_match_item_loop_within_rounding`).
+    Prediction keeps that sum: a product over shared columns could make
+    one item's prediction depend on its neighbours.
 
     Returns gradients for the active head ("w_e" for mse, "w_r" for
     cross_entropy) and for the encoder embeddings. For a compiled batch
@@ -405,9 +389,9 @@ def loss_and_grads(model: DualHeadModel,
     if not compiled:
         if not batch:
             raise ConfigError("cannot evaluate loss on empty data")
-        windows = _compile(model, [mi for mi, _ in batch], _labels(model, batch, loss))
-        n = len(windows.counts)
-        batch = _epoch(_entries(windows, len(embeddings)), np.arange(n), n, len(embeddings), h)[0]
+        entries = _compile(model, [mi for mi, _ in batch], _labels(model, batch, loss))
+        n = len(entries.counts)
+        batch = _epoch(entries, np.arange(n), n, len(embeddings), h)[0]
     n, dim = len(batch.labels), embeddings.shape[1]
     sums = np.empty((n, dim))
     for k, (matrix, cols, _) in enumerate(batch.blocks):
@@ -516,7 +500,7 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
     if not data:
         logger.warning("train called with no data; model left unchanged")
         return model, []
-    compiled = _compile(model, [mi for mi, _ in data], _labels(model, data, cfg.loss))
+    entries = _compile(model, [mi for mi, _ in data], _labels(model, data, cfg.loss))
     steps = math.ceil(len(data) / cfg.batch_size)
     warmup_steps = math.ceil(cfg.warmup_proportion * (steps * cfg.epochs))
     rng = np.random.default_rng(cfg.seed)
@@ -527,8 +511,7 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
     head_key = "w_e" if cfg.loss == "mse" else "w_r"
     table, head = model.encoder.embeddings, getattr(model, head_key)
     h = head.size // model.dim
-    seen, inverse = np.unique(compiled.rows, return_inverse=True)
-    entries = _entries(replace(compiled, rows=inverse), len(seen))
+    seen, entries.rows = np.unique(entries.rows, return_inverse=True)
     optimizer = _Adam(np.concatenate((head.reshape(h, -1), table[seen])))
     buffer = optimizer.param
     work = replace(model, encoder=BaselineEncoder(buffer[h:], model.encoder.radius),

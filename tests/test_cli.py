@@ -1,3 +1,4 @@
+import csv
 import gc
 import hashlib
 import json
@@ -777,6 +778,26 @@ def test_baseline_fine_gold_is_the_closest_unit_of_the_inventory(tmp_path):
         assert item["gold"] == gold, inventory
 
 
+def test_items_tsv_reads_back_one_row_of_five_cells_per_item(tmp_path):
+    # An event word is the sentence's text under the span, which a quoted
+    # cell of the holdout TSV may fill with a tab, a line end or a quote.
+    days = (3.0, TemporalUnit.DAY)
+    events = ["met", "met\tagain", "met\nagain", "met\ragain", 'said "hi"', '"met"']
+    data = tmp_path / "holdout.tsv"
+    data.write_text(write_timebank_tsv([TimeBankRow(f"They {event} today.", (5, 5 + len(event)),
+                                                    days, days) for event in events]),
+                    encoding="utf-8")
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(model.save(model.DualHeadModel.create(dim=4, buckets=16)))
+    assert run("eval", ckpt, data, "--protocol", "fine", "--out", tmp_path / "ev") == 0
+    with open(tmp_path / "ev" / "items.tsv", encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f, delimiter="\t"))
+    assert rows[0] == ["id", "prediction", "gold", "correct", "key"]
+    assert [len(row) for row in rows] == [5] * (len(events) + 1)
+    assert [(row[0], row[2], row[4]) for row in rows[1:]] == [
+        (str(i), "week", event) for i, event in enumerate(events)]
+
+
 def test_baseline_defaults_to_the_inventory_that_train_defaults_to(small_pipeline, tmp_path):
     # A default `baseline --protocol fine` scores the golds of a default
     # `train` checkpoint's eval: the decade rows stay decade.
@@ -1332,7 +1353,9 @@ def test_traced_stage_counts_every_window_token(small_pipeline, tmp_path):
         trained = model.load(ckpt.read_bytes())
         inputs = (cli._read_training_inputs(instances, "instances", trained.inventory)
                   if name == "train" else cli._timebank_golds(holdout, trained.inventory, "fine")[0])
-        lengths = model._compile(trained, inputs).lengths
+        r = trained.encoder.radius
+        lengths = np.array([min(p + r + 1, len(tokens)) - max(0, p - r) for mi in inputs
+                            for tokens in [tokenize(mi.text)] for p in mi.mask_positions])
         with np.load(spans) as traced:
             counts = json.loads(str(traced["counts"]))
             window_spans = traced["name"] == list(traced["names"]).index(

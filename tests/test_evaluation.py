@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import random
@@ -5,6 +7,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from durpipe.adapters import TimeBankRow, timebank_to_input
 from durpipe.evaluation import (
     EvalReport,
     ItemRecord,
@@ -343,6 +346,16 @@ def test_keys_of_another_length_than_the_predictions_are_refused(keys):
         eval_coarse([LT, GT], [LT, LT], keys=keys)
 
 
+def test_library_defaults_take_the_eight_unit_inventory_as_the_cli_does():
+    # Without an inventory, a decade row keeps its decade label and scores.
+    decades = (2.0, U.DECADE)
+    row = TimeBankRow("The dynasty endured.", (4, 11), decades, decades)
+    assert timebank_to_input(row).range_label is U.DECADE
+    assert eval_fine([U.DECADE], [U.DECADE]).accuracy == 1.0
+    [item] = majority_baseline([U.DECADE], "fine").items
+    assert (item.prediction, item.gold) == ("month", "decade")
+
+
 def test_report_json_roundtrip():
     report = eval_fine([U.DAY, U.WEEK], [U.DAY, U.YEAR], UNITS_8, keys=["x", "y"])
     payload = json.loads(report_to_json(report))
@@ -379,3 +392,13 @@ _reports = st.builds(
                     {"unparseable_answers": 2}))
 def test_report_to_json_equals_the_indented_dump(report):
     assert report_to_json(report) == json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+
+
+@given(_reports)
+@example(EvalReport("fine", 1.0, items=[ItemRecord("0", "day", "day", True, "met\ragain"),
+                                        ItemRecord("1", "day", "week", False, "\r\n\"")]))
+def test_items_tsv_reads_back_as_the_items(report):
+    rows = csv.reader(io.StringIO(report.to_item_tsv(), newline=""), delimiter="\t")
+    assert list(rows) == [["id", "prediction", "gold", "correct", "key"]] + [
+        [rec.item_id, rec.prediction, rec.gold, str(int(rec.correct)), rec.key]
+        for rec in report.items]

@@ -4,6 +4,7 @@ import math
 import os
 import threading
 import tracemalloc
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +34,7 @@ from durpipe.model import (
     train,
     with_inventory,
 )
-from durpipe.text import strip_clinging
+from durpipe.text import strip_clinging, tokenize
 from durpipe.units import UNITS_7, UNITS_8, TemporalUnit
 
 
@@ -150,9 +151,9 @@ def test_permuting_tokens_outside_window_is_invisible():
     b = ModelInput(text=swapped, mask_positions=(4, 5))
     assert predict_exact(model, a) == predict_exact(model, b)
     assert predict_range(model, a) is predict_range(model, b)
-    sa, sb = (model_mod._item_sums(model.encoder.embeddings, model_mod._compile(model, [mi]))
-              for mi in (a, b))
-    assert sa.tobytes() == sb.tobytes()
+    ca, cb = (model_mod._compile(model, [mi]) for mi in (a, b))
+    assert ca.rows.tobytes() == cb.rows.tobytes()
+    assert ca.weights.tobytes() == cb.weights.tobytes()
 
 
 def _random_batch(rng, model, n, loss):
@@ -659,11 +660,11 @@ def test_loss_and_grads_match_item_loop_within_rounding(dim, loss):
             _assert_within_rounding(grads[key], ref_grads[key])
 
 
-def _one_batch(windows, buckets, h):
-    """All of `windows` as one compiled batch, as `train` passes it, with
-    the head's `h` rows in front of its rows."""
-    n = len(windows.counts)
-    return model_mod._epoch(model_mod._entries(windows, buckets), np.arange(n), n, buckets, h)[0]
+def _one_batch(entries, buckets, h):
+    """All of `entries`' items as one compiled batch, as `train` passes it,
+    with the head's `h` rows in front of its rows."""
+    n = len(entries.counts)
+    return model_mod._epoch(entries, np.arange(n), n, buckets, h)[0]
 
 
 @pytest.mark.parametrize("dim", [1, 5, 32])
@@ -675,11 +676,11 @@ def test_compact_embedding_gradient_scatters_to_the_dense_one(dim, loss):
     h = 1 if loss == "mse" else len(model.inventory)
     for _ in range(20):
         batch = _vocabulary_batch(rng, model, int(rng.integers(1, 41)), 100, loss, max_words=12)
-        compiled = model_mod._compile(model, [mi for mi, _ in batch],
-                                      model_mod._labels(model, batch, loss))
-        value, grads = loss_and_grads(model, _one_batch(compiled, 64, h), loss)
+        entries = model_mod._compile(model, [mi for mi, _ in batch],
+                                     model_mod._labels(model, batch, loss))
+        value, grads = loss_and_grads(model, _one_batch(entries, 64, h), loss)
         rows, values = grads["embeddings"]
-        assert rows.tolist() == [*range(h), *(h + r for r in sorted(set(compiled.rows.tolist())))]
+        assert rows.tolist() == [*range(h), *(h + r for r in sorted(set(entries.rows.tolist())))]
         assert values.shape == (len(rows), dim)
         assert values[:h].tobytes() == grads[head].tobytes()
         scattered = np.zeros_like(model.encoder.embeddings)
@@ -747,7 +748,8 @@ def test_train_bit_identical_to_dense_reference(vocabulary, buckets, under_half,
     reference = DualHeadModel.create(dim=dim, seed=3, buckets=buckets, radius=radius)
     initial = model.encoder.embeddings.copy()
     data = _vocabulary_batch(rng, model, 40, vocabulary, loss, max_words)
-    longest = int(model_mod._compile(model, [mi for mi, _ in data]).lengths.max())
+    longest = max(min(p + radius + 1, len(tokens)) - max(0, p - radius)
+                  for mi, _ in data for tokens in [tokenize(mi.text)] for p in mi.mask_positions)
     assert longest >= 8 if max_words > 8 else longest <= 5
     cfg = TrainConfig(learning_rate=0.05, batch_size=6, epochs=3, seed=1, loss=loss)
     _, curve = train(model, data, cfg)
@@ -784,7 +786,7 @@ def test_train_through_block_matrices_equals_the_dense_reference(batch_size, los
     reference = DualHeadModel.create(dim=4, seed=2, buckets=64, radius=3)
     data = _vocabulary_batch(rng, model, 50, 40, loss, max_words=12)
     cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, epochs=2, seed=4, loss=loss)
-    entries = model_mod._entries(model_mod._compile(model, [mi for mi, _ in data], [0.0] * 50), 64)
+    entries = model_mod._compile(model, [mi for mi, _ in data], [0.0] * 50)
     batches = model_mod._epoch(entries, np.arange(50), batch_size, 64, 1)
     heights = [len(matrix) for batch in batches for matrix, _, _ in batch.blocks]
     assert max(heights) == min(batch_size, model_mod._BLOCK) and sum(heights) == 50
@@ -796,14 +798,19 @@ def test_train_through_block_matrices_equals_the_dense_reference(batch_size, los
     assert save(model) == save(reference)
 
 
+# Items as the table rows of their mask windows' tokens, as `_entries`
+# takes them: the rows of every window token, the tokens per window, the
+# windows per item and the items' labels.
+_Windows = namedtuple("_Windows", "rows lengths counts labels")
+
+
 def _random_windows(rng, n, buckets, loss):
-    """`n` compiled items of 1 to 3 windows of 1 to 11 tokens each, on rows
-    of a `buckets`-row table, so rows repeat in windows and items."""
+    """`n` items of 1 to 3 windows of 1 to 11 tokens each, on rows of a
+    `buckets`-row table, so rows repeat in windows and items."""
     counts = rng.integers(1, 4, size=n)
     lengths = rng.integers(1, 12, size=int(counts.sum()))
     labels = rng.uniform(0.0, 6.0, size=n) if loss == "mse" else rng.integers(0, 8, size=n)
-    return model_mod._Windows(rng.integers(0, buckets, size=int(lengths.sum())), lengths,
-                              counts, labels)
+    return _Windows(rng.integers(0, buckets, size=int(lengths.sum())), lengths, counts, labels)
 
 
 @pytest.mark.parametrize("dim", [1, 5, 32])
@@ -824,9 +831,10 @@ def test_loss_and_grads_do_not_change_when_the_rows_are_renumbered(dim, loss):
         table = rng.uniform(-0.05, 0.05, size=(100, dim))
         table[number] = model.encoder.embeddings
         renumbered = replace(model, encoder=BaselineEncoder(table, model.encoder.radius))
-        value, grads = loss_and_grads(model, _one_batch(batch, 30, h), loss)
+        entries = model_mod._entries(*batch, 30)
+        value, grads = loss_and_grads(model, _one_batch(entries, 30, h), loss)
         new_value, new_grads = loss_and_grads(
-            renumbered, _one_batch(replace(batch, rows=number[batch.rows]), 100, h), loss)
+            renumbered, _one_batch(replace(entries, rows=number[entries.rows]), 100, h), loss)
         assert new_value == value
         assert new_grads[head].tobytes() == grads[head].tobytes()
         rows, values = grads["embeddings"]
@@ -847,17 +855,16 @@ def _epoch_runs(draw):
     loss = draw(st.sampled_from(["mse", "cross_entropy"]))
     labels = (draw(arrays(np.float64, len(items), elements=st.floats(0.0, 6.0))) if loss == "mse"
               else draw(arrays(np.intp, len(items), elements=st.integers(0, 7))))
-    data = model_mod._Windows(np.array([r for w in windows for r in w], dtype=np.intp),
-                              np.array([len(w) for w in windows]), np.array([len(i) for i in items]),
-                              labels)
+    data = _Windows(np.array([r for w in windows for r in w], dtype=np.intp),
+                    np.array([len(w) for w in windows]), np.array([len(i) for i in items]), labels)
     order = np.array(draw(st.permutations(range(len(items)))), dtype=np.intp)
     return data, order, buckets, draw(st.sampled_from([1, 16, 17, 33, 50])), loss
 
 
 @settings(max_examples=150, deadline=None)
 @given(run=_epoch_runs())
-@example(run=(model_mod._Windows(np.array([0, 0, 0, 1, 2]), np.array([1, 1, 3]), np.array([3]),
-                                 np.array([1.0])), np.array([0]), 3, 1, "mse"))
+@example(run=(_Windows(np.array([0, 0, 0, 1, 2]), np.array([1, 1, 3]), np.array([3]),
+                       np.array([1.0])), np.array([0]), 3, 1, "mse"))
 def test_epoch_from_entries_equals_the_token_level_build(run):
     # Block for block, the same matrix, cols and slots bytes, and the same
     # step rows, as the build from every window token (tests/oracles.py).
@@ -867,7 +874,7 @@ def test_epoch_from_entries_equals_the_token_level_build(run):
     # weights 1 + 1 + 1/3, added in the reverse order, differ in the last bit.
     data, order, buckets, size, loss = run
     h = 1 if loss == "mse" else len(UNITS_8)
-    batches = model_mod._epoch(model_mod._entries(data, buckets), order, size, buckets, h)
+    batches = model_mod._epoch(model_mod._entries(*data, buckets), order, size, buckets, h)
     want = oracles.token_epoch(data.rows, data.lengths, data.counts, data.labels, order, size,
                                buckets, h, model_mod._BLOCK)
     assert len(batches) == len(want)
