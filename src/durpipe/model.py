@@ -530,6 +530,9 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
                     lr = _warmup_lr(cfg.learning_rate, len(curve) + 1, warmup_steps)
                     optimizer.step(lr, *grads["embeddings"])
                     curve.append(loss)
+                # The last step's batch and gradient view this epoch's
+                # matrices and rows: let them go before the next are built.
+                del batch, grads
                 mean = sum(curve[-steps:]) / steps
                 logger.info("epoch %d: %d steps, mean loss %.6g, learning rate %.6g",
                             epoch, steps, mean, lr)
@@ -580,10 +583,11 @@ def _header(model: DualHeadModel) -> bytes:
 
 
 def save(model: DualHeadModel) -> bytes:
-    """Serialize to a deterministic, self-describing byte container."""
+    """Serialize to a deterministic, self-describing byte container. One
+    join reads each array's buffer, so the parameters are copied once."""
     header, arrays = _header(model), (model.encoder.embeddings, model.w_e, model.w_r)
-    payload = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in arrays)
-    return CHECKPOINT_MAGIC + struct.pack(">II", CHECKPOINT_VERSION, len(header)) + header + payload
+    return b"".join([CHECKPOINT_MAGIC, struct.pack(">II", CHECKPOINT_VERSION, len(header)), header,
+                     *(np.ascontiguousarray(arr, dtype="<f8") for arr in arrays)])
 
 
 def load(blob: bytes) -> DualHeadModel:

@@ -4,6 +4,7 @@ import math
 import os
 import threading
 import tracemalloc
+import weakref
 from collections import namedtuple
 from dataclasses import replace
 
@@ -310,6 +311,43 @@ def test_save_load_roundtrip_predicts_identically():
     assert save(restored) == save(model)
 
 
+def test_save_copies_the_parameters_once():
+    model = DualHeadModel.create(dim=32, buckets=2**15)
+    params = sum(a.nbytes for a in (model.encoder.embeddings, model.w_e, model.w_r))
+    tracemalloc.start()
+    try:
+        blob = save(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params < len(blob) and peak <= 1.25 * params
+
+
+@pytest.mark.parametrize("layout", ["big-endian", "strided"])
+def test_save_writes_any_array_layout_as_its_little_endian_c_order_copy(layout):
+    model = DualHeadModel.create(dim=6, seed=2, buckets=40, radius=2)
+
+    def relaid(a):
+        if layout == "big-endian":
+            return a.astype(">f8")
+        wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+        wide[..., ::2] = a
+        return wide[..., ::2]
+
+    table = np.asfortranarray(model.encoder.embeddings)
+    odd = DualHeadModel(BaselineEncoder(table, model.encoder.radius), relaid(model.w_e),
+                        relaid(model.w_r), model.inventory, model.seed)
+    assert not odd.encoder.embeddings.flags.c_contiguous
+    assert all(a.dtype.byteorder == ">" or not a.flags.c_contiguous for a in (odd.w_e, odd.w_r))
+    blob = save(odd)
+    assert blob == save(model)
+    restored = load(blob)
+    for name in ("w_e", "w_r"):
+        assert np.array_equal(getattr(restored, name), getattr(model, name))
+    assert np.array_equal(restored.encoder.embeddings, model.encoder.embeddings)
+    assert save(restored) == blob
+
+
 def test_load_rejects_truncation_and_garbage():
     blob = save(DualHeadModel.create(dim=4, seed=0, buckets=16, radius=2))
     with pytest.raises(CheckpointError):
@@ -516,6 +554,24 @@ def test_train_hashes_each_window_once(monkeypatch, epochs):
     data = _random_batch(rng, model, 21, "mse")
     train(model, data, TrainConfig(learning_rate=0.01, batch_size=4, epochs=epochs, seed=0))
     assert len(calls) == sum(len(mi.mask_positions) for mi, _ in data)
+
+
+def test_train_lets_go_of_an_epoch_before_it_builds_the_next(monkeypatch):
+    buffers = []
+    epoch = model_mod._epoch
+
+    def spy(*args):
+        assert all(ref() is None for ref in buffers), "an earlier epoch's matrices are alive"
+        batches = epoch(*args)
+        buffers.append(weakref.ref(batches[0].blocks[0][0].base))
+        return batches
+
+    monkeypatch.setattr(model_mod, "_epoch", spy)
+    rng = np.random.default_rng(5)
+    model = DualHeadModel.create(dim=4, seed=0, buckets=64, radius=2)
+    data = _random_batch(rng, model, 21, "mse")
+    train(model, data, TrainConfig(learning_rate=0.01, batch_size=4, epochs=3, seed=0))
+    assert len(buffers) == 3
 
 
 # --- reference implementations: a loop over items and a row-sparse Adam step -
