@@ -343,11 +343,14 @@ def loads_stripped(line: str) -> Any:
     """json.loads(line) for a line without whitespace at either end, by
     raw_decode: the line has no JSON whitespace to skip, so raw_decode
     reads the same value. On a line it refuses or with text after the
-    value, json.loads runs to raise its own error with its own message."""
+    value, json.loads runs to raise its own error with its own message.
+    A value nested past the recursion limit is a json.JSONDecodeError too."""
     try:
         obj, end = _raw_decode(line)
     except json.JSONDecodeError:
         end = -1
+    except RecursionError:
+        raise json.JSONDecodeError("value nested too deeply", line, 0) from None
     return obj if end == len(line) else json.loads(line)
 
 

@@ -74,7 +74,7 @@ def _iter_input_files(paths: list[str]) -> list[Path]:
         p = Path(raw)
         if p.is_dir():
             files.extend(sorted(q for q in p.iterdir()
-                                if q.suffix in (".txt", ".jsonl") and not q.is_dir()))
+                                if q.suffix.lower() in (".txt", ".jsonl") and not q.is_dir()))
         elif p.exists():
             files.append(p)
         else:
@@ -91,7 +91,7 @@ def _iter_documents(files: list[Path]):
             logger.warning("skipping undecodable file %s", path)
             yield path.name, None
             continue
-        if path.suffix == ".jsonl":
+        if path.suffix.lower() == ".jsonl":
             # Only "\n" ends a JSONL line: splitlines() would also break at
             # U+2028, U+0085 and others, which JSON allows raw in a string.
             yield from extraction.read_documents(text.split("\n"), path.name)
@@ -121,7 +121,7 @@ def cmd_extract(settings: dict, out: Path) -> None:
 
 # Settings left unset take TrainConfig's defaults, for fresh and --init
 # runs alike; the echo records the values used.
-_OPTIMIZER_KEYS = ("learning_rate", "batch_size", "warmup_proportion", "epochs")
+_OPTIMIZER_KEYS = ("learning_rate", "batch_size", "epochs")
 
 
 def _read_training_inputs(path: Path, fmt: str, inventory) -> list[adapters.ModelInput]:
@@ -303,12 +303,11 @@ class Setting:
     default: object = None
     choices: tuple = ()
     when: tuple[str, str] | None = None
-    flag: str | None = None
     help: str | None = None
 
     @property
     def flag_name(self) -> str:
-        return self.flag or "--" + self.key.replace("_", "-")
+        return "--" + self.key.replace("_", "-")
 
 
 @dataclass(frozen=True)
@@ -341,7 +340,6 @@ COMMANDS = {
         Setting("radius", int, 5, when=("init", "fresh")),
         Setting("learning_rate", finite_float),
         Setting("batch_size", int),
-        Setting("warmup_proportion", finite_float, flag="--warmup"),
         Setting("epochs", int),
         Setting("out", default="train-out", help=_OUT),
     )),

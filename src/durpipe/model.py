@@ -12,7 +12,8 @@ Prediction (`predict_many`) adds each item's weighted table rows (its
 matrix products, equal to rounding.
 
 Training is minibatch gradient descent with row-sparse adaptive moments
-(`_Adam`) and a linear-warmup-then-constant schedule. All randomness
+(`_Adam`) and a fixed linear-warmup-then-constant schedule: the rate
+rises over the first tenth of the steps (`_WARMUP`). All randomness
 flows from the config seed, so runs are bit-reproducible.
 `DURPIPE_LOG=INFO` logs each epoch's steps, mean loss and learning rate;
 a run that ends no better than a constant prediction warns.
@@ -309,11 +310,11 @@ def predict_range(model: DualHeadModel, model_input: ModelInput) -> TemporalUnit
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings. One set of defaults serves fresh and fine-tuning runs."""
+    """Optimization settings. One set of defaults serves fresh and
+    fine-tuning runs; the warmup is not a setting (`_WARMUP`)."""
 
     learning_rate: float = 5e-5
     batch_size: int = 16
-    warmup_proportion: float = 0.1
     epochs: int = 1
     seed: int = 0
     loss: str = "mse"  # "mse" for the exact head, "cross_entropy" for the range head
@@ -325,12 +326,10 @@ class TrainConfig:
             value = getattr(self, name)
             if type(value) is not int or value < least:
                 raise ConfigError(f"{name} must be an int >= {least}, got {value!r}")
-        rate, warmup = self.learning_rate, self.warmup_proportion
+        rate = self.learning_rate
         # An int past the float range passes `< math.inf`, then fails to convert.
         if type(rate) not in (int, float) or not 0 <= rate <= sys.float_info.max:
             raise ConfigError(f"learning_rate must be a finite int or float >= 0, got {rate!r}")
-        if type(warmup) not in (int, float) or not 0 <= warmup <= 1:
-            raise ConfigError(f"warmup_proportion must be an int or float in [0, 1], got {warmup!r}")
 
 
 def _labels(model: DualHeadModel, data: Sequence[tuple[ModelInput, object]], loss: str) -> list:
@@ -471,13 +470,9 @@ _DIVERGED_LOSS = 1e6
 # the bound above: a range run whose last epoch's mean step loss is above
 # half the clamp has diverged.
 _DIVERGED_CROSS_ENTROPY = -math.log(1e-300) / 2
-
-
-def _warmup_lr(base: float, step: int, warmup_steps: int) -> float:
-    # 1-based step; linear ramp to the base rate, then constant.
-    if warmup_steps <= 0:
-        return base
-    return base * min(1.0, step / warmup_steps)
+# The published recipe's share of a run's steps over which the learning
+# rate rises linearly to its set value; it stays there after.
+_WARMUP = 0.1
 
 
 def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
@@ -502,9 +497,8 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
         return model, []
     entries = _compile(model, [mi for mi, _ in data], _labels(model, data, cfg.loss))
     steps = math.ceil(len(data) / cfg.batch_size)
-    warmup_steps = math.ceil(cfg.warmup_proportion * (steps * cfg.epochs))
+    warmup_steps = math.ceil(_WARMUP * (steps * cfg.epochs))
     rng = np.random.default_rng(cfg.seed)
-    order = rng.permutation(len(data))
 
     # The optimizer's copy of the head's h rows, then of the table rows the
     # data uses, ascending (entries number them from 0); each step's rows.
@@ -520,14 +514,13 @@ def train(model: DualHeadModel, data: Iterable[tuple[ModelInput, object]],
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
         try:
             for epoch in range(1, cfg.epochs + 1):
-                if epoch > 1:
-                    order = rng.permutation(len(data))
+                order = rng.permutation(len(data))
                 for batch in _epoch(entries, order, cfg.batch_size, len(seen), h):
                     loss, grads = loss_and_grads(work, batch, cfg.loss)
                     if not math.isfinite(loss) or loss > _DIVERGED_LOSS:
                         raise ValueError(f"training diverged at step {len(curve) + 1} (epoch {epoch}): "
                                          f"loss {loss:.6g} is not at most {_DIVERGED_LOSS:g}")
-                    lr = _warmup_lr(cfg.learning_rate, len(curve) + 1, warmup_steps)
+                    lr = cfg.learning_rate * min(1.0, (len(curve) + 1) / warmup_steps)
                     optimizer.step(lr, *grads["embeddings"])
                     curve.append(loss)
                 # The last step's batch and gradient view this epoch's

@@ -192,6 +192,25 @@ def test_extract_cli_skips_a_directory_named_like_an_input(tmp_path):
     assert run("extract", data, "--out", tmp_path / "ex2") == cli.EXIT_IO
 
 
+def test_extract_cli_reads_an_input_suffix_in_any_case(tmp_path):
+    docs = json.dumps({"id": "a", "text": "The trial lasted for 2 weeks."}) + "\n"
+    text = "Repairs took 3 hours."
+    extracted = {}
+    for case in (str.upper, str.lower):
+        data = tmp_path / case.__name__ / "data"
+        data.mkdir(parents=True)
+        (data / case("a.JSONL")).write_text(docs, encoding="utf-8")
+        (data / case("b.TXT")).write_text(text, encoding="utf-8")
+        named = tmp_path / case.__name__ / case("c.JSONL")
+        named.write_text(docs.replace('"a"', '"c"'), encoding="utf-8")
+        out = tmp_path / case.__name__ / "ex"
+        assert run("extract", data, named, "--out", out) == 0
+        extracted[case] = [(json.loads(line)["source_id"].lower(), json.loads(line)["masked_text"])
+                           for line in (out / "instances.jsonl").read_text().splitlines()]
+    assert extracted[str.upper] == extracted[str.lower]
+    assert [source for source, _ in extracted[str.lower]] == ["a#0", "b.txt#0", "c#0"]
+
+
 def test_extract_cli_empty_dir_warns_but_succeeds(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -205,13 +224,13 @@ def test_extract_cli_counts_skipped_documents(tmp_path):
     data.mkdir()
     (data / "bad.txt").write_bytes(b"It took \xff 3 days.")
     (data / "docs.jsonl").write_text(
-        '{"id": "a", "text": "It took 2 days."}\nnot json\n[1]\n{"id": "b", "text": null}\n',
-        encoding="utf-8")
+        '{"id": "a", "text": "It took 2 days."}\nnot json\n[1]\n{"id": "b", "text": null}\n'
+        + _DEEP + "\n", encoding="utf-8")
     out = tmp_path / "ex"
     assert run("extract", data, "--out", out) == 0
     stats = json.loads((out / "stats.json").read_text())
     assert stats["documents"] == 1
-    assert stats["skipped_documents"] == 4
+    assert stats["skipped_documents"] == 5
     assert stats["emitted"] == 1
 
 
@@ -1020,6 +1039,8 @@ def test_bad_setting_is_config_error_naming_it(small_pipeline, tmp_path, capsys,
 _QA_ROW = {"context": "C.", "question": "How long did it last?", "answer": "2 hours", "gold": True}
 _INSTANCE = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2, 3],
              "exact_label": 3.0, "range_label": "hours", "source_id": "x"}
+# Nested past Python's recursion limit, which json raises RecursionError on.
+_DEEP = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.mark.parametrize("argv,line", [
@@ -1056,6 +1077,9 @@ _INSTANCE = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2
     (["train", "{data}"], '{"masked_text": "It took'),
     (["train", "{data}", "--format", "mctaco"], '{"context": "C.'),
     (["eval", "{te}", "{data}", "--protocol", "mctaco"], "not json"),
+    (["train", "{data}"], _DEEP),
+    (["train", "{data}", "--format", "mctaco"], _DEEP),
+    (["eval", "{te}", "{data}", "--protocol", "mctaco"], _DEEP),
 ], ids=["instances-array", "instances-missing-field", "train-qa-array", "eval-qa-array",
         "eval-qa-missing-field", "eval-qa-context-int", "eval-qa-answer-null",
         "eval-qa-gold-string", "train-qa-question-list", "train-qa-gold-int",
@@ -1067,7 +1091,8 @@ _INSTANCE = {"masked_text": "It took [MASK] [MASK] today.", "mask_positions": [2
         "instances-positions-repeated", "instances-positions-backward",
         "instances-source-id-int", "instances-source-id-null",
         "instances-unknown-range-label",
-        "instances-not-json", "train-qa-not-json", "eval-qa-not-json"])
+        "instances-not-json", "train-qa-not-json", "eval-qa-not-json",
+        "instances-nested-deep", "train-qa-nested-deep", "eval-qa-nested-deep"])
 def test_malformed_jsonl_line_is_data_error(small_pipeline, tmp_path, capsys, argv, line):
     # the bad line comes second, after a good one of the same kind
     good = _QA_ROW if "mctaco" in argv else _INSTANCE

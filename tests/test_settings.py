@@ -6,6 +6,7 @@ import configparser
 import json
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -105,12 +106,38 @@ def test_fresh_and_init_runs_take_the_same_optimizer_defaults(pipe, tmp_path):
     runs = {"fresh": [pipe / "ex" / "instances.jsonl", "--init", "fresh"],
             "init": [pipe / "synth" / "holdout.tsv", "--format", "timebank",
                      "--init", pipe / "te" / "model.ckpt"]}
-    defaults = {"learning_rate": "5e-05", "batch_size": "16", "warmup_proportion": "0.1",
-                "epochs": "1"}
+    defaults = {"learning_rate": "5e-05", "batch_size": "16", "epochs": "1"}
     for name, argv in runs.items():
         assert run("train", *argv, "--out", tmp_path / name) == 0
         echo = echoed(tmp_path / name)
         assert {key: echo[key] for key in defaults} == defaults, name
+        assert "warmup_proportion" not in echo, name
+
+
+def test_every_training_setting_but_the_seed_and_loss_is_an_optimizer_key():
+    # cmd_train fills TrainConfig from these keys and echoes what it used.
+    keys = {field.name for field in fields(model.TrainConfig)} - {"seed", "loss"}
+    assert set(cli._OPTIMIZER_KEYS) == keys
+
+
+def test_warmup_is_no_setting(pipe, tmp_path, capsys):
+    # The flag is gone; an old config.ini's key, whatever its value, is
+    # ignored, so that file reruns to the checkpoint of the fixed warmup.
+    instances = pipe / "ex" / "instances.jsonl"
+    argv = ["train", instances, "--learning-rate", 0.05, "--seed", 3, "--dim", 6, "--buckets", 128]
+    assert run(*argv, "--warmup", 0.5, "--out", tmp_path / "flag") == cli.EXIT_CONFIG
+    assert "--warmup" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists()
+    assert run(*argv, "--out", tmp_path / "first") == 0
+    echo = (tmp_path / "first" / "config.ini").read_text(encoding="utf-8")
+    for value in ("0.1", "0.5"):
+        old = tmp_path / f"old-{value}.ini"
+        old.write_text(echo.replace("[train]\n", f"[train]\nwarmup_proportion = {value}\n", 1),
+                       encoding="utf-8")
+        assert f"warmup_proportion = {value}" in old.read_text(encoding="utf-8")
+        again = tmp_path / f"again-{value}"
+        assert run("train", instances, "--config", old, "--out", again) == 0
+        assert outputs(again) == outputs(tmp_path / "first"), value
 
 
 @pytest.mark.parametrize("argv,flag,rule", [
